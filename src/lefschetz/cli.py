@@ -37,7 +37,7 @@ def _read_fibration(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return serialize.fibration_loads(text)
 
@@ -47,8 +47,11 @@ def _emit(doc, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def cmd_census(args) -> int:
@@ -92,7 +95,11 @@ def cmd_witness(args) -> int:
     if args.depth is not None:
         depth = args.depth
     else:
-        depth = int(os.environ.get("MF_DEPTH", "4"))
+        raw = os.environ.get("MF_DEPTH", "4")
+        try:
+            depth = int(raw)
+        except ValueError:
+            raise InputError(f"MF_DEPTH must be an integer, got {raw!r}") from None
     plan = substitution_witness(u, f, depth)
     if plan is None:
         _emit({"found": False, "depth": depth}, args.out)
@@ -172,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("reduce", help="greedy destabilization to a terminal fibration")
+    p = sub.add_parser(
+        "reduce", help="breadth-first search for a maximally destabilized fibration")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--out")

@@ -217,9 +217,6 @@ class Curve:
         """For separating curves, the circles on the side the class sums over."""
         return subset_from_class(self.surface, self.hom)
 
-    def relabel(self, label: str) -> "Curve":
-        return Curve(self.surface, self.cls, self.hom, label)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         name = self.label or "curve"
         return f"{name}:{self.cls}{list(self.hom)}"

@@ -36,10 +36,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
-
-
 def mat_shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -72,18 +68,6 @@ def mat_from_columns(cols: list[Vector], rows: int) -> Matrix:
         if len(c) != rows:
             raise InputError("column length mismatch")
     return tuple(tuple(c[i] for c in cols) for i in range(rows))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
-
-def vec_scale(k: int, x: Vector) -> Vector:
-    return tuple(k * a for a in x)
 
 
 def vec_gcd(x: Vector) -> int:
@@ -237,10 +221,6 @@ def pairing(surface: SurfaceSpec, x: Vector, y: Vector) -> int:
 def is_essential(x: Vector) -> bool:
     """A class is homologically essential iff it is nonzero."""
     return any(a != 0 for a in x)
-
-
-def symplectic_part(surface: SurfaceSpec, x: Vector) -> Vector:
-    return x[: 2 * surface.genus]
 
 
 def in_radical(surface: SurfaceSpec, x: Vector) -> bool:

@@ -23,6 +23,8 @@ Unknown.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from math import factorial
@@ -300,98 +302,128 @@ def act_on_curve(w: MCWord | HomPermRep, c: Curve) -> Curve:
 
 
 # ---------------------------------------------------------------------------
+# group orders: one deterministic Schreier-Sims routine
+# ---------------------------------------------------------------------------
+
+# Work allowed to one group-order computation, counted as orbit points stored
+# plus Schreier generators sifted.  Past it the computation gives up.
+ORDER_WORK_BOUND = 200_000
+
+
+def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
+    """Order of the group G generated by ``gens``, or None past the work bound.
+
+    Deterministic Schreier-Sims (Sims 1970; Seress 2003).  G acts on
+    points by ``act(g, point)``; ``mul(a, b)`` applies b first, then a, and
+    ``inv`` inverts.  ``base`` must be a base: an element fixing every base
+    point is the identity.  Level i keeps the orbit of base[i] under
+    H_i = <generators fixing base[:i]> with a transversal (None stands for
+    the identity at the base point itself); the Schreier generators of each
+    (point, generator) pair are sifted through the deeper levels, deepest
+    level first, and a nontrivial residue becomes a new generator.
+
+    Orbits are extended as generators arrive, each pair is tested once per
+    level, and tree edges (pairs that first reached a point) are skipped,
+    because their Schreier generators are trivial.  A residue made from a
+    level-i Schreier generator lies in H_i already, so it is a new generator
+    only of the deeper levels it reaches.
+
+    G must lie in a group of order ``full_order``.  Each orbit is an orbit of
+    a subgroup of the true point stabilizer, so the product of the orbit
+    lengths bounds |G| from below at every step, and the computation stops
+    as soon as it reaches ``full_order``.  Otherwise the order is returned
+    only once every Schreier generator has sifted, so it is exact.
+    """
+    depth = len(base)
+    orbits: list[dict] = [{b: None} for b in base]
+    level_gens: list[list] = [[] for _ in base]
+    pending: list[list] = [[] for _ in base]  # non-tree pairs, still to sift
+    work = 0
+
+    def sift(h, i: int):
+        """(residue, level it dropped out at), or (None, depth) if h sifts."""
+        while i < depth:
+            pt = act(h, base[i])
+            if pt not in orbits[i]:
+                return h, i
+            u = orbits[i][pt]
+            if u is not None:
+                h = mul(inv(u), h)
+            i += 1
+        return None, depth
+
+    def extend(i: int, pairs: list) -> None:
+        nonlocal work
+        orbit, gens_i, todo = orbits[i], level_gens[i], pending[i]
+        for pt, s in pairs:  # grows while it is read
+            img = act(s, pt)
+            if img in orbit:
+                todo.append((pt, s, img))
+                continue
+            u = orbit[pt]
+            orbit[img] = s if u is None else mul(s, u)
+            work += 1
+            if work > ORDER_WORK_BOUND:
+                return
+            pairs.extend((img, t) for t in gens_i)
+
+    def add(h, lo: int, hi: int) -> None:
+        for i in range(lo, hi + 1):
+            level_gens[i].append(h)
+            extend(i, [(pt, h) for pt in orbits[i]])
+
+    def lower_bound() -> int:
+        order = 1
+        for orbit in orbits:
+            order *= len(orbit)
+        return order
+
+    for g in gens:
+        residue, level = sift(g, 0)
+        if residue is not None:
+            add(residue, 0, level)
+    while lower_bound() != full_order:
+        if work > ORDER_WORK_BOUND:
+            return None
+        i = next((i for i in reversed(range(depth)) if pending[i]), None)
+        if i is None:
+            return lower_bound()
+        pt, s, img = pending[i].pop()
+        work += 1
+        u, v = orbits[i][pt], orbits[i][img]
+        schreier = s if u is None else mul(s, u)
+        if v is not None:
+            schreier = mul(inv(v), schreier)
+        residue, level = sift(schreier, i + 1)
+        if residue is not None:
+            add(residue, i + 1, level)
+    return full_order
+
+
+# ---------------------------------------------------------------------------
 # permutation groups: surjectivity onto the full symmetric group
 # ---------------------------------------------------------------------------
 
-def _perm_group_order(gens: list[Permutation], n: int) -> int:
-    """Order of the generated subgroup, by a deterministic stabilizer chain.
-
-    Sims's method with full Schreier-generator verification: generators are
-    sifted to the level they stabilize down to, and the chain is reprocessed
-    until every Schreier generator sifts to the identity.  Plenty fast at
-    the desk-scale degrees allowed here.
-    """
-    ident = perm_identity(n)
-    levels: list[dict] = []  # {"base": point, "gens": [residues placed here]}
-
-    def effective_gens(i: int) -> list[Permutation]:
-        return [g for level in levels[i:] for g in level["gens"]]
-
-    def orbit(i: int) -> dict[int, Permutation]:
-        base = levels[i]["base"]
-        gens_i = effective_gens(i)
-        orb = {base: ident}
-        frontier = [base]
-        while frontier:
-            frontier.sort()
-            pt = frontier.pop(0)
-            rep = orb[pt]
-            for g in gens_i:
-                img = g[pt]
-                if img not in orb:
-                    orb[img] = perm_compose(g, rep)
-                    frontier.append(img)
-        return orb
-
-    def sift(p: Permutation, start: int) -> tuple[Permutation | None, int]:
-        for i in range(start, len(levels)):
-            orb = orbit(i)
-            img = p[levels[i]["base"]]
-            if img not in orb:
-                return p, i
-            p = perm_compose(perm_inverse(orb[img]), p)
-        if p == ident:
-            return None, len(levels)
-        return p, len(levels)
-
-    def place(p: Permutation, start: int) -> bool:
-        residue, lvl = sift(p, start)
-        if residue is None:
-            return False
-        if lvl == len(levels):
-            base = next(i for i in range(n) if residue[i] != i)
-            levels.append({"base": base, "gens": []})
-        levels[lvl]["gens"].append(residue)
-        return True
-
-    for g in gens:
-        check_perm(g, n)
-        place(g, 0)
-
-    dirty = bool(levels)
-    while dirty:
-        dirty = False
-        for i in range(len(levels)):
-            orb = orbit(i)
-            for pt in sorted(orb):
-                rep = orb[pt]
-                for g in effective_gens(i):
-                    schreier = perm_compose(
-                        perm_inverse(orb[g[pt]]), perm_compose(g, rep))
-                    if schreier != ident and place(schreier, i + 1):
-                        dirty = True
-            if dirty:
-                break
-
-    order = 1
-    for i in range(len(levels)):
-        order *= len(orbit(i))
-    return order
-
-
 def perm_group_surjective(perms: list[Permutation], b: int) -> bool:
-    """True iff the permutations generate the full symmetric group on b points."""
+    """True iff the permutations generate the full symmetric group on b points.
+
+    Every residue kept by the order computation enlarges an orbit, so at
+    degree <= 10 its work stays far below ORDER_WORK_BOUND.
+    """
     if b < 1:
         raise InputError("need at least one boundary circle")
     if b > 10:
         raise CapacityError(f"permutation degree {b} exceeds the desk-scale bound 10")
     for p in perms:
         check_perm(p, b)
-    return _perm_group_order(list(perms), b) == factorial(b)
+    full = factorial(b)
+    order = _group_order(
+        perms, range(b), lambda g, i: g[i], perm_compose, perm_inverse, full)
+    return order == full
 
 
 # ---------------------------------------------------------------------------
-# mod-p symplectic closure
+# mod-p symplectic groups
 # ---------------------------------------------------------------------------
 
 def symplectic_group_order(g: int, p: int) -> int:
@@ -406,30 +438,31 @@ def _symplectic_block_mod(m: Matrix, g: int, p: int) -> Matrix:
     return tuple(tuple(m[i][j] % p for j in range(2 * g)) for i in range(2 * g))
 
 
-def _closure(gens: set[Matrix], p: int, cap: int) -> set[Matrix] | None:
-    """BFS closure of a matrix set under multiplication mod p; None if > cap."""
-    if not gens:
-        gens = set()
-    n = len(next(iter(gens))) if gens else 0
-    ident = mat_identity(n)
-    seen = {ident} | set(gens)
-    frontier = list(gens)
-    while frontier:
-        if len(seen) > cap:
-            return None
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                prod = tuple(
-                    tuple(sum(x * y for x, y in zip(row, col)) % p
-                          for col in zip(*g))
-                    for row in a
-                )
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
+    """Order of the group the symplectic matrices generate mod p (None: gave up).
+
+    The group acts on column vectors of F_p^(2g); the standard basis is a
+    base, since a matrix fixing every basis vector is the identity.
+    """
+    n = 2 * g
+    sign = [1 - 2 * (a % 2) for a in range(n)]
+
+    def act(m: Matrix, v: Vector) -> Vector:
+        return tuple(sum(map(operator.mul, row, v)) % p for row in m)
+
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        cols = tuple(zip(*b))
+        return tuple(
+            tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
+
+    def inv(m: Matrix) -> Matrix:
+        # m^-1 = J^T m^T J for symplectic m: entry (a, c) is +-m[c^1][a^1]
+        return tuple(
+            tuple(sign[a] * sign[c] * m[c ^ 1][a ^ 1] % p for c in range(n))
+            for a in range(n))
+
+    base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _group_order(mats, base, act, mul, inv, symplectic_group_order(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +575,6 @@ def mcg_surjectivity_oracle(
     twists: list[TwistGen],
     surface: SurfaceSpec,
     primes: tuple[int, ...] = (2, 3, 5),
-    closure_cap: int = 200_000,
 ) -> SurjectivityVerdict:
     """Decide, when possible, whether the twists generate the mapping class group.
 
@@ -555,8 +587,15 @@ def mcg_surjectivity_oracle(
     Obstructed is only returned with a finite computed obstruction:
 
       * the homology images mod p generate a proper subgroup of the full
-        symplectic group Sp(2g, p) for some p (the closure is run with a
-        size cap and only a *completed* closure counts);
+        symplectic group Sp(2g, p) for some p.  The order of that group is
+        computed exactly by a stabilizer chain (Schreier-Sims on F_p^(2g),
+        with the standard basis as base points), and only a *completed*
+        chain counts.  A chain that would need more than ORDER_WORK_BOUND
+        orbit points and sifted Schreier generators is abandoned, and that
+        prime is inconclusive.  The chain stops early, as full, once the
+        product of its orbit lengths reaches |Sp(2g, p)|: each orbit is an
+        orbit of a subgroup of the true point stabilizer, so the product is
+        a lower bound on the order;
       * b <= 1 and some curve type is missed by the twist curves, which a
         surjective monodromy would have to realize.
 
@@ -576,18 +615,17 @@ def mcg_surjectivity_oracle(
 
     if g >= 1:
         for p in primes:
-            gens = {
+            gens = dict.fromkeys(
                 _symplectic_block_mod(twist_matrix(t.curve, t.handed), g, p)
-                for t in twists
-            }
-            closed = _closure(gens, p, closure_cap)
-            if closed is None:
+                for t in twists)
+            order = _symplectic_order_mod(gens, g, p)
+            if order is None:
                 continue  # inconclusive at this prime
             full = symplectic_group_order(g, p)
-            if len(closed) < full:
+            if order < full:
                 return SurjectivityVerdict(
                     "obstructed",
-                    f"mod-{p} symplectic closure has order {len(closed)} < {full}")
+                    f"mod-{p} symplectic closure has order {order} < {full}")
 
     if b <= 1:
         present = {t.curve.cls for t in twists}

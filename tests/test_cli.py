@@ -231,3 +231,28 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2
+
+
+def _assert_refused(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_non_utf8_file_refused(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(fibration_dumps(u_g1(2)).encode()[:-2] + b"\xff\xfe}\n")
+    _assert_refused(main(["invariants", str(path)]), capsys)
+
+
+def test_non_integer_depth_env_refused(tmp_path, capsys, monkeypatch):
+    u = _write(tmp_path, "u.json", u_g1(2))
+    monkeypatch.setenv("MF_DEPTH", "abc")
+    _assert_refused(main(["witness", "-u", u, "-f", u]), capsys)
+
+
+def test_unwritable_out_refused(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.json")
+    _assert_refused(main(["build", "u_g1", "--g", "2", "--out", out]), capsys)

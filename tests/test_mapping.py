@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import random
 from importlib import resources
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lefschetz.mapping as mapping
 from lefschetz.curves import nonseparating_curve, separating_curve
 from lefschetz.errors import CapacityError, InputError
 from lefschetz.homology import (
@@ -27,19 +29,25 @@ from lefschetz.mapping import (
     Letter,
     MCWord,
     TwistGen,
+    _group_order,
+    _symplectic_block_mod,
+    _symplectic_order_mod,
     act_on_curve,
     boundary_permutation_gen,
     catalog_adjacency,
     evaluate,
     mcg_surjectivity_oracle,
     packaged_catalog,
+    perm_compose,
     perm_group_surjective,
+    perm_inverse,
     symplectic_group_order,
     twist_catalog,
     twist_matrix,
     twist_word,
 )
 from lefschetz.serialize import curve_to_json
+from reference_orders import _closure, _perm_group_order
 
 
 def _random_nonsep(rng, s):
@@ -274,14 +282,13 @@ def test_catalog_no_invariant_quadratic_form_mod2():
 
 def test_catalog_mod2_closure_is_full_for_genus_two():
     s = SurfaceSpec(2, 1)
-    from lefschetz.mapping import _closure, _symplectic_block_mod
-
     gens = {
         _symplectic_block_mod(twist_matrix(c), 2, 2) for c in twist_catalog(s)
     }
     closed = _closure(gens, 2, 10_000)
     assert closed is not None
     assert len(closed) == symplectic_group_order(2, 2) == 720
+    assert _symplectic_order_mod(gens, 2, 2) == 720
 
 
 def test_packaged_catalog_is_pinned():
@@ -354,3 +361,101 @@ def test_oracle_never_certifies_without_catalog(seed):
     neg = {(cls, tuple(-x for x in hom)) for cls, hom in have}
     if not catalog_keys <= (have | neg):
         assert not mcg_surjectivity_oracle(twists, s).certified
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain against the slow reference routines
+# ---------------------------------------------------------------------------
+
+# closures larger than this are not listed; the chain must then find more
+REFERENCE_CAP = 1_500
+
+
+def _mod_p_gens(curves, handedness, g, p):
+    return {
+        _symplectic_block_mod(twist_matrix(c, h), g, p)
+        for c, h in zip(curves, handedness)
+    }
+
+
+def _assert_matches_closure(gens, g, p):
+    order = _symplectic_order_mod(gens, g, p)
+    closed = _closure(gens, p, REFERENCE_CAP)
+    if closed is None:
+        assert order > REFERENCE_CAP
+    else:
+        assert order == len(closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), g=st.sampled_from((1, 2)),
+       p=st.sampled_from((2, 3)), count=st.integers(0, 4))
+def test_chain_order_matches_closure_random_twists(seed, g, p, count):
+    rng = random.Random(seed)
+    s = SurfaceSpec(g, 1)
+    curves = [_random_nonsep(rng, s) for _ in range(count)]
+    handedness = [rng.choice(("right", "left")) for _ in curves]
+    _assert_matches_closure(_mod_p_gens(curves, handedness, g, p), g, p)
+
+
+@settings(max_examples=12, deadline=None)
+@given(removed=st.sets(st.integers(0, 6), min_size=1, max_size=6),
+       word=st.lists(st.tuples(st.integers(0, 6), st.sampled_from((1, -1))), max_size=4),
+       left=st.sets(st.integers(0, 6)))
+def test_chain_order_matches_closure_genus_three_mod2(removed, word, left):
+    s = SurfaceSpec(3, 1)
+    catalog = twist_catalog(s)
+    conj = MCWord(s, tuple(Letter(TwistGen(catalog[i]), e) for i, e in word))
+    kept = [act_on_curve(conj, c) for i, c in enumerate(catalog) if i not in removed]
+    handedness = ["left" if i in left else "right" for i in range(len(kept))]
+    _assert_matches_closure(_mod_p_gens(kept, handedness, 3, 2), 3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_chain_order_matches_reference_permutations(data, n):
+    perms = data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+    order = _group_order(
+        perms, range(n), lambda g, i: g[i], perm_compose, perm_inverse, factorial(n))
+    assert order == _perm_group_order(list(perms), n)
+
+
+# ---------------------------------------------------------------------------
+# the work bound
+# ---------------------------------------------------------------------------
+
+def test_work_bound_makes_a_prime_inconclusive_never_obstructed(monkeypatch):
+    s = SurfaceSpec(2, 1)
+    twists = [TwistGen(c) for c in twist_catalog(s)[:2] + twist_catalog(s)[3:]]
+    exact = mcg_surjectivity_oracle(twists, s, primes=(2,))
+    assert exact.detail == "mod-2 symplectic closure has order 48 < 720"
+    verdicts = set()
+    for bound in range(0, 60):
+        monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", bound)
+        verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
+        # a chain cut short gives up; only a completed one obstructs
+        assert verdict in (exact, mapping.SurjectivityVerdict(
+            "unknown", "no certificate and no finite obstruction"))
+        verdicts.add(verdict.status)
+    assert verdicts == {"unknown", "obstructed"}
+
+
+def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
+    s = SurfaceSpec(2, 1)
+    gens = _mod_p_gens(twist_catalog(s), ["right"] * 5, 2, 3)
+    full = symplectic_group_order(2, 3)
+
+    def least_bound(target):
+        """Smallest work bound at which the chain returns an order."""
+        monkeypatch.setattr(mapping, "symplectic_group_order", lambda g, p: target)
+        for bound in range(0, 10_000, 20):
+            monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", bound)
+            order = _symplectic_order_mod(gens, 2, 3)
+            if order is not None:
+                assert order == full
+                return bound
+        raise AssertionError("the chain did not finish")
+
+    # told a larger ambient order, the chain never stops early: it completes
+    # and still finds |Sp(4, 3)|, at a cost the early exit avoids
+    assert least_bound(full) < least_bound(3 * full)
