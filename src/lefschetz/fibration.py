@@ -28,17 +28,16 @@ from .homology import (
     Matrix,
     SurfaceSpec,
     Vector,
+    cokernel_invariants,
     in_radical,
     mat_from_columns,
     mat_identity,
     mat_mul,
     mat_vec,
-    smith_normal_form,
     vec_gcd,
 )
 from .mapping import (
     BundleGen,
-    HomPermRep,
     Letter,
     MCWord,
     SurjectivityVerdict,
@@ -47,8 +46,11 @@ from .mapping import (
     evaluate,
     mcg_surjectivity_oracle,
     perm_group_surjective,
-    perm_identity,
+    transvect,
+    twist_covector,
     twist_matrix,
+    twist_right,
+    twist_vector,
 )
 
 
@@ -131,7 +133,7 @@ def twist_product(f: LefschetzFibration) -> Matrix:
     """Ordered product of the signed twist matrices of the cycles."""
     acc = mat_identity(f.fiber.rank)
     for c in f.cycles:
-        acc = mat_mul(acc, twist_matrix(c.curve, "right" if c.sign > 0 else "left"))
+        acc = twist_right(acc, c.curve, c.sign)
     return acc
 
 
@@ -231,16 +233,12 @@ def total_space_invariants(f: LefschetzFibration) -> InvariantReport:
     cols: list[Vector] = [c.curve.hom for c in f.cycles]
     if fiber.boundary == 0:
         cols.append(fiber.zero())
-    boundary = mat_from_columns(cols, fiber.rank)
-    snf = smith_normal_form(boundary)
-    rank = sum(1 for d in snf.diagonal() if d != 0)
-    torsion = tuple(d for d in snf.diagonal() if d > 1)
-    euler = fiber.euler + len(f.cycles)
+    free, torsion = cokernel_invariants(mat_from_columns(cols, fiber.rank))
     report = InvariantReport(
-        euler=euler,
-        h1_free_rank=fiber.rank - rank,
+        euler=fiber.euler + len(f.cycles),
+        h1_free_rank=free,
         h1_torsion=torsion,
-        h2_rank=len(cols) - rank,
+        h2_rank=len(cols) - (fiber.rank - free),
         positive=sum(1 for c in f.cycles if c.sign > 0),
         negative=sum(1 for c in f.cycles if c.sign < 0),
     )
@@ -257,7 +255,8 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
 
     R:  (c_i^e, c_{i+1}^d)  ->  (c_{i+1}^d, (t_{c_{i+1}}^{-d}(c_i))^e)
     L is the inverse move.  Either way the evaluated product of the signed
-    twist matrices is unchanged.
+    twist matrices is unchanged.  The moved class is the neighbor's twist
+    applied to it directly, one transvection.
     """
     if direction not in ("L", "R"):
         raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
@@ -268,17 +267,13 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     left, right = cyc[i - 1], cyc[i]
     if direction == "R":
         # conjugate by the inverse twist of the right neighbor
-        handed = "left" if right.sign > 0 else "right"
-        rep = HomPermRep(
-            f.fiber, twist_matrix(right.curve, handed), perm_identity(f.fiber.boundary))
-        moved = SignedCycle(act_on_curve(rep, left.curve), left.sign)
-        cyc[i - 1], cyc[i] = right, moved
+        twist, h, moving = right, -right.sign, left
     else:
-        handed = "right" if left.sign > 0 else "left"
-        rep = HomPermRep(
-            f.fiber, twist_matrix(left.curve, handed), perm_identity(f.fiber.boundary))
-        moved = SignedCycle(act_on_curve(rep, right.curve), right.sign)
-        cyc[i - 1], cyc[i] = moved, left
+        twist, h, moving = left, left.sign, right
+    c = moving.curve
+    moved = SignedCycle(
+        Curve(c.surface, c.cls, twist_vector(c.hom, twist.curve, h), c.label), moving.sign)
+    cyc[i - 1], cyc[i] = (right, moved) if direction == "R" else (moved, left)
     return replace(f, cycles=tuple(cyc))
 
 
@@ -644,7 +639,7 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
     conjugator, with sign multiplied by the local degree.  The monodromy
     factors through the source at the implemented resolution: the twist
     about each transported curve equals the conjugated source twist, which
-    is asserted.
+    is asserted (rep T by a rank-1 update, then one dense product).
     """
     _require_disk(u, "pullback")
     cycles = []
@@ -657,7 +652,7 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
         rep = evaluate(e.conjugator)
         moved = act_on_curve(rep, src.curve)
         inv = evaluate(e.conjugator.inverse())
-        conjugated = mat_mul(rep.matrix, mat_mul(twist_matrix(src.curve), inv.matrix))
+        conjugated = mat_mul(twist_right(rep.matrix, src.curve, 1), inv.matrix)
         if twist_matrix(moved) != conjugated:
             raise AssertionError("monodromy does not factor through the source")
         cycles.append(SignedCycle(moved, e.local_degree * src.sign))
@@ -763,7 +758,7 @@ def substitution_witness(
         raise InputError("depth must be >= 0")
 
     letters = _alphabet(u)
-    mats = [twist_matrix(l.gen.curve, l.gen.handed) for l in letters]
+    steps = [(l.gen.curve.hom, twist_covector(l.gen.curve), l.gen.sign) for l in letters]
     targets = [(c.curve.cls, c.curve.hom, c.sign) for c in f.cycles]
     pref = [
         [j for j, s in enumerate(u.cycles) if s.sign == sign and s.curve.cls == cls]
@@ -791,7 +786,7 @@ def substitution_witness(
 
     # Length-lexicographic: all words of length L before any of length L+1.
     for length in range(depth + 1):
-        if _walk_level((), mat_identity(u.fiber.rank), length, mats, visit,
+        if _walk_level((), mat_identity(u.fiber.rank), length, steps, visit,
                        hit_pref, len(targets)):
             break
 
@@ -819,13 +814,14 @@ def substitution_witness(
     return plan
 
 
-def _walk_level(word, matrix, remaining, mats, visit, hit_pref, n_targets) -> bool:
-    """Visit all words of exactly ``remaining`` more letters, in lex order."""
+def _walk_level(word, matrix, remaining, steps, visit, hit_pref, n_targets) -> bool:
+    """Visit all words of exactly ``remaining`` more letters, in lex order;
+    each letter's step (class, covector, hand) is one rank-1 update."""
     if remaining == 0:
         visit(word, matrix)
         return len(hit_pref) == n_targets
-    for li, m in enumerate(mats):
-        if _walk_level(word + (li,), mat_mul(matrix, m), remaining - 1,
-                       mats, visit, hit_pref, n_targets):
+    for li, (c, w, h) in enumerate(steps):
+        if _walk_level(word + (li,), transvect(matrix, c, w, h), remaining - 1,
+                       steps, visit, hit_pref, n_targets):
             return True
     return False

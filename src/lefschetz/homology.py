@@ -59,10 +59,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_from_columns(cols: list[Vector], rows: int) -> Matrix:
     for c in cols:
         if len(c) != rows:
@@ -75,33 +71,6 @@ def vec_gcd(x: Vector) -> int:
     for a in x:
         g = gcd(g, a)
     return g
-
-
-def mat_det(a: Matrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise InputError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    w = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
 
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:
@@ -229,9 +198,24 @@ def in_radical(surface: SurfaceSpec, x: Vector) -> bool:
 
 
 def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
-    """Check m^T J m == J exactly."""
+    """Check m^T J m == J exactly, from the g symplectic row pairs of m.
+
+    Both sides are antisymmetric, so entries above the diagonal are compared.
+    Shapes that do not compose with J raise InputError, as in m^T J m.
+    """
+    r = surface.rank
+    cols = min(map(len, m), default=0)
+    t_cols = len(m) if cols else 0  # m^T is cols x len(m), or 0x0 without columns
+    if t_cols != r or (not cols and m):
+        right = f"{r}x{r}" if t_cols != r else f"{len(m)}x{len(m[0])}"
+        raise InputError(f"matrix shapes {cols}x{t_cols} and {right} do not compose")
+    if cols != r:
+        return False
     j = pairing_matrix(surface)
-    return mat_mul(mat_mul(mat_transpose(m), j), m) == j
+    pairs = [(m[2 * i], m[2 * i + 1]) for i in range(surface.genus)]
+    return all(
+        sum(p[x] * q[y] - q[x] * p[y] for p, q in pairs) == j[x][y]
+        for x in range(r) for y in range(x + 1, r))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .homology import (
     mat_mul,
     mat_vec,
     pairing,
-    pairing_matrix,
     preserves_pairing,
 )
 
@@ -90,6 +89,11 @@ class TwistGen:
     @property
     def surface(self) -> SurfaceSpec:
         return self.curve.surface
+
+    @property
+    def sign(self) -> int:
+        """h in x -> x + h <c, x> c: +1 right-handed, -1 left-handed."""
+        return 1 if self.handed == "right" else -1
 
     def inverse(self) -> "TwistGen":
         return TwistGen(self.curve, "left" if self.handed == "right" else "right")
@@ -237,53 +241,67 @@ class HomPermRep:
             self.perm == perm_identity(self.surface.boundary))
 
 
-def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
-    """Homology transvection of the twist about c."""
-    if handed not in ("right", "left"):
-        raise InputError(f"bad handedness {handed!r}")
-    h = 1 if handed == "right" else -1
-    surface = c.surface
-    r = surface.rank
-    j = pairing_matrix(surface)
+def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
+    """Send each row x to x + h (x . a) b, O(r) per row: the one twist kernel.
+
+    For the twist T about c with covector w (w . x = <c, x>), m T is the
+    rank-1 right update ``transvect(m, c, w, h)`` = m + h (m c) w^T, and
+    T x is ``transvect((x,), w, c, h)[0]``.
+    """
+    out = []
+    for x in rows:
+        k = h * sum(map(operator.mul, x, a))
+        out.append(tuple(p + k * q for p, q in zip(x, b)) if k else x)
+    return tuple(out)
+
+
+def twist_covector(c: Curve) -> Vector:
+    """The row w with w . x = <c, x>: (-c_b1, c_a1, ..., -c_bg, c_ag, 0, ..., 0)."""
     v = c.hom
-    # row w with w_k = sum_m v_m J_{m k}; the transvection is I + h * outer(v, w)
-    w = tuple(sum(v[m] * j[m][k] for m in range(r)) for k in range(r))
-    return tuple(
-        tuple((1 if i == k else 0) + h * v[i] * w[k] for k in range(r))
-        for i in range(r)
-    )
+    w = [0] * len(v)
+    for i in range(0, 2 * c.surface.genus, 2):
+        w[i], w[i + 1] = -v[i + 1], v[i]
+    return tuple(w)
 
 
-def _letter_rep(letter: Letter) -> tuple[Matrix, Permutation]:
-    gen = letter.gen
-    if isinstance(gen, TwistGen):
-        handed = gen.handed
-        if letter.power == -1:
-            handed = "left" if handed == "right" else "right"
-        return twist_matrix(gen.curve, handed), perm_identity(gen.surface.boundary)
-    if letter.power == -1:
-        gen = gen.inverse()
-    return gen.matrix, gen.perm
+def twist_right(m: Matrix, c: Curve, h: int) -> Matrix:
+    """m T for the twist T about c with hand h, by one rank-1 update."""
+    return transvect(m, c.hom, twist_covector(c), h)
+
+
+def twist_vector(x: Vector, c: Curve, h: int) -> Vector:
+    """T x = x + h <c, x> c for the twist T about c with hand h, in O(r)."""
+    return transvect((x,), twist_covector(c), c.hom, h)[0]
+
+
+def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
+    """Homology transvection of the twist about c, as a dense matrix."""
+    return twist_right(mat_identity(c.surface.rank), c, TwistGen(c, handed).sign)
 
 
 def evaluate(w: MCWord) -> HomPermRep:
     """Evaluate a word; the empty word is the identity.
 
-    The result always preserves the pairing form (asserted), and twist-only
-    words have identity boundary permutation because twists fix the boundary
-    pointwise.
+    Twist letters are rank-1 updates; bundle letters multiply in their dense
+    matrix.  The result always preserves the pairing form (asserted), and
+    twist-only words have identity boundary permutation because twists fix
+    the boundary pointwise.
     """
     surface = w.surface
     matrix = mat_identity(surface.rank)
     perm = perm_identity(surface.boundary)
     for letter in w.letters:
-        m, p = _letter_rep(letter)
-        matrix = mat_mul(matrix, m)
-        perm = perm_compose(perm, p)
-    rep = HomPermRep(surface, matrix, perm)
+        gen = letter.gen
+        if isinstance(gen, TwistGen):
+            matrix = twist_right(matrix, gen.curve, letter.power * gen.sign)
+            continue
+        if letter.power == -1:
+            gen = gen.inverse()
+        matrix = mat_mul(matrix, gen.matrix)
+        perm = perm_compose(perm, gen.perm)
     if not preserves_pairing(surface, matrix):
         raise AssertionError("evaluated word does not preserve the pairing form")
-    return rep
+    return HomPermRep(surface, matrix, perm)
 
 
 def act_on_curve(w: MCWord | HomPermRep, c: Curve) -> Curve:
@@ -521,16 +539,11 @@ def catalog_adjacency(surface: SurfaceSpec) -> dict[tuple[str, str], int]:
     return table
 
 
-def _load_catalog_file() -> list[dict]:
-    with resources.files("lefschetz.data").joinpath("twist_catalog.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
-
-
 def packaged_catalog() -> list[dict]:
     """The catalog entries shipped as package data (small genera, pinned)."""
-    return _load_catalog_file()
+    path = resources.files("lefschetz.data").joinpath("twist_catalog.json")
+    with path.open("r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ def fibration_loads(text: str) -> LefschetzFibration:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:  # nesting depth, int-string digit limit
+        raise InputError(f"JSON input exceeds a parser limit: {exc}") from None
     return fibration_from_json(obj)
 
 
@@ -249,9 +251,13 @@ def plan_to_json(plan: MeridianPlan) -> dict:
 
 def plan_from_json(obj: Any, surface: SurfaceSpec) -> MeridianPlan:
     _expect_keys(obj, {"entries"}, {"immersion"}, "plan")
+    if not isinstance(obj["entries"], list):
+        raise InputError("plan entries must be a list")
     entries = []
     for e in obj["entries"]:
         _expect_keys(e, {"source", "conjugator", "local_degree"}, set(), "plan entry")
+        if not isinstance(e["conjugator"], list):
+            raise InputError("plan conjugator must be a list of letters")
         letters = tuple(_letter_from_json(l, surface) for l in e["conjugator"])
         entries.append(
             PlanEntry(

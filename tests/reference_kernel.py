@@ -1,0 +1,271 @@
+"""The dense twist kernel the library used before transvections, kept as a reference.
+
+Each function is the library's earlier implementation, unchanged except for
+the names it imports: twists are dense matrices multiplied in by
+``mat_mul``, Hurwitz moves go through ``HomPermRep`` and ``act_on_curve``,
+pairing preservation is the dense check m^T J m == J, and the witness walk
+extends each prefix by a dense product.  The differential tests require the
+library's rank-1 paths to agree with these exactly.
+
+``mat_det`` lives here too: only the tests use it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from lefschetz.curves import Curve
+from lefschetz.errors import InputError
+from lefschetz.fibration import (
+    ImmersionWitness,
+    LefschetzFibration,
+    MeridianPlan,
+    PlanEntry,
+    SignedCycle,
+    _alphabet,
+    _require_disk,
+    pullback,
+)
+from lefschetz.homology import (
+    Matrix,
+    SurfaceSpec,
+    mat_identity,
+    mat_mul,
+    mat_shape,
+    mat_vec,
+    pairing_matrix,
+)
+from lefschetz.mapping import (
+    HomPermRep,
+    Letter,
+    MCWord,
+    Permutation,
+    TwistGen,
+    act_on_curve,
+    perm_compose,
+    perm_identity,
+)
+
+
+def mat_det(a: Matrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    n, m = mat_shape(a)
+    if n != m:
+        raise InputError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    w = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if w[k][k] == 0:
+            for i in range(k + 1, n):
+                if w[i][k] != 0:
+                    w[k], w[i] = w[i], w[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
+            w[i][k] = 0
+        prev = w[k][k]
+    return sign * w[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# dense twists, words and the pairing check
+# ---------------------------------------------------------------------------
+
+def mat_transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a)) if a else ()
+
+
+def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
+    """Check m^T J m == J exactly."""
+    j = pairing_matrix(surface)
+    return mat_mul(mat_mul(mat_transpose(m), j), m) == j
+
+
+def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
+    """Homology transvection of the twist about c."""
+    if handed not in ("right", "left"):
+        raise InputError(f"bad handedness {handed!r}")
+    h = 1 if handed == "right" else -1
+    surface = c.surface
+    r = surface.rank
+    j = pairing_matrix(surface)
+    v = c.hom
+    # row w with w_k = sum_m v_m J_{m k}; the transvection is I + h * outer(v, w)
+    w = tuple(sum(v[m] * j[m][k] for m in range(r)) for k in range(r))
+    return tuple(
+        tuple((1 if i == k else 0) + h * v[i] * w[k] for k in range(r))
+        for i in range(r)
+    )
+
+
+def _letter_rep(letter: Letter) -> tuple[Matrix, Permutation]:
+    gen = letter.gen
+    if isinstance(gen, TwistGen):
+        handed = gen.handed
+        if letter.power == -1:
+            handed = "left" if handed == "right" else "right"
+        return twist_matrix(gen.curve, handed), perm_identity(gen.surface.boundary)
+    if letter.power == -1:
+        gen = gen.inverse()
+    return gen.matrix, gen.perm
+
+
+def evaluate(w: MCWord) -> HomPermRep:
+    """Evaluate a word; the empty word is the identity.
+
+    The result always preserves the pairing form (asserted), and twist-only
+    words have identity boundary permutation because twists fix the boundary
+    pointwise.
+    """
+    surface = w.surface
+    matrix = mat_identity(surface.rank)
+    perm = perm_identity(surface.boundary)
+    for letter in w.letters:
+        m, p = _letter_rep(letter)
+        matrix = mat_mul(matrix, m)
+        perm = perm_compose(perm, p)
+    rep = HomPermRep(surface, matrix, perm)
+    if not preserves_pairing(surface, matrix):
+        raise AssertionError("evaluated word does not preserve the pairing form")
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# fibration layer
+# ---------------------------------------------------------------------------
+
+def twist_product(f: LefschetzFibration) -> Matrix:
+    """Ordered product of the signed twist matrices of the cycles."""
+    acc = mat_identity(f.fiber.rank)
+    for c in f.cycles:
+        acc = mat_mul(acc, twist_matrix(c.curve, "right" if c.sign > 0 else "left"))
+    return acc
+
+
+def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibration:
+    """Elementary change of Hurwitz system at position i (1-based, i < n).
+
+    R:  (c_i^e, c_{i+1}^d)  ->  (c_{i+1}^d, (t_{c_{i+1}}^{-d}(c_i))^e)
+    L is the inverse move.  Either way the evaluated product of the signed
+    twist matrices is unchanged.
+    """
+    if direction not in ("L", "R"):
+        raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
+    n = f.size
+    if not 1 <= i < n:
+        raise InputError(f"move position {i} out of range 1..{n - 1}")
+    cyc = list(f.cycles)
+    left, right = cyc[i - 1], cyc[i]
+    if direction == "R":
+        # conjugate by the inverse twist of the right neighbor
+        handed = "left" if right.sign > 0 else "right"
+        rep = HomPermRep(
+            f.fiber, twist_matrix(right.curve, handed), perm_identity(f.fiber.boundary))
+        moved = SignedCycle(act_on_curve(rep, left.curve), left.sign)
+        cyc[i - 1], cyc[i] = right, moved
+    else:
+        handed = "right" if left.sign > 0 else "left"
+        rep = HomPermRep(
+            f.fiber, twist_matrix(left.curve, handed), perm_identity(f.fiber.boundary))
+        moved = SignedCycle(act_on_curve(rep, right.curve), right.sign)
+        cyc[i - 1], cyc[i] = moved, left
+    return replace(f, cycles=tuple(cyc))
+
+
+def substitution_witness(
+    u: LefschetzFibration,
+    f: LefschetzFibration,
+    depth: int = 4,
+) -> MeridianPlan | None:
+    """Search for a meridian plan realizing f as a pullback of u.
+
+    For each target cycle, conjugating words over the source's own twist
+    letters (and inverses) are enumerated in deterministic length-then-lex
+    order up to ``depth``, looking for an exact (type, class) match with a
+    source cycle.  Sign-matching sources are preferred (local degree +1);
+    otherwise an opposite-sign source is used with local degree -1.  The
+    returned plan is verified by a pullback round trip and is an
+    ImmersionWitness when every local degree is +1.  Returns None when some
+    cycle stays unmatched within the depth bound.
+    """
+    if u.fiber != f.fiber:
+        raise InputError("witness search needs a common fiber")
+    _require_disk(u, "substitution_witness")
+    _require_disk(f, "substitution_witness")
+    if depth < 0:
+        raise InputError("depth must be >= 0")
+
+    letters = _alphabet(u)
+    mats = [twist_matrix(l.gen.curve, l.gen.handed) for l in letters]
+    targets = [(c.curve.cls, c.curve.hom, c.sign) for c in f.cycles]
+    pref = [
+        [j for j, s in enumerate(u.cycles) if s.sign == sign and s.curve.cls == cls]
+        for cls, _, sign in targets
+    ]
+    alt = [
+        [j for j, s in enumerate(u.cycles) if s.sign != sign and s.curve.cls == cls]
+        for cls, _, sign in targets
+    ]
+    hit_pref: dict[int, tuple[tuple[int, ...], int]] = {}
+    hit_alt: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    def visit(word: tuple[int, ...], matrix: Matrix) -> None:
+        for i, (cls, hom, _) in enumerate(targets):
+            if i not in hit_pref:
+                for j in pref[i]:
+                    if mat_vec(matrix, u.cycles[j].curve.hom) == hom:
+                        hit_pref[i] = (word, j)
+                        break
+            if i not in hit_pref and i not in hit_alt:
+                for j in alt[i]:
+                    if mat_vec(matrix, u.cycles[j].curve.hom) == hom:
+                        hit_alt[i] = (word, j)
+                        break
+
+    # Length-lexicographic: all words of length L before any of length L+1.
+    for length in range(depth + 1):
+        if _walk_level((), mat_identity(u.fiber.rank), length, mats, visit,
+                       hit_pref, len(targets)):
+            break
+
+    entries = []
+    for i in range(len(targets)):
+        if i in hit_pref:
+            word, j = hit_pref[i]
+            degree = 1
+        elif i in hit_alt:
+            word, j = hit_alt[i]
+            degree = -1
+        else:
+            return None
+        conj = MCWord(u.fiber, tuple(letters[li] for li in word))
+        entries.append(PlanEntry(j, conj, degree))
+    plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
+    plan = plan_cls(tuple(entries))
+
+    check = pullback(u, plan)
+    for got, want in zip(check.cycles, f.cycles):
+        if (got.curve.cls, got.curve.hom, got.sign) != (
+            want.curve.cls, want.curve.hom, want.sign
+        ):
+            raise AssertionError("witness failed the pullback round trip")
+    return plan
+
+
+def _walk_level(word, matrix, remaining, mats, visit, hit_pref, n_targets) -> bool:
+    """Visit all words of exactly ``remaining`` more letters, in lex order."""
+    if remaining == 0:
+        visit(word, matrix)
+        return len(hit_pref) == n_targets
+    for li, m in enumerate(mats):
+        if _walk_level(word + (li,), mat_mul(matrix, m), remaining - 1,
+                       mats, visit, hit_pref, n_targets):
+            return True
+    return False

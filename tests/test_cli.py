@@ -256,3 +256,17 @@ def test_non_integer_depth_env_refused(tmp_path, capsys, monkeypatch):
 def test_unwritable_out_refused(tmp_path, capsys):
     out = str(tmp_path / "missing" / "out.json")
     _assert_refused(main(["build", "u_g1", "--g", "2", "--out", out]), capsys)
+
+
+def test_deeply_nested_json_refused(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    _assert_refused(main(["invariants", str(path)]), capsys)
+
+
+def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
+    doc = fibration_to_json(u_g1(2))
+    text = dumps(doc).replace('"hom": [', '"hom": [' + "1" * 4401 + ",", 1)
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_refused(main(["invariants", str(path)]), capsys)

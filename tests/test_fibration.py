@@ -46,6 +46,7 @@ from lefschetz.mapping import (
     boundary_permutation_gen,
     evaluate,
 )
+from lefschetz.serialize import plan_from_json, plan_to_json
 
 
 def _random_curve(rng, s):
@@ -427,6 +428,22 @@ def test_pullback_validation():
     wrong = MCWord(SurfaceSpec(2, 1))
     with pytest.raises(InputError):
         pullback(u, MeridianPlan((PlanEntry(0, wrong, 1),)))
+
+
+def test_plan_from_json_refuses_malformed_entries():
+    u = u_g1(2)
+    doc = plan_to_json(identity_plan(u))
+    entry = doc["entries"][0]
+    for bad in (
+        {"entries": 3},
+        {"entries": None},
+        {"entries": [dict(entry, conjugator=7)]},
+        {"entries": [dict(entry, conjugator=[5])]},
+        {"entries": [dict(entry, conjugator=["t"])]},
+        {"entries": [5]},
+    ):
+        with pytest.raises(InputError):
+            plan_from_json(bad, u.fiber)
 
 
 # ---------------------------------------------------------------------------

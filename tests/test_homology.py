@@ -16,13 +16,13 @@ from lefschetz.homology import (
     SurfaceSpec,
     cokernel_invariants,
     is_essential,
-    mat_det,
     mat_identity,
     mat_mul,
     pairing,
     pairing_matrix,
     smith_normal_form,
 )
+from reference_kernel import mat_det
 
 
 def surfaces():

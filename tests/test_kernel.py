@@ -1,0 +1,267 @@
+"""The rank-1 twist kernel against the dense reference it replaced.
+
+Every twist application in the library goes through ``mapping.transvect``.
+These tests require its results to equal, exactly, those of the dense code
+kept in ``reference_kernel``: word evaluation, twist products, Hurwitz
+moves, the pairing check and the witness walk.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernel as ref
+from lefschetz.curves import nonseparating_curve, separating_curve
+from lefschetz.errors import InputError
+from lefschetz.fibration import (
+    DISK,
+    LefschetzFibration,
+    MeridianPlan,
+    PlanEntry,
+    SignedCycle,
+    global_conjugate,
+    hurwitz_move,
+    pullback,
+    substitution_witness,
+    twist_product,
+    u_g1,
+)
+from lefschetz.homology import SurfaceSpec, in_radical, mat_mul, preserves_pairing, vec_gcd
+from lefschetz.mapping import (
+    BundleGen,
+    Letter,
+    MCWord,
+    TwistGen,
+    boundary_permutation_gen,
+    evaluate,
+    twist_matrix,
+    twist_vector,
+)
+from lefschetz.serialize import plan_to_json
+
+
+def _random_surface(rng):
+    while True:
+        s = SurfaceSpec(rng.randint(0, 3), rng.randint(0, 4))
+        if 1 <= s.rank <= 8 and (s.genus >= 1 or s.boundary >= 2):
+            return s
+
+
+def _random_curve(rng, s):
+    if s.genus >= 1 and (s.boundary < 2 or rng.random() < 0.75):
+        while True:
+            v = tuple(rng.randint(-3, 3) for _ in range(s.rank))
+            if not in_radical(s, v) and vec_gcd(v) == 1:
+                return nonseparating_curve(s, v, "r")
+    size = rng.randint(1, s.boundary - 1)
+    subset = frozenset(rng.sample(range(1, s.boundary + 1), size))
+    g_in = rng.randint(0, s.genus)
+    return separating_curve(s, subset, (g_in, s.genus - g_in), "s")
+
+
+def _random_bundle_gen(rng, s):
+    """A twist word followed by a boundary permutation, as one dense generator."""
+    perm = list(range(s.boundary))
+    rng.shuffle(perm)
+    shuffle = boundary_permutation_gen(s, tuple(perm))
+    word = MCWord(s, tuple(Letter(TwistGen(_random_curve(rng, s))) for _ in range(2)))
+    matrix = mat_mul(ref.evaluate(word).matrix, shuffle.matrix)
+    return BundleGen(s, matrix, shuffle.perm, "x")
+
+
+def _random_word(rng, s, length):
+    letters = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            gen = _random_bundle_gen(rng, s)
+        else:
+            gen = TwistGen(_random_curve(rng, s), rng.choice(("right", "left")))
+        letters.append(Letter(gen, rng.choice((1, -1))))
+    return MCWord(s, tuple(letters))
+
+
+def _random_fibration(rng):
+    s = _random_surface(rng)
+    cycles = tuple(SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 10)))
+    return LefschetzFibration(s, DISK, cycles)
+
+
+def _cycle_data(f):
+    """Everything a cycle carries, label included (curve equality ignores it)."""
+    return [(c.curve.cls, c.curve.hom, c.curve.label, c.sign) for c in f.cycles]
+
+
+# ---------------------------------------------------------------------------
+# words and twist products
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(0, 8))
+def test_evaluate_matches_dense_reference(seed, length):
+    rng = random.Random(seed)
+    s = _random_surface(rng)
+    w = _random_word(rng, s, length)
+    for word in (w, w.inverse()):
+        got, want = evaluate(word), ref.evaluate(word)
+        assert (got.matrix, got.perm) == (want.matrix, want.perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_twist_matrix_and_vector_match_dense_reference(seed):
+    rng = random.Random(seed)
+    s = _random_surface(rng)
+    c = _random_curve(rng, s)
+    x = tuple(rng.randint(-5, 5) for _ in range(s.rank))
+    for handed, h in (("right", 1), ("left", -1)):
+        dense = ref.twist_matrix(c, handed)
+        assert twist_matrix(c, handed) == dense
+        assert twist_vector(x, c, h) == tuple(
+            sum(a * b for a, b in zip(row, x)) for row in dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_twist_product_matches_dense_reference(seed):
+    f = _random_fibration(random.Random(seed))
+    assert twist_product(f) == ref.twist_product(f)
+
+
+def test_large_twist_product_matches_dense_reference():
+    rng = random.Random(40)
+    s = SurfaceSpec(6, 1)
+    cycles = tuple(SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
+                   for _ in range(30))
+    f = LefschetzFibration(s, DISK, cycles)
+    product = twist_product(f)
+    assert product == ref.twist_product(f)
+    assert preserves_pairing(s, product)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz moves
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), moves=st.integers(1, 20))
+def test_hurwitz_moves_match_dense_reference(seed, moves):
+    rng = random.Random(seed)
+    f = g = _random_fibration(rng)
+    for _ in range(moves):
+        if f.size < 2:
+            break
+        i, direction = rng.randint(1, f.size - 1), rng.choice("LR")
+        f, g = hurwitz_move(f, i, direction), ref.hurwitz_move(g, i, direction)
+        assert _cycle_data(f) == _cycle_data(g)
+    assert twist_product(f) == ref.twist_product(g)
+
+
+def test_hurwitz_move_errors_match_dense_reference():
+    f = u_g1(2)
+    for i, direction in ((0, "R"), (f.size, "L"), (1, "X")):
+        with pytest.raises(InputError) as got:
+            hurwitz_move(f, i, direction)
+        with pytest.raises(InputError) as want:
+            ref.hurwitz_move(f, i, direction)
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the pairing check
+# ---------------------------------------------------------------------------
+
+def _outcome(check, s, m):
+    try:
+        return check(s, m)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(
+    ("symplectic", "random", "rows", "cols", "ragged", "empty")))
+def test_preserves_pairing_matches_dense_reference(seed, kind):
+    rng = random.Random(seed)
+    s = SurfaceSpec(rng.randint(0, 3), rng.randint(0, 3))
+    r = s.rank
+    rows, cols = r, r
+    if kind == "rows":
+        rows = rng.choice([k for k in range(r + 3) if k != r])
+    elif kind == "cols":
+        cols = rng.choice([k for k in range(r + 3) if k != r])
+    elif kind == "empty":
+        rows, cols = rng.randint(0, 2), 0
+    if kind == "symplectic" and s.genus >= 1:
+        m = ref.evaluate(MCWord(s, tuple(
+            Letter(TwistGen(_random_curve(rng, s)), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 4))))).matrix
+    else:
+        m = tuple(tuple(rng.randint(-1, 1) for _ in range(cols)) for _ in range(rows))
+    if kind == "ragged" and m:
+        k = rng.randrange(len(m))
+        row = m[k][:rng.randrange(len(m[k]))] if m[k] and rng.random() < 0.5 else (
+            m[k] + (rng.randint(-1, 1),) * rng.randint(1, 2))
+        m = m[:k] + (row,) + m[k + 1:]
+    assert _outcome(preserves_pairing, s, m) == _outcome(ref.preserves_pairing, s, m)
+
+
+def test_preserves_pairing_shapes():
+    s = SurfaceSpec(2, 2)
+    ident = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    assert preserves_pairing(s, ident)
+    assert not preserves_pairing(s, tuple(row[:4] for row in ident))
+    assert not preserves_pairing(s, tuple(row + (0,) for row in ident))
+    with pytest.raises(InputError):
+        preserves_pairing(s, ident[:4])
+    swap = tuple(ident[i ^ 1] if i < 4 else ident[i] for i in range(5))
+    assert not preserves_pairing(s, swap)
+
+
+# ---------------------------------------------------------------------------
+# the witness walk
+# ---------------------------------------------------------------------------
+
+def _same_plan(u, target, depth):
+    got = substitution_witness(u, target, depth)
+    want = ref.substitution_witness(u, target, depth)
+    assert type(got) is type(want)
+    if want is not None:
+        assert plan_to_json(got) == plan_to_json(want)
+    return got
+
+
+def test_witness_plans_match_reference_on_ac8_seeds():
+    rng = random.Random(888)
+    u = u_g1(2)
+    letters = [Letter(TwistGen(c.curve, h)) for c in u.cycles for h in ("right", "left")]
+    for trial in range(50):
+        if trial % 2 == 0:
+            w = MCWord(u.fiber, tuple(
+                rng.choice(letters) for _ in range(rng.randint(1, 3))))
+            target = global_conjugate(u, w)
+        else:
+            entries = [
+                PlanEntry(i, MCWord(u.fiber, tuple(
+                    rng.choice(letters) for _ in range(rng.randint(0, 3)))), 1)
+                for i in range(u.size)]
+            target = pullback(u, MeridianPlan(tuple(entries)))
+        assert _same_plan(u, target, 4) is not None, trial
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 3))
+def test_witness_plans_match_reference_with_flipped_signs(seed, depth):
+    # flipped signs force degree -1 entries; short depths leave some unmatched
+    rng = random.Random(seed)
+    u = u_g1(2)
+    letters = [Letter(TwistGen(c.curve, h)) for c in u.cycles for h in ("right", "left")]
+    w = MCWord(u.fiber, tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))))
+    target = global_conjugate(u, w)
+    cycles = tuple(SignedCycle(c.curve, -c.sign if rng.random() < 0.5 else c.sign)
+                   for c in target.cycles)
+    _same_plan(u, LefschetzFibration(u.fiber, DISK, cycles), depth)
