@@ -116,7 +116,10 @@ def cmd_reduce(args) -> int:
     f = _read_fibration(args.file)
     result = reduce(f, args.budget)
     if result.exhausted:
-        sys.stderr.write(f"budget {args.budget} exhausted after {result.steps} steps\n")
+        sys.stderr.write(
+            f"budget {args.budget} exhausted: {result.explored} destabilizations "
+            f"explored, {result.states} distinct states, best after "
+            f"{result.steps} steps\n")
     _emit(serialize.fibration_to_json(result.fibration), args.out)
     return EXIT_OK
 

@@ -20,7 +20,8 @@ coefficient criterion on a single basis generator, documented at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
 
 from .curves import Curve, CurveClass, enumerate_classes, subset_from_class
 from .errors import InputError, NotApplicable, Unsupported
@@ -278,12 +279,18 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
 
 
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
-    """Transport every cycle by w and conjugate the bundle generators."""
+    """Transport every cycle by w and conjugate the bundle generators.
+
+    The inverse of w is evaluated only when there are bundle generators to
+    conjugate (none over the disk).
+    """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
     rep = evaluate(w)
-    rep_inv = evaluate(w.inverse())
     cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
+    if not f.bundle:
+        return LefschetzFibration(f.fiber, f.base, cycles)
+    rep_inv = evaluate(w.inverse())
     bundle = tuple(
         BundleGen(
             f.fiber,
@@ -483,12 +490,29 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
     side data cannot be transported unambiguously.
     """
     _require_disk(f, "destabilize")
-    surface = f.fiber
-    g, b = surface.genus, surface.boundary
-    rank = surface.rank
+    rank = f.fiber.rank
     if not 0 <= generator_index < rank:
         raise InputError(f"generator index {generator_index} out of range 0..{rank - 1}")
-    coeffs = [c.curve.hom[generator_index] for c in f.cycles]
+    surface, cycles = _destabilized(f.fiber, f.cycles, generator_index, {})
+    return LefschetzFibration(surface, DISK, cycles)
+
+
+def _destabilized(
+    surface: SurfaceSpec,
+    cycles: tuple[SignedCycle, ...],
+    generator_index: int,
+    memo: dict[tuple, SignedCycle | str],
+) -> tuple[SurfaceSpec, tuple[SignedCycle, ...]]:
+    """The destabilization kernel behind :func:`destabilize` and :func:`reduce`.
+
+    Returns the new fiber and the surviving cycles, or raises NotApplicable.
+    Each cycle transport is looked up in ``memo`` under the flat key (fiber
+    genus and boundary, generator index, class kind and sides, class, sign,
+    label); a miss runs :func:`_transport_curve` with all its checks and
+    stores the transported cycle, or the message of the NotApplicable raised.
+    """
+    g, b = surface.genus, surface.boundary
+    coeffs = [c.curve.hom[generator_index] for c in cycles]
     hits = [i for i, v in enumerate(coeffs) if v != 0]
     if len(hits) != 1 or abs(coeffs[hits[0]]) != 1:
         raise NotApplicable(
@@ -524,26 +548,50 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
 
         genus_delta, boundary_delta = 0, -1
 
-    cycles = []
-    for idx, c in enumerate(f.cycles):
+    out = []
+    for idx, c in enumerate(cycles):
         if idx == removed:
             continue
-        cycles.append(
-            SignedCycle(
-                _transport_curve(
-                    c.curve, new_surface, remap(c.curve.hom),
-                    genus_delta, boundary_delta),
-                c.sign,
-            )
-        )
-    return LefschetzFibration(new_surface, DISK, tuple(cycles))
+        curve = c.curve
+        key = (g, b, generator_index, curve.cls.kind, curve.cls.sides,
+               curve.hom, c.sign, curve.label)
+        moved = memo.get(key)
+        if moved is None:
+            try:
+                moved = SignedCycle(
+                    _transport_curve(curve, new_surface, remap(curve.hom),
+                                     genus_delta, boundary_delta),
+                    c.sign)
+            except NotApplicable as exc:
+                moved = str(exc)
+            memo[key] = moved
+        if isinstance(moved, str):
+            raise NotApplicable(moved)
+        out.append(moved)
+    return new_surface, tuple(out)
 
 
 @dataclass(frozen=True)
 class ReduceResult:
+    """Outcome of :func:`reduce`.
+
+    ``explored`` counts the successful destabilizations tried, which the
+    budget bounds; ``states`` counts the distinct fibrations discovered,
+    the input included.
+    """
+
     fibration: LefschetzFibration
     steps: int
     exhausted: bool
+    explored: int = 0
+    states: int = 1
+
+
+def _state_key(surface: SurfaceSpec, cycles: tuple[SignedCycle, ...]) -> tuple:
+    """Flat key of a fibration over the disk: equal keys iff equal fibrations
+    (labels are ignored, as in curve equality)."""
+    return (surface.genus, surface.boundary, tuple(
+        (c.curve.cls.kind, c.curve.cls.sides, c.curve.hom, c.sign) for c in cycles))
 
 
 def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
@@ -557,33 +605,43 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     destabilizations from the input to that state.  The budget bounds the
     number of successful destabilizations explored; if it runs out the best
     state found so far is returned flagged ``exhausted``.
+
+    Within one call each cycle transport is computed once and memoised (see
+    :func:`_destabilized`), and states are compared by flat keys; the
+    results are those of calling :func:`destabilize` on every state.
     """
-    seen = {f}
-    queue: list[tuple[LefschetzFibration, int]] = [(f, 0)]
-    best = (f.fiber.rank, f.size, 0, f, 0)
+    if f.fiber.rank > 0 and budget > 0:
+        _require_disk(f, "destabilize")  # raised by the first destabilization
+    memo: dict[tuple, SignedCycle | str] = {}
+    seen = {_state_key(f.fiber, f.cycles)}
+    queue: list[tuple[SurfaceSpec, tuple[SignedCycle, ...], int]] = [(f.fiber, f.cycles, 0)]
+    best = (f.fiber.rank, f.size, 0)  # rank, size, queue position
     edges = 0
     exhausted = False
     qi = 0
     while qi < len(queue) and not exhausted:
-        state, depth = queue[qi]
+        surface, cycles, depth = queue[qi]
         qi += 1
-        for gi in range(state.fiber.rank):
+        for gi in range(surface.rank):
             if edges >= budget:
                 exhausted = True
                 break
             try:
-                child = destabilize(state, gi)
+                child = _destabilized(surface, cycles, gi, memo)
             except NotApplicable:
                 continue
             edges += 1
-            if child in seen:
+            key = _state_key(*child)
+            if key in seen:
                 continue
-            seen.add(child)
-            queue.append((child, depth + 1))
-            key = (child.fiber.rank, child.size, len(queue))
-            if key < best[:3]:
-                best = (*key, child, depth + 1)
-    return ReduceResult(best[3], best[4], exhausted)
+            seen.add(key)
+            order = (child[0].rank, len(child[1]), len(queue))
+            queue.append((*child, depth + 1))
+            if order < best:
+                best = order
+    surface, cycles, steps = queue[best[2]]
+    fibration = LefschetzFibration(surface, DISK, cycles) if steps else f
+    return ReduceResult(fibration, steps, exhausted, edges, len(queue))
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +807,10 @@ def substitution_witness(
     returned plan is verified by a pullback round trip and is an
     ImmersionWitness when every local degree is +1.  Returns None when some
     cycle stays unmatched within the depth bound.
+
+    The walk skips words that equal a word earlier in that order (see
+    :func:`_walk_steps`); the first match is never such a word, so the plans
+    are those of the full enumeration.
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
@@ -758,7 +820,7 @@ def substitution_witness(
         raise InputError("depth must be >= 0")
 
     letters = _alphabet(u)
-    steps = [(l.gen.curve.hom, twist_covector(l.gen.curve), l.gen.sign) for l in letters]
+    steps = _walk_steps(letters)
     targets = [(c.curve.cls, c.curve.hom, c.sign) for c in f.cycles]
     pref = [
         [j for j, s in enumerate(u.cycles) if s.sign == sign and s.curve.cls == cls]
@@ -771,7 +833,7 @@ def substitution_witness(
     hit_pref: dict[int, tuple[tuple[int, ...], int]] = {}
     hit_alt: dict[int, tuple[tuple[int, ...], int]] = {}
 
-    def visit(word: tuple[int, ...], matrix: Matrix) -> None:
+    def visit(word: tuple[int, ...], matrix: Matrix) -> bool:
         for i, (cls, hom, _) in enumerate(targets):
             if i not in hit_pref:
                 for j in pref[i]:
@@ -783,11 +845,12 @@ def substitution_witness(
                     if mat_vec(matrix, u.cycles[j].curve.hom) == hom:
                         hit_alt[i] = (word, j)
                         break
+        return len(hit_pref) == len(targets)
 
     # Length-lexicographic: all words of length L before any of length L+1.
     for length in range(depth + 1):
-        if _walk_level((), mat_identity(u.fiber.rank), length, steps, visit,
-                       hit_pref, len(targets)):
+        if _walk_level((), mat_identity(u.fiber.rank), length, range(len(steps)),
+                       steps, visit):
             break
 
     entries = []
@@ -814,14 +877,36 @@ def substitution_witness(
     return plan
 
 
-def _walk_level(word, matrix, remaining, steps, visit, hit_pref, n_targets) -> bool:
-    """Visit all words of exactly ``remaining`` more letters, in lex order;
-    each letter's step (class, covector, hand) is one rank-1 update."""
+def _walk_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[int, ...]]]:
+    """Per twist letter: its step (class, covector, hand) and the letters the
+    walk may put after it.
+
+    Letter l is not put after p when it undoes p (the same class with the
+    other hand), or when l < p and the two classes pair to 0: such
+    transvections commute, so swapping them gives a lex-smaller word with
+    the same matrix.  Either way the word equals one that comes earlier in
+    length-then-lex order.
+    """
+    base = [(l.gen.curve.hom, twist_covector(l.gen.curve), l.gen.sign) for l in letters]
+    steps = []
+    for p, (cp, wp, hp) in enumerate(base):
+        after = tuple(
+            l for l, (cl, _, hl) in enumerate(base)
+            if not (cl == cp and hl == -hp)
+            and not (l < p and sum(map(operator.mul, wp, cl)) == 0))
+        steps.append((cp, wp, hp, after))
+    return steps
+
+
+def _walk_level(word, matrix, remaining, allowed, steps, visit) -> bool:
+    """Visit the words of exactly ``remaining`` more letters drawn from
+    ``allowed`` and then each letter's followers, in lex order; each letter
+    is one rank-1 update.  True once ``visit`` reports every target matched."""
     if remaining == 0:
-        visit(word, matrix)
-        return len(hit_pref) == n_targets
-    for li, (c, w, h) in enumerate(steps):
+        return visit(word, matrix)
+    for li in allowed:
+        c, w, h, after = steps[li]
         if _walk_level(word + (li,), transvect(matrix, c, w, h), remaining - 1,
-                       steps, visit, hit_pref, n_targets):
+                       after, steps, visit):
             return True
     return False

@@ -67,10 +67,7 @@ def mat_from_columns(cols: list[Vector], rows: int) -> Matrix:
 
 
 def vec_gcd(x: Vector) -> int:
-    g = 0
-    for a in x:
-        g = gcd(g, a)
-    return g
+    return gcd(*x)
 
 
 def mat_inverse_unimodular(a: Matrix) -> Matrix:

@@ -7,6 +7,11 @@ constructors.
 
 Boundary-circle permutations are written 1-based ("perm": [2, 1] swaps the
 two circles); in memory they are 0-based tuples.
+
+A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` is refused
+with CapacityError: past it the dense Smith form runs out of memory, and past
+genus 50 the order of Sp(2g, 5) that an obstruction reports has more digits
+than Python converts to a string by default.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 from typing import Any
 
 from .curves import Curve, CurveClass
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .fibration import (
     BaseSurface,
     ImmersionWitness,
@@ -28,6 +33,8 @@ from .fibration import (
 )
 from .homology import SurfaceSpec
 from .mapping import BundleGen, Letter, MCWord, TwistGen
+
+MAX_FIBER_RANK = 100
 
 
 def dumps(doc: Any) -> str:
@@ -161,6 +168,9 @@ def fibration_to_json(f: LefschetzFibration) -> dict:
 def fibration_from_json(obj: Any) -> LefschetzFibration:
     _expect_keys(obj, {"fiber", "base", "cycles", "bundle"}, set(), "fibration")
     fiber = surface_from_json(obj["fiber"], "fiber")
+    if fiber.rank > MAX_FIBER_RANK:
+        raise CapacityError(
+            f"fiber rank {fiber.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
     base = base_from_json(obj["base"])
     if not isinstance(obj["cycles"], list) or not isinstance(obj["bundle"], list):
         raise InputError("cycles and bundle must be lists")

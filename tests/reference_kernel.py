@@ -1,11 +1,14 @@
-"""The dense twist kernel the library used before transvections, kept as a reference.
+"""Earlier implementations of the library's fast paths, kept as references.
 
 Each function is the library's earlier implementation, unchanged except for
 the names it imports: twists are dense matrices multiplied in by
 ``mat_mul``, Hurwitz moves go through ``HomPermRep`` and ``act_on_curve``,
 pairing preservation is the dense check m^T J m == J, and the witness walk
-extends each prefix by a dense product.  The differential tests require the
-library's rank-1 paths to agree with these exactly.
+extends each prefix by a dense product over every word of the alphabet.
+``destabilize`` and ``reduce`` transport every cycle on every call and hash
+whole fibrations; ``global_conjugate`` always evaluates the inverse word.
+The differential tests require the library's paths to agree with these
+exactly.
 
 ``mat_det`` lives here too: only the tests use it.
 """
@@ -15,20 +18,24 @@ from __future__ import annotations
 from dataclasses import replace
 
 from lefschetz.curves import Curve
-from lefschetz.errors import InputError
+from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
+    DISK,
     ImmersionWitness,
     LefschetzFibration,
     MeridianPlan,
     PlanEntry,
+    ReduceResult,
     SignedCycle,
     _alphabet,
     _require_disk,
+    _transport_curve,
     pullback,
 )
 from lefschetz.homology import (
     Matrix,
     SurfaceSpec,
+    Vector,
     mat_identity,
     mat_mul,
     mat_shape,
@@ -36,6 +43,7 @@ from lefschetz.homology import (
     pairing_matrix,
 )
 from lefschetz.mapping import (
+    BundleGen,
     HomPermRep,
     Letter,
     MCWord,
@@ -269,3 +277,111 @@ def _walk_level(word, matrix, remaining, mats, visit, hit_pref, n_targets) -> bo
                        mats, visit, hit_pref, n_targets):
             return True
     return False
+
+
+def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
+    """Transport every cycle by w and conjugate the bundle generators."""
+    if w.surface != f.fiber:
+        raise InputError("conjugating word on the wrong surface")
+    rep = evaluate(w)
+    rep_inv = evaluate(w.inverse())
+    cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
+    bundle = tuple(
+        BundleGen(
+            f.fiber,
+            mat_mul(rep.matrix, mat_mul(bg.matrix, rep_inv.matrix)),
+            tuple(rep.perm[bg.perm[rep_inv.perm[k]]] for k in range(f.fiber.boundary)),
+            bg.label,
+        )
+        for bg in f.bundle
+    )
+    return LefschetzFibration(f.fiber, f.base, cycles, bundle)
+
+
+def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibration:
+    """Remove a cancelling handle pair recognized on one basis generator."""
+    _require_disk(f, "destabilize")
+    surface = f.fiber
+    g, b = surface.genus, surface.boundary
+    rank = surface.rank
+    if not 0 <= generator_index < rank:
+        raise InputError(f"generator index {generator_index} out of range 0..{rank - 1}")
+    coeffs = [c.curve.hom[generator_index] for c in f.cycles]
+    hits = [i for i, v in enumerate(coeffs) if v != 0]
+    if len(hits) != 1 or abs(coeffs[hits[0]]) != 1:
+        raise NotApplicable(
+            f"generator {generator_index} is not crossed exactly once by "
+            "exactly one cycle")
+    removed = hits[0]
+
+    if generator_index < 2 * g:
+        if b < 1:
+            raise NotApplicable("a closed fiber admits no destabilizing arc")
+        pair = generator_index // 2
+        partner = generator_index ^ 1
+        new_surface = SurfaceSpec(g - 1, b + 1)
+
+        def remap(v: Vector) -> Vector:
+            out = [v[2 * q + s] for q in range(g) if q != pair for s in (0, 1)]
+            out += list(v[2 * g:])
+            out.append(v[partner])
+            return tuple(out)
+
+        genus_delta, boundary_delta = -1, 1
+    else:
+        j = generator_index - 2 * g + 1  # 1-based boundary class number
+        new_surface = SurfaceSpec(g, b - 1)
+        last_delta = 2 * g + (b - 2)
+
+        def remap(v: Vector) -> Vector:
+            vb = v[last_delta]
+            out = list(v[: 2 * g])
+            for k in range(1, b - 1):
+                out.append(-vb if k == j else v[2 * g + k - 1] - vb)
+            return tuple(out)
+
+        genus_delta, boundary_delta = 0, -1
+
+    cycles = []
+    for idx, c in enumerate(f.cycles):
+        if idx == removed:
+            continue
+        cycles.append(
+            SignedCycle(
+                _transport_curve(
+                    c.curve, new_surface, remap(c.curve.hom),
+                    genus_delta, boundary_delta),
+                c.sign,
+            )
+        )
+    return LefschetzFibration(new_surface, DISK, tuple(cycles))
+
+
+def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
+    """Breadth-first search for a maximally destabilized fibration."""
+    seen = {f}
+    queue: list[tuple[LefschetzFibration, int]] = [(f, 0)]
+    best = (f.fiber.rank, f.size, 0, f, 0)
+    edges = 0
+    exhausted = False
+    qi = 0
+    while qi < len(queue) and not exhausted:
+        state, depth = queue[qi]
+        qi += 1
+        for gi in range(state.fiber.rank):
+            if edges >= budget:
+                exhausted = True
+                break
+            try:
+                child = destabilize(state, gi)
+            except NotApplicable:
+                continue
+            edges += 1
+            if child in seen:
+                continue
+            seen.add(child)
+            queue.append((child, depth + 1))
+            key = (child.fiber.rank, child.size, len(queue))
+            if key < best[:3]:
+                best = (*key, child, depth + 1)
+    return ReduceResult(best[3], best[4], exhausted)

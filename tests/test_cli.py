@@ -2,27 +2,36 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.cli import main
-from lefschetz.curves import nonseparating_curve
-from lefschetz.errors import InputError
+from lefschetz.curves import nonseparating_curve, separating_curve
+from lefschetz.errors import CapacityError, InputError
 from lefschetz.fibration import (
     ANNULUS,
     DISK,
     LefschetzFibration,
+    MeridianPlan,
+    PlanEntry,
     SignedCycle,
     identity_plan,
     p_g,
+    reduce,
     u_11,
     u_g1,
 )
 from lefschetz.homology import SurfaceSpec
-from lefschetz.mapping import boundary_permutation_gen
+from lefschetz.mapping import Letter, MCWord, TwistGen, boundary_permutation_gen
 from lefschetz.serialize import (
     dumps,
     fibration_dumps,
@@ -157,8 +166,6 @@ def test_check_universal_exit_codes(tmp_path, capsys):
 
     # all checkable conditions hold but there is no generating certificate
     # for a two-boundary fiber, so the verdict stays open
-    from lefschetz.curves import separating_curve
-
     cyc3 = cyc + (SignedCycle(separating_curve(fib, {1}, (0, 1), "d"), 1),)
     swap = boundary_permutation_gen(fib, (1, 0), "swap")
     unknown = _write(
@@ -195,6 +202,18 @@ def test_reduce_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fiber"] == {"boundary": 3, "genus": 0}
     assert sorted(c["sign"] for c in doc["cycles"]) == [-1, -1, 1]
+
+
+def test_reduce_exhausted_names_budget_and_counts(tmp_path, capsys):
+    path = _write(tmp_path, "u.json", u_g1(9))
+    assert main(["reduce", path, "--budget", "5"]) == 0
+    captured = capsys.readouterr()
+    r = reduce(u_g1(9), 5)
+    assert r.exhausted
+    assert captured.out == fibration_dumps(r.fibration)
+    assert captured.err == (
+        f"budget 5 exhausted: {r.explored} destabilizations explored, "
+        f"{r.states} distinct states, best after {r.steps} steps\n")
 
 
 def test_hurwitz_round_trip_bytes(tmp_path, capsys):
@@ -264,9 +283,167 @@ def test_deeply_nested_json_refused(tmp_path, capsys):
     _assert_refused(main(["invariants", str(path)]), capsys)
 
 
+def test_oversized_fiber_refused(tmp_path, capsys):
+    # genus 1000: the Smith form ran out of memory and the oracle's order of
+    # Sp(2000, 2) was past the int-string digit limit
+    doc = {"fiber": {"genus": 1000, "boundary": 1}, "base": {"genus": 0, "boundary": 1},
+           "cycles": [], "bundle": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("invariants", "check-universal"):
+        _assert_refused(main([command, str(path)]), capsys)
+    with pytest.raises(CapacityError):
+        fibration_loads(json.dumps(doc))
+
+
 def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
     doc = fibration_to_json(u_g1(2))
     text = dumps(doc).replace('"hom": [', '"hom": [' + "1" * 4401 + ",", 1)
     path = tmp_path / "big.json"
     path.write_text(text, encoding="utf-8")
     _assert_refused(main(["invariants", str(path)]), capsys)
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzzing on mutated fixture files
+# ---------------------------------------------------------------------------
+
+def _annulus_fixture():
+    fib = SurfaceSpec(1, 2)
+    cycles = (
+        SignedCycle(nonseparating_curve(fib, (1, 0, 0), "a"), 1),
+        SignedCycle(nonseparating_curve(fib, (0, 1, 0), "b"), -1),
+        SignedCycle(separating_curve(fib, {1}, (0, 1), "d"), 1),
+    )
+    return LefschetzFibration(fib, ANNULUS, cycles, (boundary_permutation_gen(fib, (1, 0), "swap"),))
+
+
+def _plan_fixture():
+    u = u_g1(2)
+    letters = [Letter(TwistGen(c.curve, h), p)
+               for c in u.cycles[:2] for h in ("right", "left") for p in (1, -1)]
+    entries = tuple(PlanEntry(i, MCWord(u.fiber, tuple(letters[i:i + 2])), (-1) ** i)
+                    for i in range(u.size))
+    return u.fiber, plan_to_json(MeridianPlan(entries))
+
+
+FUZZ_FIBRATIONS = [fibration_to_json(f) for f in (u_11(), u_g1(2), _annulus_fixture())]
+FUZZ_PLAN_SURFACE, FUZZ_PLAN = _plan_fixture()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8)
+    | st.sampled_from([0, 1, -1, 2, 3, 7, 10**6, -(10**30), "nonsep", "right", "left"])
+    | st.integers(-50, 50) | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["genus", "boundary", "hom", "class", "sep", "sign", "curve",
+                         "label", "matrix", "perm", "source", "conjugator", "handed",
+                         "power", "local_degree", "entries", "x"]), inner, max_size=3),
+    max_leaves=8)
+
+
+def _nodes(doc, path=()):
+    """The path (keys and list indices) of every node below the root of a
+    JSON document, in a fixed order."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for k, v in items:
+        out.append(path + (k,))
+        out.extend(_nodes(v, path + (k,)))
+    return out
+
+
+def _mutate(data, doc, text_edits: bool = True) -> str:
+    """One to three structural edits, or one edit of the JSON text.
+
+    An edit changes a number or string leaf to another of its kind (most
+    often, so that many mutants still load), replaces a node by any JSON
+    value, deletes it, or adds a field or list element.
+    """
+    if text_edits and data.draw(st.integers(0, 4)) == 0:
+        text = dumps(doc)
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 4)))
+        return text[:i] + data.draw(st.text(max_size=3)) + text[j:]
+    doc = json.loads(json.dumps(doc))
+
+    def node(path):
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        return parent, path[-1]
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = _nodes(doc)
+        leaves = [p for p in nodes if isinstance(node(p)[0][p[-1]], (int, str))]
+        action = data.draw(st.sampled_from(["tweak", "tweak", "replace", "delete", "add"]))
+        if not (leaves if action == "tweak" else nodes):
+            break
+        parent, key = node(data.draw(st.sampled_from(leaves if action == "tweak" else nodes)))
+        if action == "tweak" and isinstance(parent[key], str):
+            parent[key] = data.draw(st.sampled_from(["nonsep", "right", "left", "sep", ""]))
+        elif action == "tweak":
+            parent[key] = data.draw(st.integers(-3, 3) | st.sampled_from([10**6, -(10**30)]))
+        elif action == "replace":
+            parent[key] = data.draw(_json_values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[data.draw(st.sampled_from(["x", "label", "power"]))] = data.draw(_json_values)
+        else:
+            parent.insert(key, data.draw(_json_values))
+    return dumps(doc)
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_fibration_loads_and_cli_exit_codes(data):
+    doc = data.draw(st.sampled_from(FUZZ_FIBRATIONS))
+    text = _mutate(data, doc)
+    try:
+        fibration_loads(text)
+    except (InputError, CapacityError):
+        pass
+    command = data.draw(st.sampled_from([
+        ["invariants"], ["check-universal"], ["check-universal", "--strong"],
+        ["reduce", "--budget", "20"], ["hurwitz", "--move", "1:R"],
+        ["witness", "--depth", "1", "-u"], ["witness", "--depth", "1", "-f"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if command[0] == "witness":
+            other = os.path.join(tmp, "fixture.json")
+            with open(other, "w", encoding="utf-8") as fh:
+                fh.write(dumps(doc))
+            command = command + [path, "-u" if command[-1] == "-f" else "-f", other]
+        else:
+            command = command[:1] + [path] + command[1:]
+        code, out, err = _run_cli(command)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert command[0] == "check-universal"
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_plan_from_json(data):
+    doc = json.loads(_mutate(data, FUZZ_PLAN, text_edits=False))
+    try:
+        plan_from_json(doc, FUZZ_PLAN_SURFACE)
+    except (InputError, CapacityError):
+        pass

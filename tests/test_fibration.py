@@ -384,6 +384,17 @@ def test_reduce_budget_flag():
     assert r.exhausted
 
 
+def test_reduce_reports_work_done():
+    # u_11: one destabilization on each of a1, b1, then each F(0,2) state
+    # reaches the same empty F(0,1) state
+    r = reduce(u_11())
+    assert (r.explored, r.states, r.steps) == (4, 4, 2)
+    r = reduce(u_g1(4), budget=1)
+    assert r.exhausted and (r.explored, r.states, r.steps) == (1, 2, 1)
+    r = reduce(u_g1(4), budget=0)
+    assert r.exhausted and (r.explored, r.states, r.steps) == (0, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # pullbacks
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The rank-1 twist kernel against the dense reference it replaced.
+"""The library's fast paths against the reference code they replaced.
 
-Every twist application in the library goes through ``mapping.transvect``.
-These tests require its results to equal, exactly, those of the dense code
-kept in ``reference_kernel``: word evaluation, twist products, Hurwitz
-moves, the pairing check and the witness walk.
+Every twist application in the library goes through ``mapping.transvect``;
+``reduce`` memoises cycle transports; the witness walk skips words equal to
+earlier ones.  These tests require the results to equal, exactly, those of
+the code kept in ``reference_kernel``: word evaluation, twist products,
+Hurwitz moves, global conjugation, the pairing check, destabilization,
+reduction and the witness walk.
 """
 
 from __future__ import annotations
@@ -16,21 +18,36 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 from lefschetz.curves import nonseparating_curve, separating_curve
-from lefschetz.errors import InputError
+from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
+    ANNULUS,
     DISK,
     LefschetzFibration,
     MeridianPlan,
     PlanEntry,
     SignedCycle,
+    _alphabet,
+    _walk_level,
+    _walk_steps,
+    build,
+    destabilize,
     global_conjugate,
     hurwitz_move,
     pullback,
+    reduce,
+    stabilize,
     substitution_witness,
     twist_product,
     u_g1,
 )
-from lefschetz.homology import SurfaceSpec, in_radical, mat_mul, preserves_pairing, vec_gcd
+from lefschetz.homology import (
+    SurfaceSpec,
+    in_radical,
+    mat_identity,
+    mat_mul,
+    preserves_pairing,
+    vec_gcd,
+)
 from lefschetz.mapping import (
     BundleGen,
     Letter,
@@ -41,7 +58,7 @@ from lefschetz.mapping import (
     twist_matrix,
     twist_vector,
 )
-from lefschetz.serialize import plan_to_json
+from lefschetz.serialize import fibration_to_json, plan_to_json
 
 
 def _random_surface(rng):
@@ -223,6 +240,85 @@ def test_preserves_pairing_shapes():
 
 
 # ---------------------------------------------------------------------------
+# global conjugation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(0, 5))
+def test_global_conjugate_matches_reference(seed, length):
+    # over an annulus the bundle generator is conjugated by the inverse word;
+    # over the disk that word is no longer evaluated
+    rng = random.Random(seed)
+    s = SurfaceSpec(rng.randint(1, 2), 2)
+    cycles = tuple(SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 4)))
+    w = _random_word(rng, s, length)
+    for f in (LefschetzFibration(s, ANNULUS, cycles, (_random_bundle_gen(rng, s),)),
+              LefschetzFibration(s, DISK, cycles)):
+        got, want = global_conjugate(f, w), ref.global_conjugate(f, w)
+        assert got == want
+        assert fibration_to_json(got) == fibration_to_json(want)
+
+
+# ---------------------------------------------------------------------------
+# destabilization and reduce
+# ---------------------------------------------------------------------------
+
+def _stabilized(rng, f):
+    """f after 0-2 random stabilizations; one that does not apply is skipped."""
+    for _ in range(rng.randint(0, 2)):
+        try:
+            f = stabilize(f, rng.choice(("boundary_up", "genus_up")), rng.choice((1, -1)))
+        except (InputError, NotApplicable):
+            pass
+    return f
+
+
+def _destabilize_outcome(fn, f, gi):
+    try:
+        out = fn(f, gi)
+    except NotApplicable as exc:
+        return "NotApplicable", str(exc)
+    return out.fiber, _cycle_data(out), fibration_to_json(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), family=st.sampled_from(["u_g1", "p_g"]),
+       g=st.integers(2, 9), budget=st.integers(1, 400))
+def test_reduce_and_destabilize_match_reference(seed, family, g, budget):
+    f = _stabilized(random.Random(seed), build(family, g))
+    got, want = reduce(f, budget), ref.reduce(f, budget)
+    assert (got.steps, got.exhausted) == (want.steps, want.exhausted)
+    assert got.fibration == want.fibration
+    assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
+    assert fibration_to_json(got.fibration) == fibration_to_json(want.fibration)
+    assert got.explored <= budget and got.states >= 1
+    for state in (f, got.fibration):
+        for gi in range(state.fiber.rank):
+            assert (_destabilize_outcome(destabilize, state, gi)
+                    == _destabilize_outcome(ref.destabilize, state, gi))
+
+
+def test_reduce_keeps_labels_of_equal_cycles():
+    # p and q are equal cycles (same class and sign) told apart only by their
+    # labels, so each needs its own transport
+    s = SurfaceSpec(1, 2)
+    f = LefschetzFibration(s, DISK, (
+        SignedCycle(nonseparating_curve(s, (1, 0, 0), "x"), 1),
+        SignedCycle(separating_curve(s, {1}, (0, 1), "p"), 1),
+        SignedCycle(separating_curve(s, {1}, (0, 1), "q"), 1),
+        SignedCycle(nonseparating_curve(s, (0, 1, 1), "y"), -1),
+    ))
+    for budget in (1, 5):
+        got, want = reduce(f, budget), ref.reduce(f, budget)
+        assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
+        assert [c.curve.label for c in got.fibration.cycles][:2] == ["p", "q"]
+    for gi in range(s.rank):
+        assert (_destabilize_outcome(destabilize, f, gi)
+                == _destabilize_outcome(ref.destabilize, f, gi))
+
+
+# ---------------------------------------------------------------------------
 # the witness walk
 # ---------------------------------------------------------------------------
 
@@ -265,3 +361,46 @@ def test_witness_plans_match_reference_with_flipped_signs(seed, depth):
     cycles = tuple(SignedCycle(c.curve, -c.sign if rng.random() < 0.5 else c.sign)
                    for c in target.cycles)
     _same_plan(u, LefschetzFibration(u.fiber, DISK, cycles), depth)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 3))
+def test_witness_plans_match_reference_on_genus_three(seed, depth):
+    rng = random.Random(seed)
+    u = u_g1(3)
+    letters = [Letter(TwistGen(c.curve, h)) for c in u.cycles for h in ("right", "left")]
+    w = MCWord(u.fiber, tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))))
+    target = global_conjugate(u, w)
+    cycles = tuple(SignedCycle(c.curve, -c.sign if rng.random() < 0.3 else c.sign)
+                   for c in target.cycles)
+    _same_plan(u, LefschetzFibration(u.fiber, DISK, cycles), depth)
+
+
+def test_unreachable_target_gives_none():
+    # a twist about a catalog curve at most triples the largest coordinate of
+    # a class, so a coordinate above 3**4 is out of reach within depth 4
+    u = u_g1(2)
+    cycles = list(u.cycles)
+    cycles[2] = SignedCycle(nonseparating_curve(u.fiber, (82, 1, 0, -1), "far"), 1)
+    target = LefschetzFibration(u.fiber, DISK, tuple(cycles))
+    assert _same_plan(u, target, 4) is None
+
+
+def test_walk_skips_words_equal_to_earlier_ones():
+    # u_g1(2) has 5 curves, 10 letters: 11,111 words of length <= 4, of
+    # which the walk visits those with no letter after its inverse and no
+    # commuting pair out of order
+    u = u_g1(2)
+    steps = _walk_steps(_alphabet(u))
+    words = []
+
+    def visit(word, matrix):
+        words.append(word)
+        return False
+
+    for length in range(5):
+        assert not _walk_level((), mat_identity(u.fiber.rank), length,
+                               range(len(steps)), steps, visit)
+    assert len(words) == 2905
+    assert len(set(words)) == len(words)
+    assert words == sorted(words, key=lambda w: (len(w), w))
