@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from .curves import Curve, CurveClass, enumerate_classes, subset_from_class
-from .errors import InputError, NotApplicable, Unsupported
+from .errors import CapacityError, InputError, NotApplicable, Unsupported
 from .homology import (
     Matrix,
     SurfaceSpec,
@@ -307,31 +307,10 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
 # stabilization and destabilization
 # ---------------------------------------------------------------------------
 
-def _match_separating_sides(
-    sides: tuple[tuple[int, int], tuple[int, int]],
-    subset_count: int,
-    other_count: int,
-    active_in_subset: bool,
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Assignments (active_side, passive_side) consistent with boundary counts.
-
-    ``active`` is the side containing the boundary circles touched by the
-    handle move; whether that is the recorded-subset side is told by
-    ``active_in_subset``.
-    """
-    s1, s2 = sides
-    active_count = subset_count if active_in_subset else other_count
-    passive_count = other_count if active_in_subset else subset_count
-    out = []
-    for act, pas in ((s1, s2), (s2, s1)):
-        if act[1] == active_count and pas[1] == passive_count:
-            out.append((act, pas))
-    # identical assignments carry no ambiguity
-    dedup = []
-    for a in out:
-        if a not in dedup:
-            dedup.append(a)
-    return dedup
+def _split_classes(t: int, g: int, b: int) -> set[CurveClass]:
+    """Types of a separating curve that cuts t of the b boundary circles off a
+    genus-g surface, one per genus split."""
+    return {CurveClass.separating((x, t), (g - x, b - t)) for x in range(g + 1)}
 
 
 def _transport_separating(
@@ -343,24 +322,25 @@ def _transport_separating(
 ) -> Curve:
     """Move a separating curve's side data through a handle move.
 
-    The side containing the affected boundary circles changes by
-    (genus_delta, boundary_delta); the other side is untouched.  When the
-    recorded unordered pair cannot be matched to the subset unambiguously the
-    move is refused.
+    The active side, which contains the boundary circles touched by the
+    move (the last circle among them), changes by (genus_delta,
+    boundary_delta); the other side is untouched.  When the recorded
+    unordered pair cannot be matched to the subset unambiguously the move
+    is refused.
     """
-    old_subset = curve.boundary_subset()
-    assert old_subset is not None
+    subset = curve.boundary_subset()
+    assert subset is not None
     b = curve.surface.boundary
-    active_in_subset = b in old_subset
-    choices = _match_separating_sides(
-        curve.cls.sides, len(old_subset), b - len(old_subset), active_in_subset)
-    results = set()
-    for act, pas in choices:
-        new_g = act[0] + genus_delta
-        new_b = act[1] + boundary_delta
-        if new_g < 0 or new_b < 1:
-            continue
-        results.add(CurveClass.separating((new_g, new_b), pas))
+    active_count, passive_count = len(subset), b - len(subset)
+    if b not in subset:
+        active_count, passive_count = passive_count, active_count
+    s1, s2 = curve.cls.sides
+    results = {
+        CurveClass.separating((act[0] + genus_delta, act[1] + boundary_delta), pas)
+        for act, pas in ((s1, s2), (s2, s1))
+        if act[1] == active_count and pas[1] == passive_count
+        and act[0] + genus_delta >= 0 and act[1] + boundary_delta >= 1
+    }
     if len(results) != 1:
         raise NotApplicable(
             f"side data of separating cycle {curve.label or curve.hom} cannot "
@@ -392,11 +372,7 @@ def _transport_curve(
     if subset is None:
         raise NotApplicable(
             "transported class is boundary-type but not a subset class")
-    t = len(subset)
-    g, b = new_surface.genus, new_surface.boundary
-    candidates = {
-        CurveClass.separating((x, t), (g - x, b - t)) for x in range(g + 1)
-    }
+    candidates = _split_classes(len(subset), new_surface.genus, new_surface.boundary)
     if len(candidates) != 1:
         raise NotApplicable(
             "genus split of a newly separating cycle is ambiguous")
@@ -442,11 +418,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
                 # becomes non-separating.  Allowed only when the matching
                 # destabilization can reclassify it unambiguously.
                 t = len(c.curve.boundary_subset())
-                candidates = {
-                    CurveClass.separating((x, t), (g - x, b - t))
-                    for x in range(g + 1)
-                }
-                if candidates != {c.curve.cls}:
+                if _split_classes(t, g, b) != {c.curve.cls}:
                     raise NotApplicable(
                         f"cycle {c.curve.label or c.curve.hom} separates the "
                         "two circles being merged and could not be recovered")
@@ -778,6 +750,12 @@ def universality_report(u: LefschetzFibration) -> UniversalityReport:
 # witness search
 # ---------------------------------------------------------------------------
 
+# Most words a witness search may enumerate, counted before pruning: the sum
+# over lengths L <= depth of len(alphabet)**L.  u_g1(3) at depth 5 counts
+# 579,195.
+WITNESS_WORD_BOUND = 1_000_000
+
+
 def _alphabet(u: LefschetzFibration) -> list[Letter]:
     """Twist letters over the source's distinct cycle curves, right then left."""
     seen = set()
@@ -810,7 +788,8 @@ def substitution_witness(
 
     The walk skips words that equal a word earlier in that order (see
     :func:`_walk_steps`); the first match is never such a word, so the plans
-    are those of the full enumeration.
+    are those of the full enumeration.  Before any search, CapacityError is
+    raised when the unpruned word count passes WITNESS_WORD_BOUND.
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
@@ -820,6 +799,16 @@ def substitution_witness(
         raise InputError("depth must be >= 0")
 
     letters = _alphabet(u)
+    words, level = 0, 1
+    for _ in range(depth + 1):
+        words += level
+        if words > WITNESS_WORD_BOUND:
+            raise CapacityError(
+                f"witness search over {len(letters)} letters to depth {depth} "
+                f"exceeds the bound of {WITNESS_WORD_BOUND} words")
+        level *= len(letters)
+        if not level:
+            break  # an empty alphabet has only the empty word
     steps = _walk_steps(letters)
     targets = [(c.curve.cls, c.curve.hom, c.sign) for c in f.cycles]
     pref = [
@@ -848,7 +837,7 @@ def substitution_witness(
         return len(hit_pref) == len(targets)
 
     # Length-lexicographic: all words of length L before any of length L+1.
-    for length in range(depth + 1):
+    for length in range(depth + 1 if letters else 1):
         if _walk_level((), mat_identity(u.fiber.rank), length, range(len(steps)),
                        steps, visit):
             break

@@ -219,40 +219,17 @@ def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U A V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+def smith_normal_form(a: Matrix) -> tuple[int, ...]:
+    """Smith invariants of an integer m x n matrix: the min(m, n) diagonal
+    entries, nonnegative, each dividing the next, zeros last.
 
-    d: Matrix
-    u: Matrix
-    v: Matrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        m, n = mat_shape(self.d)
-        return tuple(self.d[i][i] for i in range(min(m, n)))
-
-
-def _min_abs_pivot(w: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    best = None
-    best_val = 0
-    for i in range(t, m):
-        for j in range(t, n):
-            a = w[i][j]
-            if a == 0:
-                continue
-            if best is None or abs(a) < best_val:
-                best = (i, j)
-                best_val = abs(a)
-    return best
-
-
-def smith_normal_form(a: Matrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Pivoting rule: smallest-magnitude nonzero entry of the trailing
-    submatrix, ties broken by lowest (row, column).  This makes the
-    decomposition a deterministic function of the input.  Diagonal entries
-    are nonnegative and satisfy the divisibility chain.
+    The pivot is a smallest nonzero entry, the first in row-major order.
+    Its column and row are cleared by floor-division remainders; a remainder
+    left over is a smaller nonzero entry, so the next pivot is smaller.  A
+    pivot that fails to divide some other row takes that row into its own,
+    which leaves such a remainder.  A pivot that divides everything is
+    recorded and its row and column are deleted, so every later pivot is a
+    multiple of it.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -260,100 +237,34 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         if len(row) != n:
             raise InputError("ragged matrix")
     w = [list(row) for row in a]
-    u = [list(row) for row in mat_identity(m)]
-    v = [list(row) for row in mat_identity(n)]
-
-    def swap_rows(i1, i2):
-        w[i1], w[i2] = w[i2], w[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for row in w:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def add_row(dst, src, k):
-        # row_dst += k * row_src
-        wd, ws = w[dst], w[src]
-        for j in range(n):
-            wd[j] += k * ws[j]
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            ud[j] += k * us[j]
-
-    def add_col(dst, src, k):
-        for row in w:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    t = 0
-    while t < min(m, n):
-        piv = _min_abs_pivot(w, t, m, n)
+    diag: list[int] = []
+    while True:
+        piv = min(((abs(x), i, j) for i, row in enumerate(w)
+                   for j, x in enumerate(row) if x), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # Reduce the pivot column, re-pivoting on any remainder.
-            col_dirty = False
-            for i in range(t + 1, m):
-                if w[i][t] != 0:
-                    q = w[i][t] // w[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if w[i][t] != 0:
-                        col_dirty = True
-            if col_dirty:
-                best = min(
-                    (i for i in range(t, m) if w[i][t] != 0),
-                    key=lambda i: (abs(w[i][t]), i),
-                )
-                if best != t:
-                    swap_rows(t, best)
-                continue
-            row_dirty = False
-            for j in range(t + 1, n):
-                if w[t][j] != 0:
-                    q = w[t][j] // w[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if w[t][j] != 0:
-                        row_dirty = True
-            if row_dirty:
-                best = min(
-                    (j for j in range(t, n) if w[t][j] != 0),
-                    key=lambda j: (abs(w[t][j]), j),
-                )
-                if best != t:
-                    swap_cols(t, best)
-                continue
-            if any(w[i][t] for i in range(t + 1, m)):
-                continue  # column was disturbed by the row pass
-            break
-        # Pivot must divide the trailing submatrix for the chain to hold.
-        d = w[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if w[i][j] % d != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
+        _, i, j = piv
+        prow = w[i]
+        p = prow[j]
+        for row in w:
+            if row is not prow and row[j]:
+                q = row[j] // p
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        if any(row[j] for row in w if row is not prow):
             continue
-        if d < 0:
-            add_row(t, t, -2)  # negate row t: row += -2*row
-        t += 1
-
-    return SmithDecomposition(
-        d=tuple(tuple(row) for row in w),
-        u=tuple(tuple(row) for row in u),
-        v=tuple(tuple(row) for row in v),
-    )
+        # The column is clear, so clearing the row changes only the row.
+        prow[:] = [x % p if l != j else p for l, x in enumerate(prow)]
+        if any(prow[:j] + prow[j + 1:]):
+            continue
+        bad = next((row for row in w if any(x % p for x in row)), None)
+        if bad is not None:
+            prow[:] = [x % p if l != j else p for l, x in enumerate(bad)]
+            continue
+        diag.append(abs(p))
+        del w[i]
+        for row in w:
+            del row[j]
+    return tuple(diag) + (0,) * (min(m, n) - len(diag))
 
 
 def cokernel_invariants(a: Matrix) -> tuple[int, tuple[int, ...]]:
@@ -362,9 +273,7 @@ def cokernel_invariants(a: Matrix) -> tuple[int, tuple[int, ...]]:
     Returns (free_rank, torsion) where torsion lists the invariant factors
     greater than 1, in divisibility order.
     """
-    m = len(a)
-    snf = smith_normal_form(a)
-    diag = snf.diagonal()
+    diag = smith_normal_form(a)
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
-    return (m - rank, torsion)
+    return (len(a) - rank, torsion)

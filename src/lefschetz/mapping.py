@@ -22,11 +22,9 @@ Unknown.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from importlib import resources
 from math import factorial
 
 from .curves import Curve, enumerate_classes, nonseparating_curve
@@ -42,6 +40,12 @@ from .homology import (
     pairing,
     preserves_pairing,
 )
+
+# Largest H1 rank of a fiber the library takes on.  The dense kernels grow
+# with the square of the rank (a genus-10**6 file ran out of memory), and
+# from genus 85 the order of Sp(2g, 2) that an obstruction reports has more
+# digits than Python converts to a string by default.
+MAX_FIBER_RANK = 100
 
 # ---------------------------------------------------------------------------
 # permutations of boundary circles (0-based tuples)
@@ -539,13 +543,6 @@ def catalog_adjacency(surface: SurfaceSpec) -> dict[tuple[str, str], int]:
     return table
 
 
-def packaged_catalog() -> list[dict]:
-    """The catalog entries shipped as package data (small genera, pinned)."""
-    path = resources.files("lefschetz.data").joinpath("twist_catalog.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # the surjectivity oracle
 # ---------------------------------------------------------------------------
@@ -614,7 +611,13 @@ def mcg_surjectivity_oracle(
 
     Anything else is Unknown: homology data alone cannot certify
     surjectivity of the full group.
+
+    A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError
+    before any work.
     """
+    if surface.rank > MAX_FIBER_RANK:
+        raise CapacityError(
+            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
     for t in twists:
         if t.surface != surface:
             raise InputError("twist on the wrong surface")

@@ -8,10 +8,8 @@ constructors.
 Boundary-circle permutations are written 1-based ("perm": [2, 1] swaps the
 two circles); in memory they are 0-based tuples.
 
-A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` is refused
-with CapacityError: past it the dense Smith form runs out of memory, and past
-genus 50 the order of Sp(2g, 5) that an obstruction reports has more digits
-than Python converts to a string by default.
+A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` (defined
+in :mod:`lefschetz.mapping`) is refused with CapacityError.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ from .fibration import (
     UniversalityReport,
 )
 from .homology import SurfaceSpec
-from .mapping import BundleGen, Letter, MCWord, TwistGen
-
-MAX_FIBER_RANK = 100
+from .mapping import MAX_FIBER_RANK, BundleGen, Letter, MCWord, TwistGen
 
 
 def dumps(doc: Any) -> str:

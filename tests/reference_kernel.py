@@ -10,12 +10,16 @@ whole fibrations; ``global_conjugate`` always evaluates the inverse word.
 The differential tests require the library's paths to agree with these
 exactly.
 
+``smith_normal_form`` is the full decomposition U A V = D with the
+unimodular U and V, which the library no longer builds: it returns only the
+diagonal.  The Smith-form tests check U A V = D against it.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from lefschetz.curves import Curve
 from lefschetz.errors import InputError, NotApplicable
@@ -80,6 +84,147 @@ def mat_det(a: Matrix) -> int:
             w[i][k] = 0
         prev = w[k][k]
     return sign * w[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with the unimodular U and V
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U A V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+
+    d: Matrix
+    u: Matrix
+    v: Matrix
+
+    def diagonal(self) -> tuple[int, ...]:
+        m, n = mat_shape(self.d)
+        return tuple(self.d[i][i] for i in range(min(m, n)))
+
+
+def _min_abs_pivot(w: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
+    best = None
+    best_val = 0
+    for i in range(t, m):
+        for j in range(t, n):
+            a = w[i][j]
+            if a == 0:
+                continue
+            if best is None or abs(a) < best_val:
+                best = (i, j)
+                best_val = abs(a)
+    return best
+
+
+def smith_normal_form(a: Matrix) -> SmithDecomposition:
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    Pivoting rule: smallest-magnitude nonzero entry of the trailing
+    submatrix, ties broken by lowest (row, column).  This makes the
+    decomposition a deterministic function of the input.  Diagonal entries
+    are nonnegative and satisfy the divisibility chain.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for row in a:
+        if len(row) != n:
+            raise InputError("ragged matrix")
+    w = [list(row) for row in a]
+    u = [list(row) for row in mat_identity(m)]
+    v = [list(row) for row in mat_identity(n)]
+
+    def swap_rows(i1, i2):
+        w[i1], w[i2] = w[i2], w[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        for row in w:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in v:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    def add_row(dst, src, k):
+        # row_dst += k * row_src
+        wd, ws = w[dst], w[src]
+        for j in range(n):
+            wd[j] += k * ws[j]
+        ud, us = u[dst], u[src]
+        for j in range(m):
+            ud[j] += k * us[j]
+
+    def add_col(dst, src, k):
+        for row in w:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    t = 0
+    while t < min(m, n):
+        piv = _min_abs_pivot(w, t, m, n)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # Reduce the pivot column, re-pivoting on any remainder.
+            col_dirty = False
+            for i in range(t + 1, m):
+                if w[i][t] != 0:
+                    q = w[i][t] // w[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if w[i][t] != 0:
+                        col_dirty = True
+            if col_dirty:
+                best = min(
+                    (i for i in range(t, m) if w[i][t] != 0),
+                    key=lambda i: (abs(w[i][t]), i),
+                )
+                if best != t:
+                    swap_rows(t, best)
+                continue
+            row_dirty = False
+            for j in range(t + 1, n):
+                if w[t][j] != 0:
+                    q = w[t][j] // w[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if w[t][j] != 0:
+                        row_dirty = True
+            if row_dirty:
+                best = min(
+                    (j for j in range(t, n) if w[t][j] != 0),
+                    key=lambda j: (abs(w[t][j]), j),
+                )
+                if best != t:
+                    swap_cols(t, best)
+                continue
+            if any(w[i][t] for i in range(t + 1, m)):
+                continue  # column was disturbed by the row pass
+            break
+        # Pivot must divide the trailing submatrix for the chain to hold.
+        d = w[t][t]
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if w[i][j] % d != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if d < 0:
+            add_row(t, t, -2)  # negate row t: row += -2*row
+        t += 1
+
+    return SmithDecomposition(
+        d=tuple(tuple(row) for row in w),
+        u=tuple(tuple(row) for row in u),
+        v=tuple(tuple(row) for row in v),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -194,6 +196,21 @@ def test_witness_depth_env(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["depth"] == 1
     assert main(["witness", "-u", u, "-f", u, "--depth", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["depth"] == 2
+
+
+def test_witness_past_word_bound_refused(tmp_path, capsys):
+    # 20 distinct non-separating classes give 40 letters: depth 4 counts
+    # 2,625,641 words; the walk once ran past 30 s on such a source
+    s = SurfaceSpec(3, 1)
+    vectors = [v for v in itertools.product((0, 1), repeat=6) if any(v)][:20]
+    source = LefschetzFibration(s, DISK, tuple(
+        SignedCycle(nonseparating_curve(s, v), 1) for v in vectors))
+    u = _write(tmp_path, "u.json", source)
+    f = _write(tmp_path, "f.json", u_g1(3))
+    start = time.perf_counter()
+    _assert_refused(main(["witness", "-u", u, "-f", f]), capsys)
+    _assert_refused(main(["witness", "-u", f, "-f", f, "--depth", str(10**9)]), capsys)
+    assert time.perf_counter() - start < 5
 
 
 def test_reduce_command(tmp_path, capsys):

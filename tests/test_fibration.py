@@ -11,8 +11,9 @@ from lefschetz.curves import (
     nonseparating_curve,
     separating_curve,
 )
-from lefschetz.errors import InputError, NotApplicable, Unsupported
+from lefschetz.errors import CapacityError, InputError, NotApplicable, Unsupported
 from lefschetz.fibration import (
+    WITNESS_WORD_BOUND,
     ANNULUS,
     DISK,
     BaseSurface,
@@ -554,3 +555,17 @@ def test_witness_unknown_when_unreachable():
 def test_witness_fiber_mismatch():
     with pytest.raises(InputError):
         substitution_witness(u_11(), u_g1(2), 2)
+
+
+def test_witness_word_bound():
+    # u_g1(3) has 14 letters: depth 5 counts 579,195 words, depth 6 passes
+    # the bound; the check comes before the walk, whatever the depth
+    u = u_g1(3)
+    assert substitution_witness(u, u, 5) == identity_plan(u)
+    for depth in (6, 10**9):
+        with pytest.raises(CapacityError, match=str(WITNESS_WORD_BOUND)):
+            substitution_witness(u, u, depth)
+    # an empty alphabet has only the empty word, at any depth
+    empty = LefschetzFibration(u.fiber, DISK, ())
+    assert substitution_witness(empty, u, 10**9) is None
+    assert substitution_witness(empty, empty, 10**9) == ImmersionWitness(())

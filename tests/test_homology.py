@@ -22,6 +22,7 @@ from lefschetz.homology import (
     pairing_matrix,
     smith_normal_form,
 )
+import reference_kernel as ref
 from reference_kernel import mat_det
 
 
@@ -93,8 +94,7 @@ def test_pairing_matrix_rank():
     for g, b in [(0, 3), (1, 1), (2, 2), (3, 0)]:
         s = SurfaceSpec(g, b)
         j = pairing_matrix(s)
-        snf = smith_normal_form(j)
-        assert sum(1 for d in snf.diagonal() if d != 0) == 2 * g
+        assert sum(1 for d in smith_normal_form(j) if d != 0) == 2 * g
 
 
 def test_is_essential():
@@ -109,7 +109,9 @@ def test_is_essential():
 # ---------------------------------------------------------------------------
 
 def _check_snf(a):
-    snf = smith_normal_form(a)
+    """U A V = D on the reference decomposition, and the library's diagonal
+    equals the reference's."""
+    snf = ref.smith_normal_form(a)
     m, n = len(a), len(a[0]) if a else 0
     assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
     assert abs(mat_det(snf.u)) == 1
@@ -125,13 +127,18 @@ def _check_snf(a):
             assert y == 0
         else:
             assert y % x == 0
+    assert smith_normal_form(a) == diag
     return snf
 
 
 def test_snf_examples():
-    assert smith_normal_form(mat_identity(2)).diagonal() == (1, 1)
+    assert smith_normal_form(mat_identity(2)) == (1, 1)
     assert _check_snf(((2, 4), (6, 8))).diagonal() == (2, 4)
-    empty = smith_normal_form(())
+    assert smith_normal_form(((0, 6, 0), (4, 0, 0))) == (2, 12)
+    assert smith_normal_form(((0, 0), (0, 0), (0, 0))) == (0, 0)
+    assert smith_normal_form(((),)) == ()
+    assert smith_normal_form(()) == ()
+    empty = ref.smith_normal_form(())
     assert empty.d == ()
     assert empty.diagonal() == ()
 
@@ -139,6 +146,30 @@ def test_snf_examples():
 def test_snf_deterministic():
     a = ((3, 1, -4), (2, -3, 1), (-4, 4, 0))
     assert smith_normal_form(a) == smith_normal_form(a)
+    assert ref.smith_normal_form(a) == ref.smith_normal_form(a)
+
+
+def _sparse_matrices():
+    entries = st.sampled_from((0, 0, 0, 1, -1, 3, -3, 9, -9))
+    return st.tuples(st.integers(0, 10), st.integers(0, 10)).flatmap(
+        lambda mn: st.lists(
+            st.lists(entries, min_size=mn[1], max_size=mn[1]).map(tuple),
+            min_size=mn[0], max_size=mn[0]).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_sparse_matrices(), ragged=st.integers(-1, 10))
+def test_snf_diagonal_matches_reference(a, ragged):
+    """The diagonal-only routine gives the reference's diagonal, and both
+    refuse a ragged matrix (one row shortened) with the same InputError."""
+    assert smith_normal_form(a) == ref.smith_normal_form(a).diagonal()
+    if 0 <= ragged < len(a) and len(a) > 1 and a[0]:
+        bent = a[:ragged] + (a[ragged][:-1],) + a[ragged + 1:]
+        with pytest.raises(InputError) as got:
+            smith_normal_form(bent)
+        with pytest.raises(InputError) as want:
+            ref.smith_normal_form(bent)
+        assert str(got.value) == str(want.value) == "ragged matrix"
 
 
 def test_snf_random_20x20():

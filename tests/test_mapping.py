@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import random
-from importlib import resources
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lefschetz.mapping as mapping
+import lefschetz.serialize as serialize
 from lefschetz.curves import nonseparating_curve, separating_curve
 from lefschetz.errors import CapacityError, InputError
 from lefschetz.homology import (
@@ -37,7 +38,6 @@ from lefschetz.mapping import (
     catalog_adjacency,
     evaluate,
     mcg_surjectivity_oracle,
-    packaged_catalog,
     perm_compose,
     perm_group_surjective,
     perm_inverse,
@@ -291,8 +291,12 @@ def test_catalog_mod2_closure_is_full_for_genus_two():
     assert _symplectic_order_mod(gens, 2, 2) == 720
 
 
+CATALOG_FIXTURE = Path(__file__).parent / "data" / "twist_catalog.json"
+
+
 def test_packaged_catalog_is_pinned():
-    entries = packaged_catalog()
+    raw = CATALOG_FIXTURE.read_text(encoding="utf-8")
+    entries = json.loads(raw)
     by_fiber = {(e["fiber"]["genus"], e["fiber"]["boundary"]): e for e in entries}
     assert set(by_fiber) == {(1, 0), (1, 1)} | {(g, 1) for g in range(2, 7)}
     for (g, b), entry in by_fiber.items():
@@ -301,9 +305,6 @@ def test_packaged_catalog_is_pinned():
     # bit-exact: the file equals the canonical serialization of its contents
     from lefschetz.serialize import dumps
 
-    raw = (
-        resources.files("lefschetz.data").joinpath("twist_catalog.json").read_text()
-    )
     assert raw == dumps(json.loads(raw))
 
 
@@ -347,6 +348,18 @@ def test_oracle_unknown_without_certificate():
 def test_oracle_trivial_groups_certified():
     assert mcg_surjectivity_oracle([], SurfaceSpec(0, 1)).certified
     assert mcg_surjectivity_oracle([], SurfaceSpec(0, 0)).certified
+
+
+def test_oracle_refuses_oversized_surface():
+    # genus 85: the obstruction's order of Sp(170, 2) is past the
+    # int-string digit limit, so formatting it raised ValueError
+    with pytest.raises(CapacityError, match="rank 170"):
+        mcg_surjectivity_oracle([], SurfaceSpec(85, 1))
+    edge = SurfaceSpec(0, mapping.MAX_FIBER_RANK + 1)
+    assert mcg_surjectivity_oracle([], edge).status == "unknown"
+    with pytest.raises(CapacityError):
+        mcg_surjectivity_oracle([], SurfaceSpec(0, mapping.MAX_FIBER_RANK + 2))
+    assert serialize.MAX_FIBER_RANK is mapping.MAX_FIBER_RANK
 
 
 @settings(max_examples=25)
