@@ -43,10 +43,13 @@ from .mapping import (
     MCWord,
     SurjectivityVerdict,
     TwistGen,
+    _pairing_inverse,
     act_on_curve,
+    check_fiber_rank,
     evaluate,
     mcg_surjectivity_oracle,
     perm_group_surjective,
+    perm_inverse,
     transvect,
     twist_covector,
     twist_matrix,
@@ -145,6 +148,7 @@ def twist_product(f: LefschetzFibration) -> Matrix:
 def _catalog_fibration(fiber: SurfaceSpec, signs: tuple[int, ...]) -> LefschetzFibration:
     from .mapping import twist_catalog
 
+    check_fiber_rank(fiber)
     curves = twist_catalog(fiber)
     if len(signs) != len(curves):
         raise InputError("sign count does not match the catalog")
@@ -198,7 +202,11 @@ def _need_g(name: str, g: int | None) -> int:
 
 
 def build(name: str, g: int | None = None) -> LefschetzFibration:
-    """Construct a named standard fibration ("u_11", "u_10", "u_g1", "p_g")."""
+    """Construct a named standard fibration ("u_11", "u_10", "u_g1", "p_g").
+
+    A fiber of H1 rank above MAX_FIBER_RANK is refused with CapacityError
+    before its catalog is built.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -281,8 +289,8 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     """Transport every cycle by w and conjugate the bundle generators.
 
-    The inverse of w is evaluated only when there are bundle generators to
-    conjugate (none over the disk).
+    The inverse of w is taken in closed form from its evaluation, and only
+    when there are bundle generators to conjugate (none over the disk).
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
@@ -290,12 +298,13 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
     if not f.bundle:
         return LefschetzFibration(f.fiber, f.base, cycles)
-    rep_inv = evaluate(w.inverse())
+    inv_matrix = _pairing_inverse(f.fiber, rep.matrix, rep.perm)
+    inv_perm = perm_inverse(rep.perm)
     bundle = tuple(
         BundleGen(
             f.fiber,
-            mat_mul(rep.matrix, mat_mul(bg.matrix, rep_inv.matrix)),
-            tuple(rep.perm[bg.perm[rep_inv.perm[k]]] for k in range(f.fiber.boundary)),
+            mat_mul(rep.matrix, mat_mul(bg.matrix, inv_matrix)),
+            tuple(rep.perm[bg.perm[inv_perm[k]]] for k in range(f.fiber.boundary)),
             bg.label,
         )
         for bg in f.bundle

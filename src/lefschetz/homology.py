@@ -19,7 +19,6 @@ ints and matrices are tuples of row tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InputError
@@ -68,38 +67,6 @@ def mat_from_columns(cols: list[Vector], rows: int) -> Matrix:
 
 def vec_gcd(x: Vector) -> int:
     return gcd(*x)
-
-
-def mat_inverse_unimodular(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Gauss-Jordan over exact rationals; the result is asserted integral.
-    """
-    n, m = mat_shape(a)
-    if n != m:
-        raise InputError("inverse of a non-square matrix")
-    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if w[r][col] != 0), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        w[col], w[piv] = w[piv], w[col]
-        inv = 1 / w[col][col]
-        w[col] = [x * inv for x in w[col]]
-        for r in range(n):
-            if r != col and w[r][col] != 0:
-                f = w[r][col]
-                w[r] = [x - f * y for x, y in zip(w[r], w[col])]
-    out = []
-    for row in w:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise InputError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +165,11 @@ def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
     """Check m^T J m == J exactly, from the g symplectic row pairs of m.
 
     Both sides are antisymmetric, so entries above the diagonal are compared.
-    Shapes that do not compose with J raise InputError, as in m^T J m.
+    A matrix that is not r x r, r the rank, raises InputError.
     """
     r = surface.rank
-    cols = min(map(len, m), default=0)
-    t_cols = len(m) if cols else 0  # m^T is cols x len(m), or 0x0 without columns
-    if t_cols != r or (not cols and m):
-        right = f"{r}x{r}" if t_cols != r else f"{len(m)}x{len(m[0])}"
-        raise InputError(f"matrix shapes {cols}x{t_cols} and {right} do not compose")
-    if cols != r:
-        return False
+    if len(m) != r or any(len(row) != r for row in m):
+        raise InputError(f"matrix must be {r}x{r} for {surface}")
     j = pairing_matrix(surface)
     pairs = [(m[2 * i], m[2 * i + 1]) for i in range(surface.genus)]
     return all(

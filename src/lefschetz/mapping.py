@@ -27,14 +27,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import factorial
 
-from .curves import Curve, enumerate_classes, nonseparating_curve
+from .curves import Curve, boundary_subset_class, enumerate_classes, nonseparating_curve
 from .errors import CapacityError, InputError
 from .homology import (
     Matrix,
     SurfaceSpec,
     Vector,
     mat_identity,
-    mat_inverse_unimodular,
     mat_mul,
     mat_vec,
     pairing,
@@ -46,6 +45,14 @@ from .homology import (
 # from genus 85 the order of Sp(2g, 2) that an obstruction reports has more
 # digits than Python converts to a string by default.
 MAX_FIBER_RANK = 100
+
+
+def check_fiber_rank(surface: SurfaceSpec) -> None:
+    """Refuse a surface of H1 rank above MAX_FIBER_RANK with CapacityError."""
+    if surface.rank > MAX_FIBER_RANK:
+        raise CapacityError(
+            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
+
 
 # ---------------------------------------------------------------------------
 # permutations of boundary circles (0-based tuples)
@@ -119,15 +126,13 @@ class BundleGen:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
         object.__setattr__(self, "perm", tuple(self.perm))
-        r = self.surface.rank
-        if len(self.matrix) != r or any(len(row) != r for row in self.matrix):
-            raise InputError(f"matrix must be {r}x{r} for {self.surface}")
-        check_perm(self.perm, self.surface.boundary)
         if not preserves_pairing(self.surface, self.matrix):
             raise InputError("bundle generator must preserve the pairing form")
-        for j in range(1, self.surface.boundary + 1):
-            src = _boundary_class(self.surface, j)
-            dst = _boundary_class(self.surface, self.perm[j - 1] + 1)
+        b = self.surface.boundary
+        check_perm(self.perm, b)
+        for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
+            src = boundary_subset_class(self.surface, frozenset({j}))
+            dst = boundary_subset_class(self.surface, frozenset({self.perm[j - 1] + 1}))
             if mat_vec(self.matrix, src) != dst:
                 raise InputError(
                     f"matrix moves boundary class {j} off d_{self.perm[j - 1] + 1}")
@@ -135,22 +140,38 @@ class BundleGen:
     def inverse(self) -> "BundleGen":
         return BundleGen(
             self.surface,
-            mat_inverse_unimodular(self.matrix),
+            _pairing_inverse(self.surface, self.matrix, self.perm),
             perm_inverse(self.perm),
             label=f"{self.label}^-1" if self.label else "",
         )
 
 
-def _boundary_class(surface: SurfaceSpec, j: int) -> Vector:
-    """Class of the j-th boundary circle, 1 <= j <= b (d_b is minus the sum)."""
-    b = surface.boundary
-    coords = [0] * surface.rank
-    if j < b:
-        coords[surface.delta_index(j)] = 1
-    else:
-        for k in range(1, b):
-            coords[surface.delta_index(k)] = -1
-    return tuple(coords)
+def _pairing_inverse(surface: SurfaceSpec, m: Matrix, perm: Permutation) -> Matrix:
+    """Inverse of a pairing-preserving m that sends each d_j to d_{perm(j)}.
+
+    In (handle, boundary) blocks m = [[S, 0], [C, P]], with S symplectic and
+    P the action of perm on the boundary classes, so
+
+        m^-1 = [[S^-1, 0], [-P^-1 C S^-1, P^-1]],
+
+    where S^-1 = J^T S^T J has entry (x, y) equal to +-S[y^1][x^1] (+ when x
+    and y have the same parity) and P^-1 is the action of perm^-1.  Every
+    BundleGen and every evaluated word has this form.
+    """
+    n = 2 * surface.genus
+    sign = (1, -1) * surface.genus
+    s_inv = tuple(
+        tuple(sign[x] * sign[y] * m[y ^ 1][x ^ 1] for y in range(n)) for x in range(n))
+    d = surface.boundary - 1
+    if d < 1:
+        return s_inv
+    p_inv = tuple(zip(*(boundary_subset_class(surface, frozenset({k + 1}))[n:]
+                        for k in perm_inverse(perm)[:d])))
+    # bottom block rows: P^-1 [-C S^-1 | I]
+    c_s_inv = mat_mul(tuple(row[:n] for row in m[n:]), s_inv)
+    bottom = mat_mul(p_inv, tuple(
+        tuple(-x for x in row) + e for row, e in zip(c_s_inv, mat_identity(d))))
+    return tuple(row + (0,) * d for row in s_inv) + bottom
 
 
 def boundary_permutation_gen(
@@ -167,7 +188,7 @@ def boundary_permutation_gen(
     for k in range(2 * g):
         cols.append(surface.basis_vector(k))
     for j in range(1, b):
-        cols.append(_boundary_class(surface, perm[j - 1] + 1))
+        cols.append(boundary_subset_class(surface, frozenset({perm[j - 1] + 1})))
     matrix = tuple(tuple(col[i] for col in cols) for i in range(surface.rank))
     return BundleGen(surface, matrix, perm, label)
 
@@ -337,8 +358,9 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
 
     Deterministic Schreier-Sims (Sims 1970; Seress 2003).  G acts on
     points by ``act(g, point)``; ``mul(a, b)`` applies b first, then a, and
-    ``inv`` inverts.  ``base`` must be a base: an element fixing every base
-    point is the identity.  Level i keeps the orbit of base[i] under
+    ``inv`` inverts (its result is only ever passed to ``mul``).  ``base``
+    must be a base: an element fixing every base point is the identity.
+    Level i keeps the orbit of base[i] under
     H_i = <generators fixing base[:i]> with a transversal (None stands for
     the identity at the base point itself); the Schreier generators of each
     (point, generator) pair are sifted through the deeper levels, deepest
@@ -467,7 +489,7 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
     base, since a matrix fixing every basis vector is the identity.
     """
     n = 2 * g
-    sign = [1 - 2 * (a % 2) for a in range(n)]
+    block = SurfaceSpec(g, 0)
 
     def act(m: Matrix, v: Vector) -> Vector:
         return tuple(sum(map(operator.mul, row, v)) % p for row in m)
@@ -478,10 +500,8 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
             tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
 
     def inv(m: Matrix) -> Matrix:
-        # m^-1 = J^T m^T J for symplectic m: entry (a, c) is +-m[c^1][a^1]
-        return tuple(
-            tuple(sign[a] * sign[c] * m[c ^ 1][a ^ 1] % p for c in range(n))
-            for a in range(n))
+        # entries in (-p, p): every inverse is consumed by mul, which reduces
+        return _pairing_inverse(block, m, ())
 
     base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return _group_order(mats, base, act, mul, inv, symplectic_group_order(g, p))
@@ -615,9 +635,7 @@ def mcg_surjectivity_oracle(
     A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError
     before any work.
     """
-    if surface.rank > MAX_FIBER_RANK:
-        raise CapacityError(
-            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
+    check_fiber_rank(surface)
     for t in twists:
         if t.surface != surface:
             raise InputError("twist on the wrong surface")

@@ -18,7 +18,7 @@ import json
 from typing import Any
 
 from .curves import Curve, CurveClass
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .fibration import (
     BaseSurface,
     ImmersionWitness,
@@ -30,7 +30,7 @@ from .fibration import (
     UniversalityReport,
 )
 from .homology import SurfaceSpec
-from .mapping import MAX_FIBER_RANK, BundleGen, Letter, MCWord, TwistGen
+from .mapping import MAX_FIBER_RANK, BundleGen, Letter, MCWord, TwistGen, check_fiber_rank
 
 
 def dumps(doc: Any) -> str:
@@ -164,9 +164,7 @@ def fibration_to_json(f: LefschetzFibration) -> dict:
 def fibration_from_json(obj: Any) -> LefschetzFibration:
     _expect_keys(obj, {"fiber", "base", "cycles", "bundle"}, set(), "fibration")
     fiber = surface_from_json(obj["fiber"], "fiber")
-    if fiber.rank > MAX_FIBER_RANK:
-        raise CapacityError(
-            f"fiber rank {fiber.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
+    check_fiber_rank(fiber)
     base = base_from_json(obj["base"])
     if not isinstance(obj["cycles"], list) or not isinstance(obj["bundle"], list):
         raise InputError("cycles and bundle must be lists")

@@ -14,12 +14,18 @@ exactly.
 unimodular U and V, which the library no longer builds: it returns only the
 diagonal.  The Smith-form tests check U A V = D against it.
 
+``mat_inverse_unimodular`` is Gauss-Jordan over ``Fraction``, which the
+library replaced by the closed-form inverse of a bundle generator; the
+reference ``evaluate`` inverts bundle letters with it, so inverse bundle
+letters are compared against an independent inverse.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from lefschetz.curves import Curve
 from lefschetz.errors import InputError, NotApplicable
@@ -56,6 +62,7 @@ from lefschetz.mapping import (
     act_on_curve,
     perm_compose,
     perm_identity,
+    perm_inverse,
 )
 
 
@@ -84,6 +91,38 @@ def mat_det(a: Matrix) -> int:
             w[i][k] = 0
         prev = w[k][k]
     return sign * w[n - 1][n - 1]
+
+
+def mat_inverse_unimodular(a: Matrix) -> Matrix:
+    """Inverse of an integer matrix with determinant +-1.
+
+    Gauss-Jordan over exact rationals; the result is asserted integral.
+    """
+    n, m = mat_shape(a)
+    if n != m:
+        raise InputError("inverse of a non-square matrix")
+    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if w[r][col] != 0), None)
+        if piv is None:
+            raise InputError("matrix is singular")
+        w[col], w[piv] = w[piv], w[col]
+        inv = 1 / w[col][col]
+        w[col] = [x * inv for x in w[col]]
+        for r in range(n):
+            if r != col and w[r][col] != 0:
+                f = w[r][col]
+                w[r] = [x - f * y for x, y in zip(w[r], w[col])]
+    out = []
+    for row in w:
+        ints = []
+        for x in row[n:]:
+            if x.denominator != 1:
+                raise InputError("matrix is not unimodular")
+            ints.append(int(x))
+        out.append(tuple(ints))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +305,7 @@ def _letter_rep(letter: Letter) -> tuple[Matrix, Permutation]:
             handed = "left" if handed == "right" else "right"
         return twist_matrix(gen.curve, handed), perm_identity(gen.surface.boundary)
     if letter.power == -1:
-        gen = gen.inverse()
+        return mat_inverse_unimodular(gen.matrix), perm_inverse(gen.perm)
     return gen.matrix, gen.perm
 
 

@@ -313,6 +313,27 @@ def test_oversized_fiber_refused(tmp_path, capsys):
         fibration_loads(json.dumps(doc))
 
 
+def test_census_enumeration_past_rank_bound_refused(capsys):
+    # census 1500 1500 --enumerate ran for 33 s; the closed-form count is kept
+    assert main(["census", "50", "1", "--enumerate"]) == 0  # rank 100
+    assert len(json.loads(capsys.readouterr().out)["classes"]) == 1
+    for genus, boundary in (("50", "2"), ("1500", "1500")):
+        _assert_refused(main(["census", genus, boundary, "--enumerate"]), capsys)
+    assert main(["census", "1500", "1500"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1125001
+
+
+def test_build_past_rank_bound_refused(tmp_path, capsys):
+    # build u_g1 --g 100 wrote a rank-200 file that every reader refused
+    out = tmp_path / "f.json"
+    assert main(["build", "u_g1", "--g", "50", "--out", str(out)]) == 0
+    assert fibration_loads(out.read_text()) == u_g1(50)
+    for name in ("u_g1", "p_g"):
+        _assert_refused(main(["build", name, "--g", "51"]), capsys)
+    with pytest.raises(CapacityError):
+        u_g1(10**6)
+
+
 def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
     doc = fibration_to_json(u_g1(2))
     text = dumps(doc).replace('"hom": [', '"hom": [' + "1" * 4401 + ",", 1)

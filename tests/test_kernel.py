@@ -1,9 +1,10 @@
 """The library's fast paths against the reference code they replaced.
 
 Every twist application in the library goes through ``mapping.transvect``;
-``reduce`` memoises cycle transports; the witness walk skips words equal to
-earlier ones.  These tests require the results to equal, exactly, those of
-the code kept in ``reference_kernel``: word evaluation, twist products,
+bundle generators are inverted in closed form; ``reduce`` memoises cycle
+transports; the witness walk skips words equal to earlier ones.  These tests
+require the results to equal, exactly, those of the code kept in
+``reference_kernel``: word evaluation, bundle inverses, twist products,
 Hurwitz moves, global conjugation, the pairing check, destabilization,
 reduction and the witness walk.
 """
@@ -55,6 +56,7 @@ from lefschetz.mapping import (
     TwistGen,
     boundary_permutation_gen,
     evaluate,
+    perm_inverse,
     twist_matrix,
     twist_vector,
 )
@@ -128,6 +130,33 @@ def test_evaluate_matches_dense_reference(seed, length):
         assert (got.matrix, got.perm) == (want.matrix, want.perm)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bundle_inverse_matches_gauss_jordan(seed):
+    # m = [[S, 0], [C, P]]: S symplectic, C arbitrary, P a boundary permutation
+    rng = random.Random(seed)
+    while True:
+        s = SurfaceSpec(rng.randint(0, 3), rng.randint(1, 4))
+        if s.rank <= 8:
+            break
+    g, d = s.genus, s.boundary - 1
+    handles = SurfaceSpec(g, 0)
+    sym = ref.evaluate(MCWord(handles, tuple(
+        Letter(TwistGen(_random_curve(rng, handles), rng.choice(("right", "left"))))
+        for _ in range(rng.randint(0, 4) if g else 0)))).matrix
+    perm = list(range(s.boundary))
+    rng.shuffle(perm)
+    shuffle = boundary_permutation_gen(s, tuple(perm))
+    m = tuple(row + (0,) * d for row in sym) + tuple(
+        tuple(rng.randint(-3, 3) for _ in range(2 * g)) + row[2 * g:]
+        for row in shuffle.matrix[2 * g:])
+    gen = BundleGen(s, m, shuffle.perm)
+    inv = gen.inverse()
+    assert inv.matrix == ref.mat_inverse_unimodular(m)
+    assert inv.perm == perm_inverse(gen.perm)
+    assert mat_mul(m, inv.matrix) == mat_mul(inv.matrix, m) == mat_identity(s.rank)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_twist_matrix_and_vector_match_dense_reference(seed):
@@ -192,13 +221,6 @@ def test_hurwitz_move_errors_match_dense_reference():
 # the pairing check
 # ---------------------------------------------------------------------------
 
-def _outcome(check, s, m):
-    try:
-        return check(s, m)
-    except InputError as exc:
-        return ("InputError", str(exc))
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**6), kind=st.sampled_from(
     ("symplectic", "random", "rows", "cols", "ragged", "empty")))
@@ -224,17 +246,23 @@ def test_preserves_pairing_matches_dense_reference(seed, kind):
         row = m[k][:rng.randrange(len(m[k]))] if m[k] and rng.random() < 0.5 else (
             m[k] + (rng.randint(-1, 1),) * rng.randint(1, 2))
         m = m[:k] + (row,) + m[k + 1:]
-    assert _outcome(preserves_pairing, s, m) == _outcome(ref.preserves_pairing, s, m)
+    if len(m) == r and all(len(row) == r for row in m):
+        assert preserves_pairing(s, m) == ref.preserves_pairing(s, m)
+    else:
+        with pytest.raises(InputError, match=f"must be {r}x{r}"):
+            preserves_pairing(s, m)
 
 
 def test_preserves_pairing_shapes():
     s = SurfaceSpec(2, 2)
     ident = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
     assert preserves_pairing(s, ident)
-    assert not preserves_pairing(s, tuple(row[:4] for row in ident))
-    assert not preserves_pairing(s, tuple(row + (0,) for row in ident))
-    with pytest.raises(InputError):
-        preserves_pairing(s, ident[:4])
+    for bad in (tuple(row[:4] for row in ident), tuple(row + (0,) for row in ident),
+                ident[:4], ident[:4] + (ident[4] + (7,),)):
+        with pytest.raises(InputError):
+            preserves_pairing(s, bad)
+    with pytest.raises(InputError):  # a ragged row past the rank was once ignored
+        preserves_pairing(SurfaceSpec(1, 1), ((1, 0, 7), (0, 1)))
     swap = tuple(ident[i ^ 1] if i < 4 else ident[i] for i in range(5))
     assert not preserves_pairing(s, swap)
 
