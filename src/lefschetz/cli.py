@@ -26,7 +26,6 @@ from .fibration import (
     universality_report,
 )
 from .homology import SurfaceSpec
-from .mapping import check_fiber_rank
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -62,7 +61,6 @@ def cmd_census(args) -> int:
         "count": class_count(surface),
     }
     if args.enumerate:
-        check_fiber_rank(surface)
         classes = enumerate_classes(surface)
         assert len(classes) == report["count"], "census formula disagrees with enumeration"
         report["classes"] = [serialize.curve_class_to_json(c) for c in classes]

@@ -18,12 +18,12 @@ over the circles on one side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import InputError
 from .homology import (
     SurfaceSpec,
     Vector,
+    check_fiber_rank,
     in_radical,
     is_essential,
     vec_gcd,
@@ -93,7 +93,11 @@ class CurveClass:
 
 
 def enumerate_classes(surface: SurfaceSpec) -> tuple[CurveClass, ...]:
-    """All curve types on the surface, duplicate-free, canonically sorted."""
+    """All curve types on the surface, duplicate-free, canonically sorted.
+
+    A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError.
+    """
+    check_fiber_rank(surface)
     out: list[CurveClass] = []
     if surface.genus >= 1:
         out.append(CurveClass.nonseparating())

@@ -29,12 +29,12 @@ from .homology import (
     Matrix,
     SurfaceSpec,
     Vector,
+    check_fiber_rank,
     cokernel_invariants,
     in_radical,
     mat_from_columns,
     mat_identity,
     mat_mul,
-    mat_vec,
     vec_gcd,
 )
 from .mapping import (
@@ -45,7 +45,6 @@ from .mapping import (
     TwistGen,
     _pairing_inverse,
     act_on_curve,
-    check_fiber_rank,
     evaluate,
     mcg_surjectivity_oracle,
     perm_group_surjective,
@@ -797,8 +796,11 @@ def substitution_witness(
 
     The walk skips words that equal a word earlier in that order (see
     :func:`_walk_steps`); the first match is never such a word, so the plans
-    are those of the full enumeration.  Before any search, CapacityError is
-    raised when the unpruned word count passes WITNESS_WORD_BOUND.
+    are those of the full enumeration.  It carries w^-1 t for each target
+    class t instead of w's matrix: w is invertible, so w u_j = t exactly when
+    u_j = w^-1 t, and a source is matched by one dictionary lookup.  Before
+    any search, CapacityError is raised when the unpruned word count passes
+    WITNESS_WORD_BOUND.
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
@@ -819,50 +821,37 @@ def substitution_witness(
         if not level:
             break  # an empty alphabet has only the empty word
     steps = _walk_steps(letters)
-    targets = [(c.curve.cls, c.curve.hom, c.sign) for c in f.cycles]
-    pref = [
-        [j for j, s in enumerate(u.cycles) if s.sign == sign and s.curve.cls == cls]
-        for cls, _, sign in targets
-    ]
-    alt = [
-        [j for j, s in enumerate(u.cycles) if s.sign != sign and s.curve.cls == cls]
-        for cls, _, sign in targets
-    ]
-    hit_pref: dict[int, tuple[tuple[int, ...], int]] = {}
-    hit_alt: dict[int, tuple[tuple[int, ...], int]] = {}
+    # Per target: source hom -> (tier, j), sign-matching sources (tier 0)
+    # before opposite-sign ones (tier 1), the first j winning within a tier.
+    tables = []
+    for t in f.cycles:
+        table: dict[Vector, tuple[int, int]] = {}
+        for tier in (0, 1):
+            for j, s in enumerate(u.cycles):
+                if s.curve.cls == t.curve.cls and (s.sign == t.sign) == (tier == 0):
+                    table.setdefault(s.curve.hom, (tier, j))
+        tables.append(table)
+    found: list[tuple[int, tuple[int, ...], int] | None] = [None] * len(tables)
 
-    def visit(word: tuple[int, ...], matrix: Matrix) -> bool:
-        for i, (cls, hom, _) in enumerate(targets):
-            if i not in hit_pref:
-                for j in pref[i]:
-                    if mat_vec(matrix, u.cycles[j].curve.hom) == hom:
-                        hit_pref[i] = (word, j)
-                        break
-            if i not in hit_pref and i not in hit_alt:
-                for j in alt[i]:
-                    if mat_vec(matrix, u.cycles[j].curve.hom) == hom:
-                        hit_alt[i] = (word, j)
-                        break
-        return len(hit_pref) == len(targets)
+    def visit(word: tuple[int, ...], preimages: Matrix) -> bool:
+        # a tier-1 hit is kept until a tier-0 one replaces it
+        for i, p in enumerate(preimages):
+            hit = tables[i].get(p)
+            if hit is not None and (found[i] is None or hit[0] < found[i][0]):
+                found[i] = (hit[0], word, hit[1])
+        return all(x is not None and x[0] == 0 for x in found)
 
     # Length-lexicographic: all words of length L before any of length L+1.
+    start = tuple(c.curve.hom for c in f.cycles)
     for length in range(depth + 1 if letters else 1):
-        if _walk_level((), mat_identity(u.fiber.rank), length, range(len(steps)),
-                       steps, visit):
+        if _walk_level((), start, length, range(len(steps)), steps, visit):
             break
 
-    entries = []
-    for i in range(len(targets)):
-        if i in hit_pref:
-            word, j = hit_pref[i]
-            degree = 1
-        elif i in hit_alt:
-            word, j = hit_alt[i]
-            degree = -1
-        else:
-            return None
-        conj = MCWord(u.fiber, tuple(letters[li] for li in word))
-        entries.append(PlanEntry(j, conj, degree))
+    if None in found:
+        return None
+    entries = [PlanEntry(j, MCWord(u.fiber, tuple(letters[li] for li in word)),
+                         -1 if tier else 1)
+               for tier, word, j in found]
     plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
     plan = plan_cls(tuple(entries))
 
@@ -896,15 +885,16 @@ def _walk_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[
     return steps
 
 
-def _walk_level(word, matrix, remaining, allowed, steps, visit) -> bool:
+def _walk_level(word, preimages, remaining, allowed, steps, visit) -> bool:
     """Visit the words of exactly ``remaining`` more letters drawn from
-    ``allowed`` and then each letter's followers, in lex order; each letter
-    is one rank-1 update.  True once ``visit`` reports every target matched."""
+    ``allowed`` and then each letter's followers, in lex order, carrying
+    w^-1 t for each target class t: appending letter l applies T_l^-1, one
+    rank-1 update.  True once ``visit`` reports every target matched."""
     if remaining == 0:
-        return visit(word, matrix)
+        return visit(word, preimages)
     for li in allowed:
         c, w, h, after = steps[li]
-        if _walk_level(word + (li,), transvect(matrix, c, w, h), remaining - 1,
+        if _walk_level(word + (li,), transvect(preimages, w, c, -h), remaining - 1,
                        after, steps, visit):
             return True
     return False

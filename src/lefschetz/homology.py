@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -72,6 +72,13 @@ def vec_gcd(x: Vector) -> int:
 # ---------------------------------------------------------------------------
 # surfaces and the intersection pairing
 # ---------------------------------------------------------------------------
+
+# Largest H1 rank of a fiber the library takes on.  The dense kernels grow
+# with the square of the rank (a genus-10**6 file ran out of memory), and
+# from genus 85 the order of Sp(2g, 2) that an obstruction reports has more
+# digits than Python converts to a string by default.
+MAX_FIBER_RANK = 100
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -127,6 +134,13 @@ class SurfaceSpec:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"F({self.genus},{self.boundary})"
+
+
+def check_fiber_rank(surface: SurfaceSpec) -> None:
+    """Refuse a surface of H1 rank above MAX_FIBER_RANK with CapacityError."""
+    if surface.rank > MAX_FIBER_RANK:
+        raise CapacityError(
+            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
 
 
 def pairing_matrix(surface: SurfaceSpec) -> Matrix:

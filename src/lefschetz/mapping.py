@@ -30,29 +30,17 @@ from math import factorial
 from .curves import Curve, boundary_subset_class, enumerate_classes, nonseparating_curve
 from .errors import CapacityError, InputError
 from .homology import (
+    MAX_FIBER_RANK,  # noqa: F401  (re-exported)
     Matrix,
     SurfaceSpec,
     Vector,
+    check_fiber_rank,
     mat_identity,
     mat_mul,
     mat_vec,
     pairing,
     preserves_pairing,
 )
-
-# Largest H1 rank of a fiber the library takes on.  The dense kernels grow
-# with the square of the rank (a genus-10**6 file ran out of memory), and
-# from genus 85 the order of Sp(2g, 2) that an obstruction reports has more
-# digits than Python converts to a string by default.
-MAX_FIBER_RANK = 100
-
-
-def check_fiber_rank(surface: SurfaceSpec) -> None:
-    """Refuse a surface of H1 rank above MAX_FIBER_RANK with CapacityError."""
-    if surface.rank > MAX_FIBER_RANK:
-        raise CapacityError(
-            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
-
 
 # ---------------------------------------------------------------------------
 # permutations of boundary circles (0-based tuples)

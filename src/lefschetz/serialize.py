@@ -9,7 +9,7 @@ Boundary-circle permutations are written 1-based ("perm": [2, 1] swaps the
 two circles); in memory they are 0-based tuples.
 
 A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` (defined
-in :mod:`lefschetz.mapping`) is refused with CapacityError.
+in :mod:`lefschetz.homology`) is refused with CapacityError.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .fibration import (
     SignedCycle,
     UniversalityReport,
 )
-from .homology import SurfaceSpec
-from .mapping import MAX_FIBER_RANK, BundleGen, Letter, MCWord, TwistGen, check_fiber_rank
+from .homology import MAX_FIBER_RANK, SurfaceSpec, check_fiber_rank  # noqa: F401
+from .mapping import BundleGen, Letter, MCWord, TwistGen
 
 
 def dumps(doc: Any) -> str:

@@ -16,8 +16,8 @@ from lefschetz.curves import (
     separating_curve,
     subset_from_class,
 )
-from lefschetz.errors import InputError
-from lefschetz.homology import SurfaceSpec
+from lefschetz.errors import CapacityError, InputError
+from lefschetz.homology import MAX_FIBER_RANK, SurfaceSpec
 
 
 def test_census_examples():
@@ -28,6 +28,12 @@ def test_census_examples():
     )
     assert enumerate_classes(SurfaceSpec(0, 1)) == ()
     assert enumerate_classes(SurfaceSpec(1, 0)) == (CurveClass.nonseparating(),)
+
+
+def test_enumeration_refused_past_rank_bound():
+    with pytest.raises(CapacityError):
+        enumerate_classes(SurfaceSpec(0, MAX_FIBER_RANK + 2))
+    assert len(enumerate_classes(SurfaceSpec(0, MAX_FIBER_RANK + 1))) == 50
 
 
 def test_count_examples():

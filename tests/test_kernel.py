@@ -388,7 +388,12 @@ def test_witness_plans_match_reference_with_flipped_signs(seed, depth):
     target = global_conjugate(u, w)
     cycles = tuple(SignedCycle(c.curve, -c.sign if rng.random() < 0.5 else c.sign)
                    for c in target.cycles)
-    _same_plan(u, LefschetzFibration(u.fiber, DISK, cycles), depth)
+    f = LefschetzFibration(u.fiber, DISK, cycles)
+    _same_plan(u, f, depth)
+    # every class twice with each sign, one three times: the source order
+    # and the sign tiers decide which duplicate a target takes
+    doubled = u.cycles + tuple(SignedCycle(c.curve, -c.sign) for c in u.cycles) + u.cycles[1:2]
+    _same_plan(LefschetzFibration(u.fiber, DISK, doubled), f, depth)
 
 
 @settings(max_examples=10, deadline=None)
