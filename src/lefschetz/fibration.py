@@ -321,69 +321,43 @@ def _split_classes(t: int, g: int, b: int) -> set[CurveClass]:
     return {CurveClass.separating((x, t), (g - x, b - t)) for x in range(g + 1)}
 
 
-def _transport_separating(
-    curve: Curve,
-    new_surface: SurfaceSpec,
-    new_hom: Vector,
-    genus_delta: int,
-    boundary_delta: int,
-) -> Curve:
-    """Move a separating curve's side data through a handle move.
+def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) -> Curve:
+    """Re-coordinatized curve after a handle move, with reclassification.
 
-    The active side, which contains the boundary circles touched by the
-    move (the last circle among them), changes by (genus_delta,
-    boundary_delta); the other side is untouched.  When the recorded
-    unordered pair cannot be matched to the subset unambiguously the move
-    is refused.
-    """
-    subset = curve.boundary_subset()
-    assert subset is not None
-    b = curve.surface.boundary
-    active_count, passive_count = len(subset), b - len(subset)
-    if b not in subset:
-        active_count, passive_count = passive_count, active_count
-    s1, s2 = curve.cls.sides
-    results = {
-        CurveClass.separating((act[0] + genus_delta, act[1] + boundary_delta), pas)
-        for act, pas in ((s1, s2), (s2, s1))
-        if act[1] == active_count and pas[1] == passive_count
-        and act[0] + genus_delta >= 0 and act[1] + boundary_delta >= 1
-    }
-    if len(results) != 1:
-        raise NotApplicable(
-            f"side data of separating cycle {curve.label or curve.hom} cannot "
-            "be transported unambiguously at homology resolution")
-    return Curve(new_surface, results.pop(), new_hom, curve.label)
-
-
-def _transport_curve(
-    curve: Curve,
-    new_surface: SurfaceSpec,
-    new_hom: Vector,
-    genus_delta: int,
-    boundary_delta: int,
-) -> Curve:
-    """Re-coordinatized curve after a stabilization move, with reclassification.
-
-    A non-separating curve whose new class falls into the boundary lattice
-    has become separating; its side data is recovered from the class when
-    that is unambiguous (always so on a genus-zero result).
+    A class outside the boundary lattice is non-separating.  A separating
+    curve keeps its side away from the last boundary circle, which no handle
+    move touches: a recorded side (p_g, p_b) qualifies when p_b counts the
+    old circles away from the last one, p_g <= G and p_b < B on the new
+    fiber F(G, B), whose remainder (G - p_g, B - p_b) is the other side.  A
+    non-separating curve whose class falls into the boundary lattice has
+    become separating and may take any genus split of its boundary subset.
+    The move is refused unless exactly one type qualifies (always so for a
+    newly separating curve on a genus-zero result).
     """
     if not in_radical(new_surface, new_hom):
         if vec_gcd(new_hom) != 1:
             raise NotApplicable("transported class is imprimitive")
         return Curve(new_surface, CurveClass.nonseparating(), new_hom, curve.label)
+    G, B = new_surface.genus, new_surface.boundary
     if curve.cls.is_separating:
-        return _transport_separating(
-            curve, new_surface, new_hom, genus_delta, boundary_delta)
-    subset = subset_from_class(new_surface, new_hom)
-    if subset is None:
-        raise NotApplicable(
-            "transported class is boundary-type but not a subset class")
-    candidates = _split_classes(len(subset), new_surface.genus, new_surface.boundary)
+        b = curve.surface.boundary
+        subset = curve.boundary_subset()
+        away = b - len(subset) if b in subset else len(subset)
+        candidates = {
+            CurveClass.separating((p_g, p_b), (G - p_g, B - p_b))
+            for p_g, p_b in curve.cls.sides if p_b == away and p_g <= G and p_b < B
+        }
+        ambiguous = (f"side data of separating cycle {curve.label or curve.hom} "
+                     "cannot be transported unambiguously at homology resolution")
+    else:
+        subset = subset_from_class(new_surface, new_hom)
+        if subset is None:
+            raise NotApplicable(
+                "transported class is boundary-type but not a subset class")
+        candidates = _split_classes(len(subset), G, B)
+        ambiguous = "genus split of a newly separating cycle is ambiguous"
     if len(candidates) != 1:
-        raise NotApplicable(
-            "genus split of a newly separating cycle is ambiguous")
+        raise NotApplicable(ambiguous)
     return Curve(new_surface, candidates.pop(), new_hom, curve.label)
 
 
@@ -414,7 +388,6 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
 
         new_hom = new_surface.basis_vector(new_surface.rank - 1)
         new_cls = CurveClass.separating((0, 1), (g, b))
-        genus_delta, boundary_delta = 0, 1
     elif mode == "genus_up":
         if b < 2:
             raise InputError("genus_up merges two boundary circles; need b >= 2")
@@ -436,16 +409,11 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
 
         new_hom = new_surface.basis_vector(new_surface.beta_index(g + 1))
         new_cls = CurveClass.nonseparating()
-        genus_delta, boundary_delta = 1, -1
     else:
         raise InputError(f"unknown stabilization mode {mode!r}")
 
     cycles = [
-        SignedCycle(
-            _transport_curve(
-                c.curve, new_surface, remap(c.curve.hom), genus_delta, boundary_delta),
-            c.sign,
-        )
+        SignedCycle(_transport_curve(c.curve, new_surface, remap(c.curve.hom)), c.sign)
         for c in f.cycles
     ]
     cycles.append(SignedCycle(Curve(new_surface, new_cls, new_hom, "stab"), sign))
@@ -512,8 +480,6 @@ def _destabilized(
             out += list(v[2 * g:])
             out.append(v[partner])
             return tuple(out)
-
-        genus_delta, boundary_delta = -1, 1
     else:
         j = generator_index - 2 * g + 1  # 1-based boundary class number
         new_surface = SurfaceSpec(g, b - 1)
@@ -526,8 +492,6 @@ def _destabilized(
                 out.append(-vb if k == j else v[2 * g + k - 1] - vb)
             return tuple(out)
 
-        genus_delta, boundary_delta = 0, -1
-
     out = []
     for idx, c in enumerate(cycles):
         if idx == removed:
@@ -539,8 +503,7 @@ def _destabilized(
         if moved is None:
             try:
                 moved = SignedCycle(
-                    _transport_curve(curve, new_surface, remap(curve.hom),
-                                     genus_delta, boundary_delta),
+                    _transport_curve(curve, new_surface, remap(curve.hom)),
                     c.sign)
             except NotApplicable as exc:
                 moved = str(exc)
@@ -588,8 +551,11 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
 
     Within one call each cycle transport is computed once and memoised (see
     :func:`_destabilized`), and states are compared by flat keys; the
-    results are those of calling :func:`destabilize` on every state.
+    results are those of calling :func:`destabilize` on every state.  A
+    negative budget is refused with InputError before any other check.
     """
+    if budget < 0:
+        raise InputError("budget must be >= 0")
     if f.fiber.rank > 0 and budget > 0:
         _require_disk(f, "destabilize")  # raised by the first destabilization
     memo: dict[tuple, SignedCycle | str] = {}

@@ -7,6 +7,12 @@ pairing preservation is the dense check m^T J m == J, and the witness walk
 extends each prefix by a dense product over every word of the alphabet.
 ``destabilize`` and ``reduce`` transport every cycle on every call and hash
 whole fibrations; ``global_conjugate`` always evaluates the inverse word.
+``stabilize`` and ``destabilize`` move separating side data with the earlier
+transport: ``_transport_curve`` threads the move's (genus_delta,
+boundary_delta) pair into ``_transport_separating``, which adds it to the
+side that holds the last boundary circle.  The library derives the same side
+from the old and new fibers in one rule, so these copies keep the
+differential tests from running the code under test.
 The differential tests require the library's paths to agree with these
 exactly.
 
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from lefschetz.curves import Curve
+from lefschetz.curves import Curve, CurveClass, subset_from_class
 from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
     DISK,
@@ -39,18 +45,19 @@ from lefschetz.fibration import (
     SignedCycle,
     _alphabet,
     _require_disk,
-    _transport_curve,
     pullback,
 )
 from lefschetz.homology import (
     Matrix,
     SurfaceSpec,
     Vector,
+    in_radical,
     mat_identity,
     mat_mul,
     mat_shape,
     mat_vec,
     pairing_matrix,
+    vec_gcd,
 )
 from lefschetz.mapping import (
     BundleGen,
@@ -480,6 +487,143 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
         for bg in f.bundle
     )
     return LefschetzFibration(f.fiber, f.base, cycles, bundle)
+
+
+def _split_classes(t: int, g: int, b: int) -> set[CurveClass]:
+    """Types of a separating curve that cuts t of the b boundary circles off a
+    genus-g surface, one per genus split."""
+    return {CurveClass.separating((x, t), (g - x, b - t)) for x in range(g + 1)}
+
+
+def _transport_separating(
+    curve: Curve,
+    new_surface: SurfaceSpec,
+    new_hom: Vector,
+    genus_delta: int,
+    boundary_delta: int,
+) -> Curve:
+    """Move a separating curve's side data through a handle move.
+
+    The active side, which contains the boundary circles touched by the
+    move (the last circle among them), changes by (genus_delta,
+    boundary_delta); the other side is untouched.  When the recorded
+    unordered pair cannot be matched to the subset unambiguously the move
+    is refused.
+    """
+    subset = curve.boundary_subset()
+    assert subset is not None
+    b = curve.surface.boundary
+    active_count, passive_count = len(subset), b - len(subset)
+    if b not in subset:
+        active_count, passive_count = passive_count, active_count
+    s1, s2 = curve.cls.sides
+    results = {
+        CurveClass.separating((act[0] + genus_delta, act[1] + boundary_delta), pas)
+        for act, pas in ((s1, s2), (s2, s1))
+        if act[1] == active_count and pas[1] == passive_count
+        and act[0] + genus_delta >= 0 and act[1] + boundary_delta >= 1
+    }
+    if len(results) != 1:
+        raise NotApplicable(
+            f"side data of separating cycle {curve.label or curve.hom} cannot "
+            "be transported unambiguously at homology resolution")
+    return Curve(new_surface, results.pop(), new_hom, curve.label)
+
+
+def _transport_curve(
+    curve: Curve,
+    new_surface: SurfaceSpec,
+    new_hom: Vector,
+    genus_delta: int,
+    boundary_delta: int,
+) -> Curve:
+    """Re-coordinatized curve after a stabilization move, with reclassification.
+
+    A non-separating curve whose new class falls into the boundary lattice
+    has become separating; its side data is recovered from the class when
+    that is unambiguous (always so on a genus-zero result).
+    """
+    if not in_radical(new_surface, new_hom):
+        if vec_gcd(new_hom) != 1:
+            raise NotApplicable("transported class is imprimitive")
+        return Curve(new_surface, CurveClass.nonseparating(), new_hom, curve.label)
+    if curve.cls.is_separating:
+        return _transport_separating(
+            curve, new_surface, new_hom, genus_delta, boundary_delta)
+    subset = subset_from_class(new_surface, new_hom)
+    if subset is None:
+        raise NotApplicable(
+            "transported class is boundary-type but not a subset class")
+    candidates = _split_classes(len(subset), new_surface.genus, new_surface.boundary)
+    if len(candidates) != 1:
+        raise NotApplicable(
+            "genus split of a newly separating cycle is ambiguous")
+    return Curve(new_surface, candidates.pop(), new_hom, curve.label)
+
+
+def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibration:
+    """Attach a fiber 1-handle and one new cycle crossing it once.
+
+    boundary_up: both handle feet on the last boundary circle, which splits;
+    the fiber goes (g, b) -> (g, b+1) and the new cycle is parallel to the
+    split-off circle (class d_{b}, a separating curve).
+
+    genus_up: feet on the last two boundary circles, which merge; the fiber
+    goes (g, b) -> (g+1, b-1) and the new cycle is the new handle's
+    longitude (class b_{g+1}).  Requires b >= 2.
+
+    The total space is unchanged either way.
+    """
+    _require_disk(f, "stabilize")
+    if sign not in (1, -1):
+        raise InputError("sign must be +-1")
+    g, b = f.fiber.genus, f.fiber.boundary
+    if mode == "boundary_up":
+        if b < 1:
+            raise InputError("boundary_up needs a fiber with boundary")
+        new_surface = SurfaceSpec(g, b + 1)
+
+        def remap(v: Vector) -> Vector:
+            return v + (0,)
+
+        new_hom = new_surface.basis_vector(new_surface.rank - 1)
+        new_cls = CurveClass.separating((0, 1), (g, b))
+        genus_delta, boundary_delta = 0, 1
+    elif mode == "genus_up":
+        if b < 2:
+            raise InputError("genus_up merges two boundary circles; need b >= 2")
+        new_surface = SurfaceSpec(g + 1, b - 1)
+        last_delta = 2 * g + (b - 2)
+        for c in f.cycles:
+            if c.curve.cls.is_separating and c.curve.hom[last_delta] != 0:
+                # The merged circles sit on opposite sides, so the cycle
+                # becomes non-separating.  Allowed only when the matching
+                # destabilization can reclassify it unambiguously.
+                t = len(c.curve.boundary_subset())
+                if _split_classes(t, g, b) != {c.curve.cls}:
+                    raise NotApplicable(
+                        f"cycle {c.curve.label or c.curve.hom} separates the "
+                        "two circles being merged and could not be recovered")
+
+        def remap(v: Vector) -> Vector:
+            return v[: 2 * g] + (v[last_delta], 0) + v[2 * g: last_delta]
+
+        new_hom = new_surface.basis_vector(new_surface.beta_index(g + 1))
+        new_cls = CurveClass.nonseparating()
+        genus_delta, boundary_delta = 1, -1
+    else:
+        raise InputError(f"unknown stabilization mode {mode!r}")
+
+    cycles = [
+        SignedCycle(
+            _transport_curve(
+                c.curve, new_surface, remap(c.curve.hom), genus_delta, boundary_delta),
+            c.sign,
+        )
+        for c in f.cycles
+    ]
+    cycles.append(SignedCycle(Curve(new_surface, new_cls, new_hom, "stab"), sign))
+    return LefschetzFibration(new_surface, DISK, tuple(cycles))
 
 
 def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibration:

@@ -219,6 +219,7 @@ def test_reduce_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fiber"] == {"boundary": 3, "genus": 0}
     assert sorted(c["sign"] for c in doc["cycles"]) == [-1, -1, 1]
+    _assert_refused(main(["reduce", path, "--budget", "-3"]), capsys)
 
 
 def test_reduce_exhausted_names_budget_and_counts(tmp_path, capsys):

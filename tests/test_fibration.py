@@ -383,6 +383,8 @@ def test_reduce_terminal_unchanged():
 def test_reduce_budget_flag():
     r = reduce(u_g1(4), budget=1)
     assert r.exhausted
+    with pytest.raises(InputError, match="budget must be >= 0"):
+        reduce(u_g1(4), budget=-1)
 
 
 def test_reduce_reports_work_done():

@@ -1,0 +1,75 @@
+"""Every name a library module imports is used there.
+
+No linter runs on this package, so this stands in for pyflakes' F401: a name
+imported into a ``lefschetz`` module must be read somewhere in that module,
+be listed in its ``__all__``, or sit on an import line marked
+``# noqa: F401`` (a deliberate re-export).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lefschetz"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Bound name -> line of every import that no noqa: F401 marks, on the
+    alias's own line or on the statement's first line."""
+    names = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            marked = (lines[alias.lineno - 1], lines[node.lineno - 1])
+            if alias.name != "*" and not any("noqa: F401" in line for line in marked):
+                names[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, plus those in string annotations and ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        # function returns, arguments and annotated assignments
+        ann = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        for const in ast.walk(ann) if ann is not None else ():
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                expr = ast.parse(const.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    used = _used(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported(tree, text.splitlines()).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_unused_import_is_caught():
+    text = (
+        "from os import path, sep  # noqa: F401\n"
+        "from typing import (\n    Any,\n    List,  # noqa: F401\n    Sequence,\n)\n"
+        "import sys\nimport json\nimport re\n"
+        "__all__ = ['re']\n"
+        "def f(x: 'Sequence[int]') -> Any:\n    return json.dumps(x)\n")
+    tree = ast.parse(text)
+    imported = _imported(tree, text.splitlines())
+    assert set(imported) == {"Any", "Sequence", "sys", "json", "re"}
+    assert {n for n in imported if n not in _used(tree)} == {"sys"}

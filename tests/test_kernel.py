@@ -5,8 +5,8 @@ bundle generators are inverted in closed form; ``reduce`` memoises cycle
 transports; the witness walk skips words equal to earlier ones.  These tests
 require the results to equal, exactly, those of the code kept in
 ``reference_kernel``: word evaluation, bundle inverses, twist products,
-Hurwitz moves, global conjugation, the pairing check, destabilization,
-reduction and the witness walk.
+Hurwitz moves, global conjugation, the pairing check, stabilization,
+destabilization, reduction and the witness walk.
 """
 
 from __future__ import annotations
@@ -289,12 +289,13 @@ def test_global_conjugate_matches_reference(seed, length):
 
 
 # ---------------------------------------------------------------------------
-# destabilization and reduce
+# stabilization, destabilization and reduce
 # ---------------------------------------------------------------------------
 
-def _stabilized(rng, f):
-    """f after 0-2 random stabilizations; one that does not apply is skipped."""
-    for _ in range(rng.randint(0, 2)):
+def _stabilized(rng, f, most=2):
+    """f after 0 to ``most`` random stabilizations; one that does not apply
+    is skipped."""
+    for _ in range(rng.randint(0, most)):
         try:
             f = stabilize(f, rng.choice(("boundary_up", "genus_up")), rng.choice((1, -1)))
         except (InputError, NotApplicable):
@@ -302,12 +303,36 @@ def _stabilized(rng, f):
     return f
 
 
-def _destabilize_outcome(fn, f, gi):
+def _destabilize_outcome(fn, f, *args):
+    """The fibration a move gives, or the type and message of its refusal."""
     try:
-        out = fn(f, gi)
-    except NotApplicable as exc:
-        return "NotApplicable", str(exc)
+        out = fn(f, *args)
+    except (InputError, NotApplicable) as exc:
+        return type(exc).__name__, str(exc)
     return out.fiber, _cycle_data(out), fibration_to_json(out)
+
+
+def _separating_fibration(rng):
+    """Cycles on F(g <= 3, b <= 5), half of them separating where that is
+    possible, with sparse classes so that some generators are crossed once."""
+    while True:
+        s = SurfaceSpec(rng.randint(0, 3), rng.randint(1, 5))
+        if s.genus >= 1 or s.boundary >= 2:
+            break
+    cycles = []
+    for _ in range(rng.randint(1, 6)):
+        if s.boundary >= 2 and (s.genus == 0 or rng.random() < 0.5):
+            subset = rng.sample(range(1, s.boundary + 1), rng.randint(1, s.boundary - 1))
+            g_in = rng.randint(0, s.genus)
+            curve = separating_curve(s, subset, (g_in, s.genus - g_in), "s")
+        else:
+            while True:
+                v = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(s.rank))
+                if not in_radical(s, v) and vec_gcd(v) == 1:
+                    curve = nonseparating_curve(s, v, "n")
+                    break
+        cycles.append(SignedCycle(curve, rng.choice((1, -1))))
+    return LefschetzFibration(s, DISK, tuple(cycles))
 
 
 @settings(max_examples=30, deadline=None)
@@ -325,6 +350,26 @@ def test_reduce_and_destabilize_match_reference(seed, family, g, budget):
         for gi in range(state.fiber.rank):
             assert (_destabilize_outcome(destabilize, state, gi)
                     == _destabilize_outcome(ref.destabilize, state, gi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), family=st.sampled_from(
+    ["random", "u_g1", "p_g", "u_11"]))
+def test_stabilize_and_destabilize_match_reference(seed, family):
+    rng = random.Random(seed)
+    if family == "random":
+        f = _separating_fibration(rng)
+    else:
+        g = {"u_g1": rng.randint(2, 4), "p_g": rng.randint(1, 3), "u_11": None}[family]
+        f = build(family, g)
+    f = _stabilized(rng, f, most=4)
+    for mode in ("boundary_up", "genus_up"):
+        for sign in (1, -1):
+            assert (_destabilize_outcome(stabilize, f, mode, sign)
+                    == _destabilize_outcome(ref.stabilize, f, mode, sign))
+    for gi in range(f.fiber.rank):
+        assert (_destabilize_outcome(destabilize, f, gi)
+                == _destabilize_outcome(ref.destabilize, f, gi))
 
 
 def test_reduce_keeps_labels_of_equal_cycles():
