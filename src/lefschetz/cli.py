@@ -17,6 +17,7 @@ from . import serialize
 from .curves import class_count, enumerate_classes
 from .errors import CapacityError, InputError, NotApplicable, Unsupported
 from .fibration import (
+    WITNESS_DEPTH,
     build,
     hurwitz_move,
     reduce,
@@ -94,7 +95,7 @@ def cmd_witness(args) -> int:
     if args.depth is not None:
         depth = args.depth
     else:
-        raw = os.environ.get("MF_DEPTH", "4")
+        raw = os.environ.get("MF_DEPTH", str(WITNESS_DEPTH))
         try:
             depth = int(raw)
         except ValueError:

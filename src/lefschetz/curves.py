@@ -98,21 +98,12 @@ def enumerate_classes(surface: SurfaceSpec) -> tuple[CurveClass, ...]:
     A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError.
     """
     check_fiber_rank(surface)
-    out: list[CurveClass] = []
-    if surface.genus >= 1:
-        out.append(CurveClass.nonseparating())
     g, b = surface.genus, surface.boundary
-    seen = set()
-    for g1 in range(g + 1):
-        for b1 in range(1, b):
-            side_a = (g1, b1)
-            side_b = (g - g1, b - b1)
-            cls = CurveClass.separating(side_a, side_b)
-            if cls not in seen:
-                seen.add(cls)
-                out.append(cls)
-    out.sort(key=CurveClass.sort_key)
-    return tuple(out)
+    out = [CurveClass.nonseparating()] if g >= 1 else []
+    # one class per side (g1, b1) <= its complement: lexicographic, as sort_key
+    return tuple(out + [
+        CurveClass("sep", ((g1, b1), (g - g1, b - b1)))
+        for g1 in range(g + 1) for b1 in range(1, b) if (g1, b1) <= (g - g1, b - b1)])
 
 
 def class_count(surface: SurfaceSpec) -> int:
@@ -164,19 +155,13 @@ def subset_from_class(surface: SurfaceSpec, hom: Vector) -> frozenset[int] | Non
     if len(hom) != surface.rank or not in_radical(surface, hom):
         return None
     b = surface.boundary
-    if b < 2:
-        return None
-    tail = hom[2 * surface.genus:]
+    tail = hom[2 * surface.genus:]  # empty when b < 2
     vals = set(tail)
     if vals <= {0, 1} and 1 in vals:
-        subset = frozenset(j for j in range(1, b) if tail[j - 1] == 1)
-    elif vals <= {0, -1} and -1 in vals:
-        subset = frozenset(j for j in range(1, b) if tail[j - 1] == 0) | {b}
-    else:
-        return None
-    if not subset or len(subset) == b:
-        return None
-    return subset
+        return frozenset(j for j in range(1, b) if tail[j - 1] == 1)
+    if vals <= {0, -1} and -1 in vals:
+        return frozenset(j for j in range(1, b) if tail[j - 1] == 0) | {b}
+    return None
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,11 @@ from .mapping import (
     act_on_curve,
     evaluate,
     mcg_surjectivity_oracle,
+    perm_compose,
     perm_group_surjective,
     perm_inverse,
     transvect,
+    twist_catalog,
     twist_covector,
     twist_matrix,
     twist_right,
@@ -145,8 +147,6 @@ def twist_product(f: LefschetzFibration) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def _catalog_fibration(fiber: SurfaceSpec, signs: tuple[int, ...]) -> LefschetzFibration:
-    from .mapping import twist_catalog
-
     check_fiber_rank(fiber)
     curves = twist_catalog(fiber)
     if len(signs) != len(curves):
@@ -303,7 +303,7 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
         BundleGen(
             f.fiber,
             mat_mul(rep.matrix, mat_mul(bg.matrix, inv_matrix)),
-            tuple(rep.perm[bg.perm[inv_perm[k]]] for k in range(f.fiber.boundary)),
+            perm_compose(rep.perm, perm_compose(bg.perm, inv_perm)),
             bg.label,
         )
         for bg in f.bundle
@@ -340,9 +340,7 @@ def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) ->
         return Curve(new_surface, CurveClass.nonseparating(), new_hom, curve.label)
     G, B = new_surface.genus, new_surface.boundary
     if curve.cls.is_separating:
-        b = curve.surface.boundary
-        subset = curve.boundary_subset()
-        away = b - len(subset) if b in subset else len(subset)
+        away = sum(map(abs, curve.hom[2 * curve.surface.genus:]))
         candidates = {
             CurveClass.separating((p_g, p_b), (G - p_g, B - p_b))
             for p_g, p_b in curve.cls.sides if p_b == away and p_g <= G and p_b < B
@@ -398,7 +396,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
                 # The merged circles sit on opposite sides, so the cycle
                 # becomes non-separating.  Allowed only when the matching
                 # destabilization can reclassify it unambiguously.
-                t = len(c.curve.boundary_subset())
+                t = sum(map(abs, c.curve.hom[2 * g:]))
                 if _split_classes(t, g, b) != {c.curve.cls}:
                     raise NotApplicable(
                         f"cycle {c.curve.label or c.curve.hom} separates the "
@@ -543,11 +541,12 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     Breadth-first over the states reachable by applicable destabilizations,
     expanding generator indices in ascending order (a greedy chain alone can
     dead-end: removing a middle handle may leave two cycles sharing the new
-    boundary class).  Returns the discovered state with minimal fiber rank,
-    then minimal cycle count, then earliest discovery; ``steps`` counts the
-    destabilizations from the input to that state.  The budget bounds the
-    number of successful destabilizations explored; if it runs out the best
-    state found so far is returned flagged ``exhausted``.
+    boundary class).  Each destabilization lowers the fiber rank and the
+    cycle count by one, so the first state found at the deepest level has
+    minimal rank, then minimal cycle count; it is returned, and ``steps``
+    is the rank it lost.  The budget bounds the number of successful
+    destabilizations explored; if it runs out the best state found so far
+    is returned flagged ``exhausted``.
 
     Within one call each cycle transport is computed once and memoised (see
     :func:`_destabilized`), and states are compared by flat keys; the
@@ -560,14 +559,12 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
         _require_disk(f, "destabilize")  # raised by the first destabilization
     memo: dict[tuple, SignedCycle | str] = {}
     seen = {_state_key(f.fiber, f.cycles)}
-    queue: list[tuple[SurfaceSpec, tuple[SignedCycle, ...], int]] = [(f.fiber, f.cycles, 0)]
-    best = (f.fiber.rank, f.size, 0)  # rank, size, queue position
+    queue: list[tuple[SurfaceSpec, tuple[SignedCycle, ...]]] = [(f.fiber, f.cycles)]
     edges = 0
     exhausted = False
-    qi = 0
-    while qi < len(queue) and not exhausted:
-        surface, cycles, depth = queue[qi]
-        qi += 1
+    for surface, cycles in queue:  # the queue grows while it is walked
+        if exhausted:
+            break
         for gi in range(surface.rank):
             if edges >= budget:
                 exhausted = True
@@ -581,11 +578,11 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
             if key in seen:
                 continue
             seen.add(key)
-            order = (child[0].rank, len(child[1]), len(queue))
-            queue.append((*child, depth + 1))
-            if order < best:
-                best = order
-    surface, cycles, steps = queue[best[2]]
+            queue.append(child)
+    # depth is the rank lost and never falls along the queue: the last is deepest
+    deepest = queue[-1][0].rank
+    surface, cycles = next(state for state in queue if state[0].rank == deepest)
+    steps = f.fiber.rank - surface.rank
     fibration = LefschetzFibration(surface, DISK, cycles) if steps else f
     return ReduceResult(fibration, steps, exhausted, edges, len(queue))
 
@@ -728,6 +725,7 @@ def universality_report(u: LefschetzFibration) -> UniversalityReport:
 # over lengths L <= depth of len(alphabet)**L.  u_g1(3) at depth 5 counts
 # 579,195.
 WITNESS_WORD_BOUND = 1_000_000
+WITNESS_DEPTH = 4  # default depth of substitution_witness and `lefschetz witness`
 
 
 def _alphabet(u: LefschetzFibration) -> list[Letter]:
@@ -747,7 +745,7 @@ def _alphabet(u: LefschetzFibration) -> list[Letter]:
 def substitution_witness(
     u: LefschetzFibration,
     f: LefschetzFibration,
-    depth: int = 4,
+    depth: int = WITNESS_DEPTH,
 ) -> MeridianPlan | None:
     """Search for a meridian plan realizing f as a pullback of u.
 

@@ -25,6 +25,14 @@ library replaced by the closed-form inverse of a bundle generator; the
 reference ``evaluate`` inverts bundle letters with it, so inverse bundle
 letters are compared against an independent inverse.
 
+``enumerate_classes`` collects the separating types of every side split
+into a set and sorts the result, and ``subset_from_class`` rebuilds the
+subset before checking it is proper; the library generates the types in
+sorted order and returns from each indicator branch.  The reference
+transports recover boundary subsets with this ``subset_from_class``.
+``reduce`` tracks each state's depth and the best (rank, size, position)
+seen; the library reads both off the fiber rank.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
@@ -33,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from lefschetz.curves import Curve, CurveClass, subset_from_class
+from lefschetz.curves import Curve, CurveClass
 from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
     DISK,
@@ -51,6 +59,7 @@ from lefschetz.homology import (
     Matrix,
     SurfaceSpec,
     Vector,
+    check_fiber_rank,
     in_radical,
     mat_identity,
     mat_mul,
@@ -489,6 +498,61 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     return LefschetzFibration(f.fiber, f.base, cycles, bundle)
 
 
+# ---------------------------------------------------------------------------
+# the curve census and boundary subsets
+# ---------------------------------------------------------------------------
+
+def enumerate_classes(surface: SurfaceSpec) -> tuple[CurveClass, ...]:
+    """All curve types on the surface, duplicate-free, canonically sorted.
+
+    A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError.
+    """
+    check_fiber_rank(surface)
+    out: list[CurveClass] = []
+    if surface.genus >= 1:
+        out.append(CurveClass.nonseparating())
+    g, b = surface.genus, surface.boundary
+    seen = set()
+    for g1 in range(g + 1):
+        for b1 in range(1, b):
+            side_a = (g1, b1)
+            side_b = (g - g1, b - b1)
+            cls = CurveClass.separating(side_a, side_b)
+            if cls not in seen:
+                seen.add(cls)
+                out.append(cls)
+    out.sort(key=CurveClass.sort_key)
+    return tuple(out)
+
+
+def subset_from_class(surface: SurfaceSpec, hom: Vector) -> frozenset[int] | None:
+    """Recover the boundary subset whose class is ``hom``, or None.
+
+    Only radical classes of indicator shape qualify: entries all in {0, 1}
+    (last circle outside the subset) or all in {0, -1} (last circle inside).
+    """
+    if len(hom) != surface.rank or not in_radical(surface, hom):
+        return None
+    b = surface.boundary
+    if b < 2:
+        return None
+    tail = hom[2 * surface.genus:]
+    vals = set(tail)
+    if vals <= {0, 1} and 1 in vals:
+        subset = frozenset(j for j in range(1, b) if tail[j - 1] == 1)
+    elif vals <= {0, -1} and -1 in vals:
+        subset = frozenset(j for j in range(1, b) if tail[j - 1] == 0) | {b}
+    else:
+        return None
+    if not subset or len(subset) == b:
+        return None
+    return subset
+
+
+# ---------------------------------------------------------------------------
+# stabilization, destabilization and reduce
+# ---------------------------------------------------------------------------
+
 def _split_classes(t: int, g: int, b: int) -> set[CurveClass]:
     """Types of a separating curve that cuts t of the b boundary circles off a
     genus-g surface, one per genus split."""
@@ -510,7 +574,7 @@ def _transport_separating(
     unordered pair cannot be matched to the subset unambiguously the move
     is refused.
     """
-    subset = curve.boundary_subset()
+    subset = subset_from_class(curve.surface, curve.hom)
     assert subset is not None
     b = curve.surface.boundary
     active_count, passive_count = len(subset), b - len(subset)
@@ -599,7 +663,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
                 # The merged circles sit on opposite sides, so the cycle
                 # becomes non-separating.  Allowed only when the matching
                 # destabilization can reclassify it unambiguously.
-                t = len(c.curve.boundary_subset())
+                t = len(subset_from_class(c.curve.surface, c.curve.hom))
                 if _split_classes(t, g, b) != {c.curve.cls}:
                     raise NotApplicable(
                         f"cycle {c.curve.label or c.curve.hom} separates the "
@@ -712,4 +776,4 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
             key = (child.fiber.rank, child.size, len(queue))
             if key < best[:3]:
                 best = (*key, child, depth + 1)
-    return ReduceResult(best[3], best[4], exhausted)
+    return ReduceResult(best[3], best[4], exhausted, edges, len(queue))

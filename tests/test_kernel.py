@@ -2,15 +2,18 @@
 
 Every twist application in the library goes through ``mapping.transvect``;
 bundle generators are inverted in closed form; ``reduce`` memoises cycle
-transports; the witness walk skips words equal to earlier ones.  These tests
-require the results to equal, exactly, those of the code kept in
-``reference_kernel``: word evaluation, bundle inverses, twist products,
-Hurwitz moves, global conjugation, the pairing check, stabilization,
-destabilization, reduction and the witness walk.
+transports and reads its result off the fiber rank; the curve census is
+generated in sorted order; the witness walk skips words equal to earlier
+ones.  These tests require the results to equal, exactly, those of the code
+kept in ``reference_kernel``: word evaluation, bundle inverses, twist
+products, Hurwitz moves, global conjugation, the pairing check, the census,
+boundary subsets, stabilization, destabilization, reduction and the witness
+walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from lefschetz.curves import nonseparating_curve, separating_curve
+from lefschetz.curves import (
+    enumerate_classes,
+    nonseparating_curve,
+    separating_curve,
+    subset_from_class,
+)
 from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
     ANNULUS,
@@ -275,9 +283,10 @@ def test_preserves_pairing_shapes():
 @given(seed=st.integers(0, 10**6), length=st.integers(0, 5))
 def test_global_conjugate_matches_reference(seed, length):
     # over an annulus the bundle generator is conjugated by the inverse word;
-    # over the disk that word is no longer evaluated
+    # over the disk that word is no longer evaluated.  Three boundary circles
+    # make the permutations non-commuting, so the composition order counts.
     rng = random.Random(seed)
-    s = SurfaceSpec(rng.randint(1, 2), 2)
+    s = SurfaceSpec(rng.randint(1, 2), rng.randint(2, 3))
     cycles = tuple(SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
                    for _ in range(rng.randint(1, 4)))
     w = _random_word(rng, s, length)
@@ -286,6 +295,26 @@ def test_global_conjugate_matches_reference(seed, length):
         got, want = global_conjugate(f, w), ref.global_conjugate(f, w)
         assert got == want
         assert fibration_to_json(got) == fibration_to_json(want)
+
+
+# ---------------------------------------------------------------------------
+# the curve census and boundary subsets
+# ---------------------------------------------------------------------------
+
+def test_census_matches_reference():
+    surfaces = [SurfaceSpec(g, b) for g in range(13) for b in range(21)]
+    surfaces += [SurfaceSpec(50, 1), SurfaceSpec(0, 101), SurfaceSpec(25, 51)]
+    for s in surfaces:
+        assert enumerate_classes(s) == ref.enumerate_classes(s), s
+
+
+def test_boundary_subsets_match_reference():
+    # every vector with entries in {-1, 0, 1, 2}, of the rank and one off it
+    for g, b in itertools.product(range(2), range(6)):
+        s = SurfaceSpec(g, b)
+        for n in range(max(s.rank - 1, 0), s.rank + 2):
+            for v in itertools.product((-1, 0, 1, 2), repeat=n):
+                assert subset_from_class(s, v) == ref.subset_from_class(s, v), (s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +366,12 @@ def _separating_fibration(rng):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), family=st.sampled_from(["u_g1", "p_g"]),
-       g=st.integers(2, 9), budget=st.integers(1, 400))
+       g=st.integers(2, 9), budget=st.integers(0, 400))
 def test_reduce_and_destabilize_match_reference(seed, family, g, budget):
     f = _stabilized(random.Random(seed), build(family, g))
     got, want = reduce(f, budget), ref.reduce(f, budget)
     assert (got.steps, got.exhausted) == (want.steps, want.exhausted)
+    assert (got.explored, got.states) == (want.explored, want.states)
     assert got.fibration == want.fibration
     assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
     assert fibration_to_json(got.fibration) == fibration_to_json(want.fibration)
@@ -385,6 +415,7 @@ def test_reduce_keeps_labels_of_equal_cycles():
     for budget in (1, 5):
         got, want = reduce(f, budget), ref.reduce(f, budget)
         assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
+        assert (got.explored, got.states) == (want.explored, want.states)
         assert [c.curve.label for c in got.fibration.cycles][:2] == ["p", "q"]
     for gi in range(s.rank):
         assert (_destabilize_outcome(destabilize, f, gi)
