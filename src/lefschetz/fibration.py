@@ -439,77 +439,93 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
     rank = f.fiber.rank
     if not 0 <= generator_index < rank:
         raise InputError(f"generator index {generator_index} out of range 0..{rank - 1}")
-    surface, cycles = _destabilized(f.fiber, f.cycles, generator_index, {})
-    return LefschetzFibration(surface, DISK, cycles)
+    table = _ClassTable()
+    ids = tuple(map(table.intern, (c.curve for c in f.cycles)))
+    removed = table.crossings(ids, rank)[generator_index]
+    surface, child = _destabilized(f.fiber, ids, generator_index, removed, table, f.cycles)
+    return table.fibration(surface, child, f.cycles[:removed] + f.cycles[removed + 1:])
 
 
-def _destabilized(
-    surface: SurfaceSpec,
-    cycles: tuple[SignedCycle, ...],
-    generator_index: int,
-    memo: dict[tuple, SignedCycle | str],
-) -> tuple[SurfaceSpec, tuple[SignedCycle, ...]]:
-    """The destabilization kernel behind :func:`destabilize` and :func:`reduce`.
+class _ClassTable:
+    """One call's cycle classes, interned as ids of curves up to their label,
+    and ``moves``: generator -> class id -> child's id, None if refused."""
 
-    Returns the new fiber and the surviving cycles, or raises NotApplicable.
-    Each cycle transport is looked up in ``memo`` under the flat key (fiber
-    genus and boundary, generator index, class kind and sides, class, sign,
-    label); a miss runs :func:`_transport_curve` with all its checks and
-    stores the transported cycle, or the message of the NotApplicable raised.
-    """
-    g, b = surface.genus, surface.boundary
-    coeffs = [c.curve.hom[generator_index] for c in cycles]
-    hits = [i for i, v in enumerate(coeffs) if v != 0]
-    if len(hits) != 1 or abs(coeffs[hits[0]]) != 1:
+    def __init__(self) -> None:
+        self.curves, self.ids, self.moves, self.transports = [], {}, {}, {}
+
+    def intern(self, curve: Curve) -> int:
+        cid = self.ids.setdefault(curve, len(self.curves))
+        if cid == len(self.curves):
+            self.curves.append(curve)
+        return cid
+
+    def crossings(self, ids: tuple[int, ...], rank: int) -> list[int | None]:
+        """Per generator, the one cycle with a nonzero coefficient there, if +-1."""
+        out: list[int | None] = [None] * rank
+        for gi, col in enumerate(zip(*(self.curves[cid].hom for cid in ids))):
+            if col.count(0) == len(ids) - 1:
+                out[gi] = col.index(1) if 1 in col else col.index(-1) if -1 in col else None
+        return out
+
+    def transport(self, cid: int, new_surface: SurfaceSpec, new_hom: Vector) -> int | None:
+        """The child's id by :func:`_transport_curve`, keyed on all it reads bar the label a
+        refusal names: type, circles away from the last one if separating, new fiber, class."""
+        c = self.curves[cid]
+        key = (c.cls, c.cls.is_separating and sum(map(abs, c.hom[2 * c.surface.genus:])),
+               new_surface, new_hom)
+        if key not in self.transports:
+            try:
+                self.transports[key] = self.intern(_transport_curve(c, new_surface, new_hom))
+            except NotApplicable:
+                self.transports[key] = None
+        return self.transports[key]
+
+    def fibration(self, surface: SurfaceSpec, ids: tuple[int, ...],
+                  origins: tuple[SignedCycle, ...]) -> LefschetzFibration:
+        return LefschetzFibration(surface, DISK, tuple(
+            SignedCycle(replace(self.curves[cid], label=o.curve.label), o.sign)
+            for cid, o in zip(ids, origins)))
+
+
+def _destabilized(surface: SurfaceSpec, ids: tuple[int, ...], generator_index: int,
+                  removed: int | None, table: _ClassTable,
+                  cycles: tuple[SignedCycle, ...] = ()) -> tuple[SurfaceSpec, tuple[int, ...]]:
+    """The kernel of :func:`destabilize` and :func:`reduce`: the new fiber and
+    surviving class ids, given the generator's entry of the state's crossings,
+    or NotApplicable, named after the refusing one of ``cycles`` if given."""
+    if removed is None:
         raise NotApplicable(
             f"generator {generator_index} is not crossed exactly once by "
             "exactly one cycle")
-    removed = hits[0]
-
+    g, b = surface.genus, surface.boundary
     if generator_index < 2 * g:
         if b < 1:
             raise NotApplicable("a closed fiber admits no destabilizing arc")
-        pair = generator_index // 2
-        partner = generator_index ^ 1
+        a = generator_index & ~1  # the handle's a_i; the partner stays as the new d_b
         new_surface = SurfaceSpec(g - 1, b + 1)
 
         def remap(v: Vector) -> Vector:
-            out = [v[2 * q + s] for q in range(g) if q != pair for s in (0, 1)]
-            out += list(v[2 * g:])
-            out.append(v[partner])
-            return tuple(out)
+            return v[:a] + v[a + 2:] + (v[generator_index ^ 1],)
     else:
         j = generator_index - 2 * g + 1  # 1-based boundary class number
         new_surface = SurfaceSpec(g, b - 1)
-        last_delta = 2 * g + (b - 2)
 
         def remap(v: Vector) -> Vector:
-            vb = v[last_delta]
-            out = list(v[: 2 * g])
-            for k in range(1, b - 1):
-                out.append(-vb if k == j else v[2 * g + k - 1] - vb)
-            return tuple(out)
+            vb = v[2 * g + b - 2]  # the last stored boundary class
+            return v[: 2 * g] + tuple(
+                -vb if k == j else v[2 * g + k - 1] - vb for k in range(1, b - 1))
 
-    out = []
-    for idx, c in enumerate(cycles):
-        if idx == removed:
-            continue
-        curve = c.curve
-        key = (g, b, generator_index, curve.cls.kind, curve.cls.sides,
-               curve.hom, c.sign, curve.label)
-        moved = memo.get(key)
-        if moved is None:
-            try:
-                moved = SignedCycle(
-                    _transport_curve(curve, new_surface, remap(curve.hom)),
-                    c.sign)
-            except NotApplicable as exc:
-                moved = str(exc)
-            memo[key] = moved
-        if isinstance(moved, str):
-            raise NotApplicable(moved)
-        out.append(moved)
-    return new_surface, tuple(out)
+    row = table.moves.setdefault(generator_index, {})
+    kept = ids[:removed] + ids[removed + 1:]
+    for k, cid in enumerate(kept):
+        if cid not in row:
+            row[cid] = table.transport(cid, new_surface, remap(table.curves[cid].hom))
+        if row[cid] is None:
+            if cycles:  # repeat it on the cycle itself, whose label the message names
+                c = cycles[k + (k >= removed)].curve
+                _transport_curve(c, new_surface, remap(c.hom))
+            raise NotApplicable("a surviving cycle cannot be transported")
+    return new_surface, tuple(map(row.__getitem__, kept))
 
 
 @dataclass(frozen=True)
@@ -528,13 +544,6 @@ class ReduceResult:
     states: int = 1
 
 
-def _state_key(surface: SurfaceSpec, cycles: tuple[SignedCycle, ...]) -> tuple:
-    """Flat key of a fibration over the disk: equal keys iff equal fibrations
-    (labels are ignored, as in curve equality)."""
-    return (surface.genus, surface.boundary, tuple(
-        (c.curve.cls.kind, c.curve.cls.sides, c.curve.hom, c.sign) for c in cycles))
-
-
 def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     """Deterministic search for a maximally destabilized fibration.
 
@@ -548,8 +557,9 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     destabilizations explored; if it runs out the best state found so far
     is returned flagged ``exhausted``.
 
-    Within one call each cycle transport is computed once and memoised (see
-    :func:`_destabilized`), and states are compared by flat keys; the
+    A state is its fiber, its cycles' class ids (see :class:`_ClassTable`)
+    and each cycle's input position, which fixes its sign and label.  Each
+    transport is computed once per call, memoised by what it reads; the
     results are those of calling :func:`destabilize` on every state.  A
     negative budget is refused with InputError before any other check.
     """
@@ -557,33 +567,37 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
         raise InputError("budget must be >= 0")
     if f.fiber.rank > 0 and budget > 0:
         _require_disk(f, "destabilize")  # raised by the first destabilization
-    memo: dict[tuple, SignedCycle | str] = {}
-    seen = {_state_key(f.fiber, f.cycles)}
-    queue: list[tuple[SurfaceSpec, tuple[SignedCycle, ...]]] = [(f.fiber, f.cycles)]
-    edges = 0
-    exhausted = False
-    for surface, cycles in queue:  # the queue grows while it is walked
+    table = _ClassTable()
+    signs = f.signs()
+    ids = tuple(map(table.intern, (c.curve for c in f.cycles)))
+    seen = {(f.fiber.genus, f.fiber.boundary, tuple(zip(ids, signs)))}
+    queue = [(f.fiber, ids, tuple(range(f.size)))]
+    edges, exhausted = 0, False
+    for surface, ids, origins in queue:  # the queue grows while it is walked
         if exhausted:
             break
-        for gi in range(surface.rank):
+        for gi, removed in enumerate(table.crossings(ids, surface.rank)):
             if edges >= budget:
                 exhausted = True
                 break
+            if removed is None:
+                continue
             try:
-                child = _destabilized(surface, cycles, gi, memo)
+                new_surface, child = _destabilized(surface, ids, gi, removed, table)
             except NotApplicable:
                 continue
             edges += 1
-            key = _state_key(*child)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append(child)
+            kept = origins[:removed] + origins[removed + 1:]
+            key = (new_surface.genus, new_surface.boundary,
+                   tuple(zip(child, map(signs.__getitem__, kept))))
+            if key not in seen:
+                seen.add(key)
+                queue.append((new_surface, child, kept))
     # depth is the rank lost and never falls along the queue: the last is deepest
     deepest = queue[-1][0].rank
-    surface, cycles = next(state for state in queue if state[0].rank == deepest)
+    surface, ids, origins = next(state for state in queue if state[0].rank == deepest)
     steps = f.fiber.rank - surface.rank
-    fibration = LefschetzFibration(surface, DISK, cycles) if steps else f
+    fibration = table.fibration(surface, ids, tuple(f.cycles[o] for o in origins)) if steps else f
     return ReduceResult(fibration, steps, exhausted, edges, len(queue))
 
 

@@ -200,12 +200,13 @@ def smith_normal_form(a: Matrix) -> tuple[int, ...]:
     entries, nonnegative, each dividing the next, zeros last.
 
     The pivot is a smallest nonzero entry, the first in row-major order.
-    Its column and row are cleared by floor-division remainders; a remainder
-    left over is a smaller nonzero entry, so the next pivot is smaller.  A
-    pivot that fails to divide some other row takes that row into its own,
-    which leaves such a remainder.  A pivot that divides everything is
-    recorded and its row and column are deleted, so every later pivot is a
-    multiple of it.
+    Its column and row are cleared by floor-division remainders; while one
+    is left, the next pivot is a smallest remainder in the pivot's column,
+    else in its row, so the pivot gets smaller without a rescan.  A pivot
+    that fails to divide some other row takes that row into its own, which
+    leaves such a remainder.  A pivot that divides everything is recorded
+    and its row and column are deleted, so every later pivot is a multiple
+    of it; only then is the whole matrix searched again.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -214,9 +215,10 @@ def smith_normal_form(a: Matrix) -> tuple[int, ...]:
             raise InputError("ragged matrix")
     w = [list(row) for row in a]
     diag: list[int] = []
+    near: list[tuple[int, int, int]] = []  # remainders the last round left
     while True:
-        piv = min(((abs(x), i, j) for i, row in enumerate(w)
-                   for j, x in enumerate(row) if x), default=None)
+        piv = min(near or ((abs(x), i, j) for i, row in enumerate(w)
+                           for j, x in enumerate(row) if x), default=None)
         if piv is None:
             break
         _, i, j = piv
@@ -226,20 +228,19 @@ def smith_normal_form(a: Matrix) -> tuple[int, ...]:
             if row is not prow and row[j]:
                 q = row[j] // p
                 row[:] = [x - q * y for x, y in zip(row, prow)]
-        if any(row[j] for row in w if row is not prow):
+        near = [(abs(row[j]), r, j) for r, row in enumerate(w) if row[j] and r != i]
+        if near:
             continue
         # The column is clear, so clearing the row changes only the row.
         prow[:] = [x % p if l != j else p for l, x in enumerate(prow)]
-        if any(prow[:j] + prow[j + 1:]):
-            continue
-        bad = next((row for row in w if any(x % p for x in row)), None)
-        if bad is not None:
+        if not any(prow[:j] + prow[j + 1:]):
+            bad = next((row for row in w if any(x % p for x in row)), None)
+            if bad is None:
+                diag.append(abs(p))
+                w = [row[:j] + row[j + 1:] for row in w if row is not prow]
+                continue
             prow[:] = [x % p if l != j else p for l, x in enumerate(bad)]
-            continue
-        diag.append(abs(p))
-        del w[i]
-        for row in w:
-            del row[j]
+        near = [(abs(x), i, l) for l, x in enumerate(prow) if x and l != j]
     return tuple(diag) + (0,) * (min(m, n) - len(diag))
 
 

@@ -396,6 +396,12 @@ def test_reduce_reports_work_done():
     assert r.exhausted and (r.explored, r.states, r.steps) == (1, 2, 1)
     r = reduce(u_g1(4), budget=0)
     assert r.exhausted and (r.explored, r.states, r.steps) == (0, 1, 0)
+    # unbounded searches, as in the search benchmark: the differential test
+    # against the reference stops at g <= 9 and budget 400
+    r = reduce(u_g1(10), 10**6)
+    assert not r.exhausted and (r.explored, r.states, r.steps) == (1258, 1049, 18)
+    r = reduce(p_g(9), 10**6)
+    assert not r.exhausted and (r.explored, r.states, r.steps) == (463, 387, 16)
 
 
 # ---------------------------------------------------------------------------

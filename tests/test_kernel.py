@@ -1,8 +1,9 @@
 """The library's fast paths against the reference code they replaced.
 
 Every twist application in the library goes through ``mapping.transvect``;
-bundle generators are inverted in closed form; ``reduce`` memoises cycle
-transports and reads its result off the fiber rank; the curve census is
+bundle generators are inverted in closed form; ``reduce`` searches over
+interned class ids, memoises transports by what they read and reads its
+result off the fiber rank; the curve census is
 generated in sorted order; the witness walk skips words equal to earlier
 ones.  These tests require the results to equal, exactly, those of the code
 kept in ``reference_kernel``: word evaluation, bundle inverses, twist
@@ -402,9 +403,22 @@ def test_stabilize_and_destabilize_match_reference(seed, family):
                 == _destabilize_outcome(ref.destabilize, f, gi))
 
 
+def _same_reduce_and_destabilize(f, budgets=(0, 1, 5, 400)):
+    """reduce at each budget and destabilize on every generator agree with the
+    reference, labels, signs and refusal messages included."""
+    for budget in budgets:
+        got, want = reduce(f, budget), ref.reduce(f, budget)
+        assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
+        assert (got.steps, got.exhausted) == (want.steps, want.exhausted)
+        assert (got.explored, got.states) == (want.explored, want.states)
+    for gi in range(f.fiber.rank):
+        assert (_destabilize_outcome(destabilize, f, gi)
+                == _destabilize_outcome(ref.destabilize, f, gi))
+
+
 def test_reduce_keeps_labels_of_equal_cycles():
     # p and q are equal cycles (same class and sign) told apart only by their
-    # labels, so each needs its own transport
+    # labels; reduce interns them as one class, and each keeps its own label
     s = SurfaceSpec(1, 2)
     f = LefschetzFibration(s, DISK, (
         SignedCycle(nonseparating_curve(s, (1, 0, 0), "x"), 1),
@@ -412,14 +426,52 @@ def test_reduce_keeps_labels_of_equal_cycles():
         SignedCycle(separating_curve(s, {1}, (0, 1), "q"), 1),
         SignedCycle(nonseparating_curve(s, (0, 1, 1), "y"), -1),
     ))
+    _same_reduce_and_destabilize(f)
     for budget in (1, 5):
-        got, want = reduce(f, budget), ref.reduce(f, budget)
-        assert _cycle_data(got.fibration) == _cycle_data(want.fibration)
-        assert (got.explored, got.states) == (want.explored, want.states)
-        assert [c.curve.label for c in got.fibration.cycles][:2] == ["p", "q"]
-    for gi in range(s.rank):
-        assert (_destabilize_outcome(destabilize, f, gi)
-                == _destabilize_outcome(ref.destabilize, f, gi))
+        assert [c.curve.label for c in reduce(f, budget).fibration.cycles][:2] == ["p", "q"]
+
+
+def test_reduce_keeps_signs_of_equal_classes():
+    # p and q share a class but have different labels and opposite signs:
+    # the sign rides with the cycle, not with its class
+    s = SurfaceSpec(1, 2)
+    f = LefschetzFibration(s, DISK, (
+        SignedCycle(nonseparating_curve(s, (1, 0, 0), "x"), 1),
+        SignedCycle(separating_curve(s, {1}, (0, 1), "p"), 1),
+        SignedCycle(separating_curve(s, {1}, (0, 1), "q"), -1),
+        SignedCycle(nonseparating_curve(s, (0, 1, 1), "y"), -1),
+        SignedCycle(separating_curve(s, {1}, (0, 1), "r"), -1),
+    ))
+    _same_reduce_and_destabilize(f)
+    got = reduce(f, 400).fibration
+    assert [(c.curve.label, c.sign) for c in got.cycles][:3] == [("p", 1), ("q", -1), ("r", -1)]
+    # the same classes with the signs swapped make a different fibration
+    swapped = LefschetzFibration(s, DISK, tuple(
+        SignedCycle(c.curve, -c.sign if c.curve.label in "pq" else c.sign) for c in f.cycles))
+    _same_reduce_and_destabilize(swapped)
+    assert reduce(swapped, 400).fibration != got
+
+
+def test_destabilize_refusal_names_its_own_cycle():
+    # On F(3, 2), removing the handle of a_1 leaves the equal separating
+    # cycles q and p with sides (1, 1) and (2, 1) two ways to split F(2, 3):
+    # the refusal names the first of them by its own label, q
+    s = SurfaceSpec(3, 2)
+    x = nonseparating_curve(s, s.basis_vector(0), "x")
+    f = LefschetzFibration(s, DISK, (
+        SignedCycle(x, 1),
+        SignedCycle(separating_curve(s, {1}, (1, 2), "q"), -1),
+        SignedCycle(separating_curve(s, {1}, (1, 2), "p"), 1),
+    ))
+    _same_reduce_and_destabilize(f)
+    with pytest.raises(NotApplicable, match="separating cycle q cannot be transported"):
+        destabilize(f, 0)
+    # unlabelled, the cycle is named by its class
+    bare = LefschetzFibration(s, DISK, (SignedCycle(x, 1), SignedCycle(
+        separating_curve(s, {1}, (1, 2)), 1), f.cycles[2]))
+    _same_reduce_and_destabilize(bare)
+    with pytest.raises(NotApplicable, match=r"separating cycle \(0, 0, 0, 0, 0, 0, 1\) cannot"):
+        destabilize(bare, 0)
 
 
 # ---------------------------------------------------------------------------
