@@ -53,7 +53,6 @@ from .mapping import (
     transvect,
     twist_catalog,
     twist_covector,
-    twist_matrix,
     twist_right,
     twist_vector,
 )
@@ -315,10 +314,18 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
 # stabilization and destabilization
 # ---------------------------------------------------------------------------
 
-def _split_classes(t: int, g: int, b: int) -> set[CurveClass]:
-    """Types of a separating curve that cuts t of the b boundary circles off a
-    genus-g surface, one per genus split."""
-    return {CurveClass.separating((x, t), (g - x, b - t)) for x in range(g + 1)}
+def _away(curve: Curve) -> int:
+    """Boundary circles on the side of a separating curve away from the last one."""
+    return sum(map(abs, curve.hom[2 * curve.surface.genus:]))
+
+
+def _forced_split(t: int, g: int, b: int) -> CurveClass | None:
+    """The one type of a separating curve cutting t of the b boundary circles
+    off a genus-g surface, or None when its genus split is ambiguous: only
+    g == 0, and g == 1 with two equal sides, leave one split."""
+    if g == 0 or (g == 1 and 2 * t == b):
+        return CurveClass.separating((0, t), (g, b - t))
+    return None
 
 
 def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) -> Curve:
@@ -331,8 +338,8 @@ def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) ->
     fiber F(G, B), whose remainder (G - p_g, B - p_b) is the other side.  A
     non-separating curve whose class falls into the boundary lattice has
     become separating and may take any genus split of its boundary subset.
-    The move is refused unless exactly one type qualifies (always so for a
-    newly separating curve on a genus-zero result).
+    The move is refused unless exactly one type qualifies (see
+    :func:`_forced_split` for a newly separating curve).
     """
     if not in_radical(new_surface, new_hom):
         if vec_gcd(new_hom) != 1:
@@ -340,23 +347,25 @@ def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) ->
         return Curve(new_surface, CurveClass.nonseparating(), new_hom, curve.label)
     G, B = new_surface.genus, new_surface.boundary
     if curve.cls.is_separating:
-        away = sum(map(abs, curve.hom[2 * curve.surface.genus:]))
+        away = _away(curve)
         candidates = {
             CurveClass.separating((p_g, p_b), (G - p_g, B - p_b))
             for p_g, p_b in curve.cls.sides if p_b == away and p_g <= G and p_b < B
         }
-        ambiguous = (f"side data of separating cycle {curve.label or curve.hom} "
-                     "cannot be transported unambiguously at homology resolution")
+        if len(candidates) != 1:
+            raise NotApplicable(
+                f"side data of separating cycle {curve.label or curve.hom} "
+                "cannot be transported unambiguously at homology resolution")
+        cls = candidates.pop()
     else:
         subset = subset_from_class(new_surface, new_hom)
         if subset is None:
             raise NotApplicable(
                 "transported class is boundary-type but not a subset class")
-        candidates = _split_classes(len(subset), G, B)
-        ambiguous = "genus split of a newly separating cycle is ambiguous"
-    if len(candidates) != 1:
-        raise NotApplicable(ambiguous)
-    return Curve(new_surface, candidates.pop(), new_hom, curve.label)
+        cls = _forced_split(len(subset), G, B)
+        if cls is None:
+            raise NotApplicable("genus split of a newly separating cycle is ambiguous")
+    return Curve(new_surface, cls, new_hom, curve.label)
 
 
 def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibration:
@@ -396,8 +405,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
                 # The merged circles sit on opposite sides, so the cycle
                 # becomes non-separating.  Allowed only when the matching
                 # destabilization can reclassify it unambiguously.
-                t = sum(map(abs, c.curve.hom[2 * g:]))
-                if _split_classes(t, g, b) != {c.curve.cls}:
+                if _forced_split(_away(c.curve), g, b) != c.curve.cls:
                     raise NotApplicable(
                         f"cycle {c.curve.label or c.curve.hom} separates the "
                         "two circles being merged and could not be recovered")
@@ -471,8 +479,7 @@ class _ClassTable:
         """The child's id by :func:`_transport_curve`, keyed on all it reads bar the label a
         refusal names: type, circles away from the last one if separating, new fiber, class."""
         c = self.curves[cid]
-        key = (c.cls, c.cls.is_separating and sum(map(abs, c.hom[2 * c.surface.genus:])),
-               new_surface, new_hom)
+        key = (c.cls, c.cls.is_separating and _away(c), new_surface, new_hom)
         if key not in self.transports:
             try:
                 self.transports[key] = self.intern(_transport_curve(c, new_surface, new_hom))
@@ -652,9 +659,10 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
 
     Target cycle i is the source cycle plan[i].source transported by the
     conjugator, with sign multiplied by the local degree.  The monodromy
-    factors through the source at the implemented resolution: the twist
-    about each transported curve equals the conjugated source twist, which
-    is asserted (rep T by a rank-1 update, then one dense product).
+    factors through the source at the implemented resolution: with rep the
+    conjugator, the twist about each transported curve satisfies
+    T_{rep(c)} rep == rep T_c, which is asserted as two rank-1 updates of
+    rep, one on its rows and one on its columns.
     """
     _require_disk(u, "pullback")
     cycles = []
@@ -666,9 +674,8 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
         src = u.cycles[e.source]
         rep = evaluate(e.conjugator)
         moved = act_on_curve(rep, src.curve)
-        inv = evaluate(e.conjugator.inverse())
-        conjugated = mat_mul(twist_right(rep.matrix, src.curve, 1), inv.matrix)
-        if twist_matrix(moved) != conjugated:
+        cols = transvect(tuple(zip(*rep.matrix)), twist_covector(moved), moved.hom, 1)
+        if tuple(zip(*cols)) != twist_right(rep.matrix, src.curve, 1):
             raise AssertionError("monodromy does not factor through the source")
         cycles.append(SignedCycle(moved, e.local_degree * src.sign))
     return LefschetzFibration(u.fiber, DISK, tuple(cycles))
@@ -743,17 +750,10 @@ WITNESS_DEPTH = 4  # default depth of substitution_witness and `lefschetz witnes
 
 
 def _alphabet(u: LefschetzFibration) -> list[Letter]:
-    """Twist letters over the source's distinct cycle curves, right then left."""
-    seen = set()
-    letters: list[Letter] = []
-    for c in u.cycles:
-        key = (c.curve.cls, c.curve.hom)
-        if key in seen:
-            continue
-        seen.add(key)
-        letters.append(Letter(TwistGen(c.curve, "right")))
-        letters.append(Letter(TwistGen(c.curve, "left")))
-    return letters
+    """Twist letters over the source's distinct cycle curves, right then left;
+    curves equal up to their label share letters named after the first."""
+    return [Letter(TwistGen(c, hand))
+            for c in dict.fromkeys(c.curve for c in u.cycles) for hand in ("right", "left")]
 
 
 def substitution_witness(
@@ -833,12 +833,8 @@ def substitution_witness(
     plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
     plan = plan_cls(tuple(entries))
 
-    check = pullback(u, plan)
-    for got, want in zip(check.cycles, f.cycles):
-        if (got.curve.cls, got.curve.hom, got.sign) != (
-            want.curve.cls, want.curve.hom, want.sign
-        ):
-            raise AssertionError("witness failed the pullback round trip")
+    if pullback(u, plan).cycles != f.cycles:  # compared up to labels
+        raise AssertionError("witness failed the pullback round trip")
     return plan
 
 

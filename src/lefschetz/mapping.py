@@ -38,7 +38,6 @@ from .homology import (
     mat_identity,
     mat_mul,
     mat_vec,
-    pairing,
     preserves_pairing,
 )
 
@@ -288,7 +287,8 @@ def twist_vector(x: Vector, c: Curve, h: int) -> Vector:
 
 
 def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
-    """Homology transvection of the twist about c, as a dense matrix."""
+    """Homology transvection of the twist about c, as a dense matrix: a view
+    for callers, since every library path twists through :func:`transvect`."""
     return twist_right(mat_identity(c.surface.rank), c, TwistGen(c, handed).sign)
 
 
@@ -466,8 +466,17 @@ def symplectic_group_order(g: int, p: int) -> int:
     return order
 
 
-def _symplectic_block_mod(m: Matrix, g: int, p: int) -> Matrix:
-    return tuple(tuple(m[i][j] % p for j in range(2 * g)) for i in range(2 * g))
+def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
+    """The twists' actions on F_p^(2g), deduplicated in order.
+
+    Each is one transvect of the 2g x 2g identity by the twist's center and
+    covector; the identity's rows are 2g long, so only handle entries are read.
+    """
+    identity = mat_identity(2 * g)
+    return list(dict.fromkeys(
+        tuple(tuple(x % p for x in row)
+              for row in transvect(identity, t.curve.hom, twist_covector(t.curve), t.sign))
+        for t in twists))
 
 
 def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
@@ -539,18 +548,6 @@ def twist_catalog(surface: SurfaceSpec) -> tuple[Curve, ...]:
     return tuple(curves)
 
 
-def catalog_adjacency(surface: SurfaceSpec) -> dict[tuple[str, str], int]:
-    """Pairing table of the catalog, keyed by sorted label pairs (nonzero only)."""
-    curves = twist_catalog(surface)
-    table = {}
-    for i, c in enumerate(curves):
-        for d in curves[i + 1:]:
-            v = pairing(surface, c.hom, d.hom)
-            if v != 0:
-                table[tuple(sorted((c.label, d.label)))] = v
-    return table
-
-
 # ---------------------------------------------------------------------------
 # the surjectivity oracle
 # ---------------------------------------------------------------------------
@@ -582,11 +579,7 @@ def _matches_catalog(twists: list[TwistGen], surface: SurfaceSpec) -> bool:
     for t in twists:
         have.add((t.curve.cls, t.curve.hom))
         have.add((t.curve.cls, tuple(-x for x in t.curve.hom)))
-    try:
-        catalog = twist_catalog(surface)
-    except InputError:
-        return False
-    return all((c.cls, c.hom) in have for c in catalog)
+    return all((c.cls, c.hom) in have for c in twist_catalog(surface))
 
 
 def mcg_surjectivity_oracle(
@@ -637,10 +630,7 @@ def mcg_surjectivity_oracle(
 
     if g >= 1:
         for p in primes:
-            gens = dict.fromkeys(
-                _symplectic_block_mod(twist_matrix(t.curve, t.handed), g, p)
-                for t in twists)
-            order = _symplectic_order_mod(gens, g, p)
+            order = _symplectic_order_mod(_mod_p_generators(twists, g, p), g, p)
             if order is None:
                 continue  # inconclusive at this prime
             full = symplectic_group_order(g, p)

@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lefschetz.fibration as fibration
+import lefschetz.homology as homology
+import lefschetz.mapping as mapping
 import reference_kernel as ref
 from lefschetz.curves import (
     enumerate_classes,
@@ -37,18 +42,21 @@ from lefschetz.fibration import (
     PlanEntry,
     SignedCycle,
     _alphabet,
+    _forced_split,
     _walk_level,
     _walk_steps,
     build,
     destabilize,
     global_conjugate,
     hurwitz_move,
+    identity_plan,
     pullback,
     reduce,
     stabilize,
     substitution_witness,
     twist_product,
     u_g1,
+    universality_report,
 )
 from lefschetz.homology import (
     SurfaceSpec,
@@ -63,11 +71,15 @@ from lefschetz.mapping import (
     Letter,
     MCWord,
     TwistGen,
+    act_on_curve,
     boundary_permutation_gen,
     evaluate,
+    mcg_surjectivity_oracle,
     perm_inverse,
+    twist_catalog,
     twist_matrix,
     twist_vector,
+    twist_word,
 )
 from lefschetz.serialize import fibration_to_json, plan_to_json
 
@@ -196,6 +208,77 @@ def test_large_twist_product_matches_dense_reference():
     product = twist_product(f)
     assert product == ref.twist_product(f)
     assert preserves_pairing(s, product)
+
+
+# ---------------------------------------------------------------------------
+# no dense twist on a library path
+# ---------------------------------------------------------------------------
+
+def _forbid(monkeypatch, module, name):
+    """Rebind ``module.name`` in every lefschetz module that imported it to a
+    stub that raises, the way perfbench's tracer rebinds what it wraps."""
+    original = getattr(module, name)
+
+    def stub(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("lefschetz")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, stub)
+
+
+def _conjugated_target(u, seed):
+    rng = random.Random(seed)
+    letters = [Letter(TwistGen(c.curve, h)) for c in u.cycles for h in ("right", "left")]
+    return global_conjugate(u, MCWord(u.fiber, tuple(rng.choice(letters) for _ in range(2))))
+
+
+def _dense_free_results():
+    out = []
+    for g in (2, 3):
+        s = SurfaceSpec(g, 1)
+        catalog = twist_catalog(s)
+        conj = twist_word(TwistGen(catalog[0]), TwistGen(catalog[2]))
+        for curves in (catalog, tuple(act_on_curve(conj, c) for c in catalog)):
+            for removed in (0, 1):
+                out.append(mcg_surjectivity_oracle([TwistGen(c) for c in curves[removed:]], s))
+    u = u_g1(2)
+    plan = substitution_witness(u, _conjugated_target(u, 1), 2)
+    assert plan is not None
+    return out + [universality_report(u), pullback(u, identity_plan(u)), plan]
+
+
+def test_no_library_path_builds_a_dense_twist(monkeypatch):
+    want = _dense_free_results()
+    _forbid(monkeypatch, mapping, "twist_matrix")
+    assert _dense_free_results() == want
+
+
+@pytest.mark.parametrize("family", [u_g1(2), u_g1(3)], ids=["u_g1(2)", "u_g1(3)"])
+def test_pullback_and_witness_need_no_matrix_product(monkeypatch, family):
+    targets = [_conjugated_target(family, seed) for seed in range(3)]
+    _forbid(monkeypatch, mapping, "twist_matrix")
+    _forbid(monkeypatch, homology, "mat_mul")
+    assert pullback(family, identity_plan(family)) == family
+    for target in targets:
+        plan = substitution_witness(family, target, 2)
+        assert plan is not None
+        assert pullback(family, plan).cycles == target.cycles
+
+
+def test_pullback_check_catches_a_wrong_transport(monkeypatch):
+    u = u_g1(2)
+    a1 = u.cycles[2].curve  # pairs to +-1 with b1, the first cycle
+    transport = fibration.act_on_curve
+
+    def one_twist_too_many(rep, c):
+        moved = transport(rep, c)
+        return replace(moved, hom=twist_vector(moved.hom, a1, 1))
+
+    monkeypatch.setattr(fibration, "act_on_curve", one_twist_too_many)
+    with pytest.raises(AssertionError, match="^monodromy does not factor through the source$"):
+        pullback(u, identity_plan(u))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +499,15 @@ def _same_reduce_and_destabilize(f, budgets=(0, 1, 5, 400)):
                 == _destabilize_outcome(ref.destabilize, f, gi))
 
 
+def test_forced_split_matches_reference():
+    for g in range(13):
+        for b in range(2, 21):
+            for t in range(1, b):
+                splits = ref._split_classes(t, g, b)
+                want = next(iter(splits)) if len(splits) == 1 else None
+                assert _forced_split(t, g, b) == want, (t, g, b)
+
+
 def test_reduce_keeps_labels_of_equal_cycles():
     # p and q are equal cycles (same class and sign) told apart only by their
     # labels; reduce interns them as one class, and each keeps its own label
@@ -519,8 +611,10 @@ def test_witness_plans_match_reference_with_flipped_signs(seed, depth):
     f = LefschetzFibration(u.fiber, DISK, cycles)
     _same_plan(u, f, depth)
     # every class twice with each sign, one three times: the source order
-    # and the sign tiers decide which duplicate a target takes
-    doubled = u.cycles + tuple(SignedCycle(c.curve, -c.sign) for c in u.cycles) + u.cycles[1:2]
+    # and the sign tiers decide which duplicate a target takes, and letters
+    # are named after the first curve of a class, whatever the later labels
+    doubled = u.cycles + tuple(SignedCycle(replace(c.curve, label=c.curve.label + "'"), -c.sign)
+                               for c in u.cycles) + u.cycles[1:2]
     _same_plan(LefschetzFibration(u.fiber, DISK, doubled), f, depth)
 
 

@@ -31,11 +31,10 @@ from lefschetz.mapping import (
     MCWord,
     TwistGen,
     _group_order,
-    _symplectic_block_mod,
+    _mod_p_generators,
     _symplectic_order_mod,
     act_on_curve,
     boundary_permutation_gen,
-    catalog_adjacency,
     evaluate,
     mcg_surjectivity_oracle,
     perm_compose,
@@ -244,6 +243,18 @@ def test_catalog_structure():
         assert cokernel_invariants(a) == (0, ())
 
 
+def catalog_adjacency(surface: SurfaceSpec) -> dict[tuple[str, str], int]:
+    """Pairing table of the catalog, keyed by sorted label pairs (nonzero only)."""
+    curves = twist_catalog(surface)
+    table = {}
+    for i, c in enumerate(curves):
+        for d in curves[i + 1:]:
+            v = pairing(surface, c.hom, d.hom)
+            if v != 0:
+                table[tuple(sorted((c.label, d.label)))] = v
+    return table
+
+
 def test_catalog_adjacency_pattern():
     for g in (2, 3, 4):
         s = SurfaceSpec(g, 1)
@@ -384,11 +395,30 @@ def test_oracle_never_certifies_without_catalog(seed):
 REFERENCE_CAP = 1_500
 
 
+def _symplectic_block_mod(m, g, p):
+    """The handle block of a dense matrix mod p: applied to ``twist_matrix``,
+    the reference for ``mapping._mod_p_generators``."""
+    return tuple(tuple(m[i][j] % p for j in range(2 * g)) for i in range(2 * g))
+
+
 def _mod_p_gens(curves, handedness, g, p):
     return {
         _symplectic_block_mod(twist_matrix(c, h), g, p)
         for c, h in zip(curves, handedness)
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), g=st.integers(1, 3), b=st.integers(0, 2),
+       p=st.sampled_from((2, 3, 5)), count=st.integers(0, 6))
+def test_mod_p_generators_match_dense_reference(seed, g, b, p, count):
+    rng = random.Random(seed)
+    s = SurfaceSpec(g, b)
+    twists = [TwistGen(_random_nonsep(rng, s), rng.choice(("right", "left")))
+              for _ in range(count)]
+    twists += rng.sample(twists, rng.randint(0, count))  # repeats, to deduplicate
+    dense = [_symplectic_block_mod(twist_matrix(t.curve, t.handed), g, p) for t in twists]
+    assert _mod_p_generators(twists, g, p) == list(dict.fromkeys(dense))
 
 
 def _assert_matches_closure(gens, g, p):
