@@ -21,6 +21,7 @@ coefficient criterion on a single basis generator, documented at
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .curves import Curve, CurveClass, enumerate_classes, subset_from_class
@@ -34,7 +35,6 @@ from .homology import (
     in_radical,
     mat_from_columns,
     mat_identity,
-    mat_mul,
     vec_gcd,
 )
 from .mapping import (
@@ -43,13 +43,10 @@ from .mapping import (
     MCWord,
     SurjectivityVerdict,
     TwistGen,
-    _pairing_inverse,
     act_on_curve,
     evaluate,
     mcg_surjectivity_oracle,
-    perm_compose,
     perm_group_surjective,
-    perm_inverse,
     transvect,
     twist_catalog,
     twist_covector,
@@ -285,29 +282,17 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
 
 
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
-    """Transport every cycle by w and conjugate the bundle generators.
-
-    The inverse of w is taken in closed form from its evaluation, and only
-    when there are bundle generators to conjugate (none over the disk).
-    """
+    """Transport every cycle by w and replace each bundle generator g by the
+    evaluation of the word w g w^-1 (there are none over the disk)."""
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
     rep = evaluate(w)
     cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
-    if not f.bundle:
-        return LefschetzFibration(f.fiber, f.base, cycles)
-    inv_matrix = _pairing_inverse(f.fiber, rep.matrix, rep.perm)
-    inv_perm = perm_inverse(rep.perm)
-    bundle = tuple(
-        BundleGen(
-            f.fiber,
-            mat_mul(rep.matrix, mat_mul(bg.matrix, inv_matrix)),
-            perm_compose(rep.perm, perm_compose(bg.perm, inv_perm)),
-            bg.label,
-        )
-        for bg in f.bundle
-    )
-    return LefschetzFibration(f.fiber, f.base, cycles, bundle)
+    bundle = []
+    for bg in f.bundle:
+        conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())
+        bundle.append(BundleGen(f.fiber, conj.matrix, conj.perm, bg.label))
+    return LefschetzFibration(f.fiber, f.base, cycles, tuple(bundle))
 
 
 # ---------------------------------------------------------------------------
@@ -431,32 +416,74 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
 
     Applicability criterion (sufficient, not necessary): exactly one cycle
     has coefficient +-1 on the designated generator and every other cycle
-    has coefficient 0 there.  That cycle is removed.  If the generator is an
-    a_i/b_i the fiber loses the handle, (g, b) -> (g-1, b+1), and the
-    surviving partner generator becomes the new last boundary class; if it
-    is a d_j the j-th boundary circle merges with the last one,
-    (g, b) -> (g, b-1).  Surviving classes are re-coordinatized by the
-    inverse of the corresponding stabilization map, which leaves the
-    total-space invariants unchanged.
+    has coefficient 0 there.  That cycle is removed, and the fiber changes
+    as :func:`_destabilizing_map` says.  Each surviving cycle is moved by
+    :func:`_transport_curve`, as :func:`stabilize` moves its cycles, which
+    leaves the total-space invariants unchanged.
 
     Raises NotApplicable when the criterion fails, when the fiber is closed
-    (no destabilizing arc exists), or when a surviving separating cycle's
-    side data cannot be transported unambiguously.
+    (no destabilizing arc exists), or when a surviving cycle cannot be
+    transported; the last names the first such cycle by its label, or by
+    its class when it has none.
     """
     _require_disk(f, "destabilize")
     rank = f.fiber.rank
     if not 0 <= generator_index < rank:
         raise InputError(f"generator index {generator_index} out of range 0..{rank - 1}")
-    table = _ClassTable()
-    ids = tuple(map(table.intern, (c.curve for c in f.cycles)))
-    removed = table.crossings(ids, rank)[generator_index]
-    surface, child = _destabilized(f.fiber, ids, generator_index, removed, table, f.cycles)
-    return table.fibration(surface, child, f.cycles[:removed] + f.cycles[removed + 1:])
+    removed = _lone_unit(tuple(c.curve.hom[generator_index] for c in f.cycles))
+    if removed is None:
+        raise NotApplicable(
+            f"generator {generator_index} is not crossed exactly once by "
+            "exactly one cycle")
+    move = _destabilizing_map(f.fiber, generator_index)
+    if move is None:
+        raise NotApplicable("a closed fiber admits no destabilizing arc")
+    new_surface, remap = move
+    cycles = tuple(
+        SignedCycle(_transport_curve(c.curve, new_surface, remap(c.curve.hom)), c.sign)
+        for c in f.cycles[:removed] + f.cycles[removed + 1:])
+    return LefschetzFibration(new_surface, DISK, cycles)
+
+
+def _lone_unit(col: tuple[int, ...]) -> int | None:
+    """The position of the one nonzero entry of col when it is +-1, else None."""
+    if col.count(0) != len(col) - 1:
+        return None
+    return col.index(1) if 1 in col else col.index(-1) if -1 in col else None
+
+
+def _destabilizing_map(surface: SurfaceSpec, generator_index: int,
+                       ) -> tuple[SurfaceSpec, Callable[[Vector], Vector]] | None:
+    """The new fiber and the class map of destabilizing along a generator,
+    or None on a closed fiber, where no destabilizing arc exists.
+
+    On an a_i/b_i the fiber loses the handle, (g, b) -> (g-1, b+1), and the
+    surviving partner generator becomes the new last boundary class; on a
+    d_j the j-th boundary circle merges with the last one, (g, b) -> (g, b-1).
+    Either map inverts the corresponding stabilization map.
+    """
+    g, b = surface.genus, surface.boundary
+    if generator_index < 2 * g:
+        if b < 1:
+            return None
+        a = generator_index & ~1  # the handle's a_i; the partner stays as the new d_b
+
+        def remap(v: Vector) -> Vector:
+            return v[:a] + v[a + 2:] + (v[generator_index ^ 1],)
+        return SurfaceSpec(g - 1, b + 1), remap
+    j = generator_index - 2 * g + 1  # 1-based boundary class number
+
+    def remap(v: Vector) -> Vector:
+        vb = v[2 * g + b - 2]  # the last stored boundary class
+        return v[: 2 * g] + tuple(
+            -vb if k == j else v[2 * g + k - 1] - vb for k in range(1, b - 1))
+    return SurfaceSpec(g, b - 1), remap
 
 
 class _ClassTable:
-    """One call's cycle classes, interned as ids of curves up to their label,
-    and ``moves``: generator -> class id -> child's id, None if refused."""
+    """One :func:`reduce` call's cycle classes, interned as ids of curves up to
+    their label, and ``moves``: generator -> class id -> child's id, None if
+    refused."""
 
     def __init__(self) -> None:
         self.curves, self.ids, self.moves, self.transports = [], {}, {}, {}
@@ -469,11 +496,9 @@ class _ClassTable:
 
     def crossings(self, ids: tuple[int, ...], rank: int) -> list[int | None]:
         """Per generator, the one cycle with a nonzero coefficient there, if +-1."""
-        out: list[int | None] = [None] * rank
-        for gi, col in enumerate(zip(*(self.curves[cid].hom for cid in ids))):
-            if col.count(0) == len(ids) - 1:
-                out[gi] = col.index(1) if 1 in col else col.index(-1) if -1 in col else None
-        return out
+        # with no cycles every column is empty, and no generator is crossed
+        cols = zip(*(self.curves[cid].hom for cid in ids)) if ids else ((),) * rank
+        return list(map(_lone_unit, cols))
 
     def transport(self, cid: int, new_surface: SurfaceSpec, new_hom: Vector) -> int | None:
         """The child's id by :func:`_transport_curve`, keyed on all it reads bar the label a
@@ -487,51 +512,23 @@ class _ClassTable:
                 self.transports[key] = None
         return self.transports[key]
 
-    def fibration(self, surface: SurfaceSpec, ids: tuple[int, ...],
-                  origins: tuple[SignedCycle, ...]) -> LefschetzFibration:
-        return LefschetzFibration(surface, DISK, tuple(
-            SignedCycle(replace(self.curves[cid], label=o.curve.label), o.sign)
-            for cid, o in zip(ids, origins)))
-
 
 def _destabilized(surface: SurfaceSpec, ids: tuple[int, ...], generator_index: int,
-                  removed: int | None, table: _ClassTable,
-                  cycles: tuple[SignedCycle, ...] = ()) -> tuple[SurfaceSpec, tuple[int, ...]]:
-    """The kernel of :func:`destabilize` and :func:`reduce`: the new fiber and
-    surviving class ids, given the generator's entry of the state's crossings,
-    or NotApplicable, named after the refusing one of ``cycles`` if given."""
-    if removed is None:
-        raise NotApplicable(
-            f"generator {generator_index} is not crossed exactly once by "
-            "exactly one cycle")
-    g, b = surface.genus, surface.boundary
-    if generator_index < 2 * g:
-        if b < 1:
-            raise NotApplicable("a closed fiber admits no destabilizing arc")
-        a = generator_index & ~1  # the handle's a_i; the partner stays as the new d_b
-        new_surface = SurfaceSpec(g - 1, b + 1)
-
-        def remap(v: Vector) -> Vector:
-            return v[:a] + v[a + 2:] + (v[generator_index ^ 1],)
-    else:
-        j = generator_index - 2 * g + 1  # 1-based boundary class number
-        new_surface = SurfaceSpec(g, b - 1)
-
-        def remap(v: Vector) -> Vector:
-            vb = v[2 * g + b - 2]  # the last stored boundary class
-            return v[: 2 * g] + tuple(
-                -vb if k == j else v[2 * g + k - 1] - vb for k in range(1, b - 1))
-
+                  removed: int, table: _ClassTable) -> tuple[SurfaceSpec, tuple[int, ...]] | None:
+    """:func:`destabilize` on a state of :func:`reduce`: the new fiber and the
+    surviving class ids, given the one cycle crossing the generator, or None
+    when the fiber is closed or a survivor's transport is refused."""
+    move = _destabilizing_map(surface, generator_index)
+    if move is None:
+        return None
+    new_surface, remap = move
     row = table.moves.setdefault(generator_index, {})
     kept = ids[:removed] + ids[removed + 1:]
-    for k, cid in enumerate(kept):
+    for cid in kept:
         if cid not in row:
             row[cid] = table.transport(cid, new_surface, remap(table.curves[cid].hom))
         if row[cid] is None:
-            if cycles:  # repeat it on the cycle itself, whose label the message names
-                c = cycles[k + (k >= removed)].curve
-                _transport_curve(c, new_surface, remap(c.hom))
-            raise NotApplicable("a surviving cycle cannot be transported")
+            return None
     return new_surface, tuple(map(row.__getitem__, kept))
 
 
@@ -566,8 +563,9 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
 
     A state is its fiber, its cycles' class ids (see :class:`_ClassTable`)
     and each cycle's input position, which fixes its sign and label.  Each
-    transport is computed once per call, memoised by what it reads; the
-    results are those of calling :func:`destabilize` on every state.  A
+    transport is computed once per call, memoised by what it reads, and a
+    refused destabilization is skipped (:func:`_destabilized` returns None);
+    the results are those of calling :func:`destabilize` on every state.  A
     negative budget is refused with InputError before any other check.
     """
     if budget < 0:
@@ -587,12 +585,10 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
             if edges >= budget:
                 exhausted = True
                 break
-            if removed is None:
+            move = removed is not None and _destabilized(surface, ids, gi, removed, table)
+            if not move:
                 continue
-            try:
-                new_surface, child = _destabilized(surface, ids, gi, removed, table)
-            except NotApplicable:
-                continue
+            new_surface, child = move
             edges += 1
             kept = origins[:removed] + origins[removed + 1:]
             key = (new_surface.genus, new_surface.boundary,
@@ -604,8 +600,11 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     deepest = queue[-1][0].rank
     surface, ids, origins = next(state for state in queue if state[0].rank == deepest)
     steps = f.fiber.rank - surface.rank
-    fibration = table.fibration(surface, ids, tuple(f.cycles[o] for o in origins)) if steps else f
-    return ReduceResult(fibration, steps, exhausted, edges, len(queue))
+    if steps:  # each cycle takes the sign and label of its input position
+        f = LefschetzFibration(surface, DISK, tuple(
+            SignedCycle(replace(table.curves[cid], label=f.cycles[o].curve.label), f.cycles[o].sign)
+            for cid, o in zip(ids, origins)))
+    return ReduceResult(f, steps, exhausted, edges, len(queue))
 
 
 # ---------------------------------------------------------------------------

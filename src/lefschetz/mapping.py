@@ -93,9 +93,6 @@ class TwistGen:
         """h in x -> x + h <c, x> c: +1 right-handed, -1 left-handed."""
         return 1 if self.handed == "right" else -1
 
-    def inverse(self) -> "TwistGen":
-        return TwistGen(self.curve, "left" if self.handed == "right" else "right")
-
 
 @dataclass(frozen=True)
 class BundleGen:

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used there.
+"""Every name a library module imports is used there, and none is private.
 
 No linter runs on this package, so this stands in for pyflakes' F401: a name
 imported into a ``lefschetz`` module must be read somewhere in that module,
 be listed in its ``__all__``, or sit on an import line marked
-``# noqa: F401`` (a deliberate re-export).
+``# noqa: F401`` (a deliberate re-export).  No ``lefschetz`` module imports
+an underscore-prefixed name from a sibling: a private helper is known only to
+the module that defines it.
 """
 
 from __future__ import annotations
@@ -73,3 +75,35 @@ def test_unused_import_is_caught():
     imported = _imported(tree, text.splitlines())
     assert set(imported) == {"Any", "Sequence", "sys", "json", "re"}
     assert {n for n in imported if n not in _used(tree)} == {"sys"}
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Every underscore-prefixed name imported from a sibling module,
+    relatively or through the ``lefschetz`` package, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "lefschetz":
+            continue
+        found += [f"{alias.name} (line {node.lineno})"
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_sibling_imports(path):
+    private = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+def test_private_sibling_import_is_caught():
+    text = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .mapping import _pairing_inverse, evaluate\n"
+        "from . import _shared\n"
+        "from lefschetz.homology import _rank as r\n"
+        "from .curves import Curve\n")
+    assert _private_imports(ast.parse(text)) == [
+        "_pairing_inverse (line 3)", "_shared (line 4)", "_rank (line 5)"]

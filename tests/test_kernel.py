@@ -37,6 +37,7 @@ from lefschetz.errors import InputError, NotApplicable
 from lefschetz.fibration import (
     ANNULUS,
     DISK,
+    BaseSurface,
     LefschetzFibration,
     MeridianPlan,
     PlanEntry,
@@ -55,6 +56,7 @@ from lefschetz.fibration import (
     stabilize,
     substitution_witness,
     twist_product,
+    u_10,
     u_g1,
     universality_report,
 )
@@ -366,15 +368,18 @@ def test_preserves_pairing_shapes():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), length=st.integers(0, 5))
 def test_global_conjugate_matches_reference(seed, length):
-    # over an annulus the bundle generator is conjugated by the inverse word;
-    # over the disk that word is no longer evaluated.  Three boundary circles
-    # make the permutations non-commuting, so the composition order counts.
+    # over an annulus the bundle generator is conjugated by w, and over a
+    # pants each of its two is, on its own; the disk has none.  Three
+    # boundary circles make the permutations non-commuting, so the
+    # composition order counts.
     rng = random.Random(seed)
     s = SurfaceSpec(rng.randint(1, 2), rng.randint(2, 3))
     cycles = tuple(SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
                    for _ in range(rng.randint(1, 4)))
     w = _random_word(rng, s, length)
+    pants = (_random_bundle_gen(rng, s), _random_bundle_gen(rng, s))
     for f in (LefschetzFibration(s, ANNULUS, cycles, (_random_bundle_gen(rng, s),)),
+              LefschetzFibration(s, BaseSurface(0, 3), cycles, pants),
               LefschetzFibration(s, DISK, cycles)):
         got, want = global_conjugate(f, w), ref.global_conjugate(f, w)
         assert got == want
@@ -497,6 +502,24 @@ def _same_reduce_and_destabilize(f, budgets=(0, 1, 5, 400)):
     for gi in range(f.fiber.rank):
         assert (_destabilize_outcome(destabilize, f, gi)
                 == _destabilize_outcome(ref.destabilize, f, gi))
+
+
+def test_closed_fibers_match_reference():
+    # no destabilizing arc on a closed fiber: reduce stops at the input, and
+    # destabilize refuses every generator crossed once with the closed-fiber
+    # message and the others with the not-crossed-once one
+    s = SurfaceSpec(2, 0)
+    genus_two = LefschetzFibration(s, DISK, tuple(
+        SignedCycle(c, sign) for c, sign in zip(mapping.twist_catalog(s), (1, -1, 1, 1, -1))))
+    messages = set()
+    for f in (u_10(), genus_two):
+        _same_reduce_and_destabilize(f)
+        assert reduce(f, 400).steps == 0
+        messages.update(_destabilize_outcome(destabilize, f, gi)[1] for gi in range(f.fiber.rank))
+    assert messages == {
+        "a closed fiber admits no destabilizing arc",
+        "generator 1 is not crossed exactly once by exactly one cycle",
+        "generator 3 is not crossed exactly once by exactly one cycle"}
 
 
 def test_forced_split_matches_reference():
