@@ -368,6 +368,7 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
     level_gens: list[list] = [[] for _ in base]
     pending: list[list] = [[] for _ in base]  # non-tree pairs, still to sift
     work = 0
+    lower_bound = 1  # product of the orbit lengths, kept up to date by extend
 
     def sift(h, i: int):
         """(residue, level it dropped out at), or (None, depth) if h sifts."""
@@ -382,8 +383,9 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
         return None, depth
 
     def extend(i: int, pairs: list) -> None:
-        nonlocal work
+        nonlocal work, lower_bound
         orbit, gens_i, todo = orbits[i], level_gens[i], pending[i]
+        before = len(orbit)
         for pt, s in pairs:  # grows while it is read
             img = act(s, pt)
             if img in orbit:
@@ -393,30 +395,25 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
             orbit[img] = s if u is None else mul(s, u)
             work += 1
             if work > ORDER_WORK_BOUND:
-                return
+                break
             pairs.extend((img, t) for t in gens_i)
+        lower_bound = lower_bound // before * len(orbit)
 
     def add(h, lo: int, hi: int) -> None:
         for i in range(lo, hi + 1):
             level_gens[i].append(h)
             extend(i, [(pt, h) for pt in orbits[i]])
 
-    def lower_bound() -> int:
-        order = 1
-        for orbit in orbits:
-            order *= len(orbit)
-        return order
-
     for g in gens:
         residue, level = sift(g, 0)
         if residue is not None:
             add(residue, 0, level)
-    while lower_bound() != full_order:
+    while lower_bound != full_order:
         if work > ORDER_WORK_BOUND:
             return None
         i = next((i for i in reversed(range(depth)) if pending[i]), None)
         if i is None:
-            return lower_bound()
+            return lower_bound
         pt, s, img = pending[i].pop()
         work += 1
         u, v = orbits[i][pt], orbits[i][img]
@@ -481,8 +478,44 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
 
     The group acts on column vectors of F_p^(2g); the standard basis is a
     base, since a matrix fixing every basis vector is the identity.
+
+    At p = 2 the chain runs on bit-packed vectors: a point is a 2g-bit int
+    whose bit i is entry i, and a matrix is the tuple of its column masks
+    (bit i of column j is entry (i, j)), so a matrix acts by XOR-ing the
+    columns the point's bits select.  Over F_2 the signs drop out of
+    S^-1 = J^T S^T J, so the inverse is a bit transpose: entry (x, y) is
+    bit y^1 of column x^1.  Packing is a bijection onto the tuple
+    representation, so the chain visits the same points in the same order
+    and does the same work.  Odd primes act on tuples of residues.
     """
     n = 2 * g
+    full = symplectic_group_order(g, p)
+    if p == 2:
+        def act2(m: tuple[int, ...], v: int) -> int:
+            out = 0
+            while v:
+                low = v & -v
+                out ^= m[low.bit_length() - 1]
+                v ^= low
+            return out
+
+        def mul2(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([act2(a, col) for col in b])
+
+        def inv2(m: tuple[int, ...]) -> tuple[int, ...]:
+            out = [0] * n
+            for x in range(n):  # bit y^1 of column x^1 is bit x of column y
+                col = m[x ^ 1]
+                while col:
+                    low = col & -col
+                    out[(low.bit_length() - 1) ^ 1] |= 1 << x
+                    col ^= low
+            return tuple(out)
+
+        packed = [tuple(sum((m[i][j] & 1) << i for i in range(n)) for j in range(n))
+                  for m in mats]
+        return _group_order(packed, [1 << i for i in range(n)], act2, mul2, inv2, full)
+
     block = SurfaceSpec(g, 0)
 
     def act(m: Matrix, v: Vector) -> Vector:
@@ -498,7 +531,7 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
         return _pairing_inverse(block, m, ())
 
     base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _group_order(mats, base, act, mul, inv, symplectic_group_order(g, p))
+    return _group_order(mats, base, act, mul, inv, full)
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +630,15 @@ def mcg_surjectivity_oracle(
       * the homology images mod p generate a proper subgroup of the full
         symplectic group Sp(2g, p) for some p.  The order of that group is
         computed exactly by a stabilizer chain (Schreier-Sims on F_p^(2g),
-        with the standard basis as base points), and only a *completed*
-        chain counts.  A chain that would need more than ORDER_WORK_BOUND
-        orbit points and sifted Schreier generators is abandoned, and that
-        prime is inconclusive.  The chain stops early, as full, once the
-        product of its orbit lengths reaches |Sp(2g, p)|: each orbit is an
-        orbit of a subgroup of the true point stabilizer, so the product is
-        a lower bound on the order;
+        with the standard basis as base points; at p = 2 on bit-packed
+        vectors, where the symplectic inverse is a sign-free bit
+        transpose), and only a *completed* chain counts.  A chain that
+        would need more than ORDER_WORK_BOUND orbit points and sifted
+        Schreier generators is abandoned, and that prime is inconclusive.
+        The chain stops early, as full, once the product of its orbit
+        lengths reaches |Sp(2g, p)|: each orbit is an orbit of a subgroup
+        of the true point stabilizer, so the product is a lower bound on
+        the order;
       * b <= 1 and some curve type is missed by the twist curves, which a
         surjective monodromy would have to realize.
 

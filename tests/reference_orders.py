@@ -2,14 +2,27 @@
 
 ``_closure`` lists every element of the group a matrix set generates mod p,
 breadth first; ``_perm_group_order`` is a stabilizer chain that recomputes
-every orbit on every sift.  Both are the library's earlier implementations,
-unchanged.
+every orbit on every sift; ``_symplectic_order_mod`` runs the library's
+stabilizer chain on tuples of residues at every prime, mod 2 included.  All
+three are the library's earlier implementations, unchanged.
 """
 
 from __future__ import annotations
 
-from lefschetz.homology import Matrix, mat_identity
-from lefschetz.mapping import Permutation, check_perm, perm_compose, perm_identity, perm_inverse
+import operator
+from collections.abc import Iterable
+
+from lefschetz.homology import Matrix, SurfaceSpec, Vector, mat_identity
+from lefschetz.mapping import (
+    Permutation,
+    _group_order,
+    _pairing_inverse,
+    check_perm,
+    perm_compose,
+    perm_identity,
+    perm_inverse,
+    symplectic_group_order,
+)
 
 
 def _perm_group_order(gens: list[Permutation], n: int) -> int:
@@ -112,3 +125,28 @@ def _closure(gens: set[Matrix], p: int, cap: int) -> set[Matrix] | None:
                     nxt.append(prod)
         frontier = nxt
     return seen
+
+
+def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
+    """Order of the group the symplectic matrices generate mod p (None: gave up).
+
+    The group acts on column vectors of F_p^(2g); the standard basis is a
+    base, since a matrix fixing every basis vector is the identity.
+    """
+    n = 2 * g
+    block = SurfaceSpec(g, 0)
+
+    def act(m: Matrix, v: Vector) -> Vector:
+        return tuple(sum(map(operator.mul, row, v)) % p for row in m)
+
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        cols = tuple(zip(*b))
+        return tuple(
+            tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
+
+    def inv(m: Matrix) -> Matrix:
+        # entries in (-p, p): every inverse is consumed by mul, which reduces
+        return _pairing_inverse(block, m, ())
+
+    base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _group_order(mats, base, act, mul, inv, symplectic_group_order(g, p))

@@ -47,6 +47,7 @@ from lefschetz.mapping import (
 )
 from lefschetz.serialize import curve_to_json
 from reference_orders import _closure, _perm_group_order
+from reference_orders import _symplectic_order_mod as _tuple_order_mod
 
 
 def _random_nonsep(rng, s):
@@ -464,6 +465,70 @@ def test_chain_order_matches_reference_permutations(data, n):
 
 
 # ---------------------------------------------------------------------------
+# the bit-packed mod-2 chain against the tuple chain
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _mod2_twist_sets(draw):
+    """(twists, surface): random twists at g <= 3, or a conjugated catalog
+    with at least one curve removed."""
+    g = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        s = SurfaceSpec(g, draw(st.integers(0, 2)))
+        return [TwistGen(_random_nonsep(rng, s), rng.choice(("right", "left")))
+                for _ in range(draw(st.integers(0, 6)))], s
+    s = SurfaceSpec(g, 1)
+    catalog = twist_catalog(s)
+    k = len(catalog)
+    word = draw(st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1))),
+                         max_size=4))
+    removed = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k))
+    conj = MCWord(s, tuple(Letter(TwistGen(catalog[i]), e) for i, e in word))
+    return [TwistGen(act_on_curve(conj, c), draw(st.sampled_from(("right", "left"))))
+            for i, c in enumerate(catalog) if i not in removed], s
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_mod2_twist_sets(), extra=st.lists(st.integers(0, 3_000), max_size=3))
+def test_packed_mod2_chain_matches_tuple_reference(case, extra):
+    twists, s = case
+    g = s.genus
+    gens = _mod_p_generators(twists, g, 2)
+    assert _symplectic_order_mod(gens, g, 2) == _tuple_order_mod(gens, g, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        def reference_at(bound):
+            mp.setattr(mapping, "ORDER_WORK_BOUND", bound)
+            return _tuple_order_mod(gens, g, 2)
+
+        # the least bound at which the reference completes: just below it
+        # both chains must give up, at it both must finish
+        lo, hi = -1, mapping.ORDER_WORK_BOUND
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reference_at(mid) is not None else (mid, hi)
+        for bound in [lo, hi, *extra]:
+            order = reference_at(bound)
+            assert _symplectic_order_mod(gens, g, 2) == order
+            verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
+            mp.setattr(mapping, "_symplectic_order_mod", _tuple_order_mod)
+            assert mcg_surjectivity_oracle(twists, s, primes=(2,)) == verdict
+            mp.undo()
+
+
+def test_mod2_chain_on_conjugated_genus_four_catalog():
+    s = SurfaceSpec(4, 1)
+    catalog = {c.label: c for c in twist_catalog(s)}
+    conj = twist_word(TwistGen(catalog["b2"]), TwistGen(catalog["a1"]))
+    moved = {label: act_on_curve(conj, c) for label, c in catalog.items()}
+    full = [TwistGen(c) for c in moved.values()]
+    assert _symplectic_order_mod(_mod_p_generators(full, 4, 2), 4, 2) == (
+        symplectic_group_order(4, 2))
+    minus_b1 = [TwistGen(c) for label, c in moved.items() if label != "b1"]
+    assert _symplectic_order_mod(_mod_p_generators(minus_b1, 4, 2), 4, 2) == 348_364_800
+
+
+# ---------------------------------------------------------------------------
 # the work bound
 # ---------------------------------------------------------------------------
 
@@ -481,6 +546,23 @@ def test_work_bound_makes_a_prime_inconclusive_never_obstructed(monkeypatch):
             "unknown", "no certificate and no finite obstruction"))
         verdicts.add(verdict.status)
     assert verdicts == {"unknown", "obstructed"}
+
+
+@pytest.mark.parametrize("g, p, drop, order, least", [
+    (2, 2, None, 720, 38), (2, 2, 2, 48, 42), (2, 3, None, 51_840, 132),
+    (2, 3, 2, 648, 129), (3, 2, None, 1_451_520, 330), (3, 2, 2, 3_840, 257)])
+def test_least_completing_work_bound_is_pinned(monkeypatch, g, p, drop, order, least):
+    # the catalog, or the catalog without a1: each chain gives up one unit of
+    # work below the pinned bound and finishes at it, so neither the mod-2
+    # representation nor the bookkeeping of the orbit-length product may move
+    # the work spent (a full chain stops as its last orbit point is stored)
+    s = SurfaceSpec(g, 1)
+    twists = [TwistGen(c) for i, c in enumerate(twist_catalog(s)) if i != drop]
+    gens = _mod_p_generators(twists, g, p)
+    monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", least - 1)
+    assert _symplectic_order_mod(gens, g, p) is None
+    monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", least)
+    assert _symplectic_order_mod(gens, g, p) == order
 
 
 def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
