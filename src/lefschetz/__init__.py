@@ -1,73 +1,16 @@
 """Monodromy calculus for allowable Lefschetz fibrations over bounded surfaces.
 
 Everything is exact integer arithmetic over a fixed homology basis; see
-:mod:`lefschetz.homology` for the conventions.
+:mod:`lefschetz.homology` for the conventions.  The names in ``__all__`` are
+resolved on use (PEP 562), so ``import lefschetz`` alone loads no module.
 """
 
-from .curves import (
-    Curve,
-    CurveClass,
-    class_count,
-    enumerate_classes,
-    nonseparating_curve,
-    separating_curve,
-)
-from .errors import CapacityError, InputError, NotApplicable, Unsupported
-from .fibration import (
-    ANNULUS,
-    DISK,
-    BaseSurface,
-    ImmersionWitness,
-    InvariantReport,
-    LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
-    ReduceResult,
-    SignedCycle,
-    UniversalityReport,
-    build,
-    destabilize,
-    global_conjugate,
-    hurwitz_move,
-    identity_plan,
-    p_g,
-    pullback,
-    reduce,
-    stabilize,
-    substitution_witness,
-    total_space_invariants,
-    twist_product,
-    u_10,
-    u_11,
-    u_g1,
-    universality_report,
-)
-from .homology import (
-    SurfaceSpec,
-    cokernel_invariants,
-    is_essential,
-    pairing,
-    pairing_matrix,
-    smith_normal_form,
-)
-from .mapping import (
-    BundleGen,
-    HomPermRep,
-    Letter,
-    MCWord,
-    SurjectivityVerdict,
-    TwistGen,
-    act_on_curve,
-    boundary_permutation_gen,
-    evaluate,
-    mcg_surjectivity_oracle,
-    perm_group_surjective,
-    twist_catalog,
-    twist_matrix,
-    twist_word,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# dependency order: the first of these that binds a public name defines it
+_MODULES = ("errors", "homology", "curves", "mapping", "fibration")
 
 __all__ = [
     "ANNULUS",
@@ -128,3 +71,19 @@ __all__ = [
     "u_g1",
     "universality_report",
 ]
+
+
+def __getattr__(name: str):
+    """A library module, or a public name looked up afresh in its module."""
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for module in _MODULES:
+            namespace = vars(import_module(f"{__name__}.{module}"))
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -25,9 +25,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, isqrt
 
-from .curves import Curve, boundary_subset_class, enumerate_classes, nonseparating_curve
+from .curves import Curve, boundary_subset_class, nonseparating_curve
 from .errors import CapacityError, InputError
 from .homology import (
     MAX_FIBER_RANK,  # noqa: F401  (re-exported)
@@ -460,6 +460,12 @@ def symplectic_group_order(g: int, p: int) -> int:
     return order
 
 
+# The oracle takes int primes up to MAX_MODULUS (the trial division that checks
+# them) whose |Sp(2g, p)| has at most 4300 digits, the most Python formats.
+MAX_MODULUS = 1_000_000
+_MAX_ORDER = 10 ** 4300
+
+
 def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
     """The twists' actions on F_p^(2g), deduplicated in order.
 
@@ -639,16 +645,26 @@ def mcg_surjectivity_oracle(
         lengths reaches |Sp(2g, p)|: each orbit is an orbit of a subgroup
         of the true point stabilizer, so the product is a lower bound on
         the order;
-      * b <= 1 and some curve type is missed by the twist curves, which a
-        surjective monodromy would have to realize.
+      * g >= 1, b <= 1 and no twists: a surjective monodromy would realize
+        the non-separating type, the only one at b <= 1.
 
     Anything else is Unknown: homology data alone cannot certify
     surjectivity of the full group.
 
-    A surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError
-    before any work.
+    Before any work, a modulus that is not an int prime (a bool included) is
+    refused with InputError; a surface of H1 rank above MAX_FIBER_RANK, a
+    modulus above MAX_MODULUS and a prime whose |Sp(2g, p)| has more than 4300
+    digits are refused with CapacityError.
     """
     check_fiber_rank(surface)
+    for p in primes:
+        if type(p) is not int or p < 2 or p <= MAX_MODULUS and any(
+                p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise InputError(f"modulus {p!r} is not a prime")
+        if p > MAX_MODULUS:
+            raise CapacityError(f"modulus {p} exceeds the bound {MAX_MODULUS}")
+        if symplectic_group_order(surface.genus, p) >= _MAX_ORDER:
+            raise CapacityError(f"|Sp({2 * surface.genus}, {p})| has more than 4300 digits")
     for t in twists:
         if t.surface != surface:
             raise InputError("twist on the wrong surface")
@@ -671,12 +687,7 @@ def mcg_surjectivity_oracle(
                     "obstructed",
                     f"mod-{p} symplectic closure has order {order} < {full}")
 
-    if b <= 1:
-        present = {t.curve.cls for t in twists}
-        missing = [c for c in enumerate_classes(surface) if c not in present]
-        if missing:
-            return SurjectivityVerdict(
-                "obstructed",
-                f"curve type {missing[0]} is realized by no twist curve")
+    if g >= 1 and b <= 1 and not twists:
+        return SurjectivityVerdict("obstructed", "curve type nonsep is realized by no twist curve")
 
     return SurjectivityVerdict("unknown", "no certificate and no finite obstruction")

@@ -5,15 +5,22 @@ imported into a ``lefschetz`` module must be read somewhere in that module,
 be listed in its ``__all__``, or sit on an import line marked
 ``# noqa: F401`` (a deliberate re-export).  No ``lefschetz`` module imports
 an underscore-prefixed name from a sibling: a private helper is known only to
-the module that defines it.
+the module that defines it.  The package itself imports no library module: it
+resolves the names in its ``__all__`` on use.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import lefschetz
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lefschetz"
 MODULES = sorted(SRC.glob("*.py"))
@@ -107,3 +114,71 @@ def test_private_sibling_import_is_caught():
         "from .curves import Curve\n")
     assert _private_imports(ast.parse(text)) == [
         "_pairing_inverse (line 3)", "_shared (line 4)", "_rank (line 5)"]
+
+
+# ---------------------------------------------------------------------------
+# the package resolves its public names lazily (PEP 562)
+# ---------------------------------------------------------------------------
+
+LIBRARY = ("errors", "homology", "curves", "mapping", "fibration")
+
+
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports from ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_bare_import_loads_no_library_module():
+    loaded = _fresh("import sys, lefschetz\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('lefschetz.')))")
+    assert loaded.strip() == "[]"
+
+
+def test_bare_import_reaches_the_library_modules():
+    code = ("import lefschetz\n"
+            f"for name in {LIBRARY!r}:\n"
+            "    print(getattr(lefschetz, name).__name__)")
+    assert _fresh(code).split() == [f"lefschetz.{name}" for name in LIBRARY]
+
+
+def test_public_names_resolve_to_their_defining_module():
+    for name in lefschetz.__all__:
+        obj = getattr(lefschetz, name)
+        assert vars(importlib.import_module(obj.__module__))[name] is obj, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from lefschetz import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lefschetz.__all__)
+
+
+def test_unknown_names_raise_and_dir_lists_all():
+    # transvect is public in mapping but not re-exported; serialize is no library module
+    names = ("no_such_name", "transvect", "_pairing_inverse", "serialize")
+    code = ("import lefschetz\n"
+            f"for name in {names!r}:\n"
+            "    try:\n"
+            "        print(getattr(lefschetz, name))\n"
+            "    except AttributeError as exc:\n"
+            "        print(exc)")
+    assert _fresh(code).splitlines() == [
+        f"module 'lefschetz' has no attribute {name!r}" for name in names]
+    listed = dir(lefschetz)
+    assert {"__all__", "__version__", *lefschetz.__all__, *LIBRARY} <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_a_patched_module_shows_through_the_package(monkeypatch):
+    # the package looks a name up on every access, so patching the defining
+    # module (as a tracer does) is seen at once, and undone with it
+    import lefschetz.mapping as mapping
+
+    original = mapping.evaluate
+    monkeypatch.setattr(mapping, "evaluate", lambda w: None)
+    assert lefschetz.evaluate is mapping.evaluate
+    monkeypatch.undo()
+    assert lefschetz.evaluate is original
+    assert "evaluate" not in vars(lefschetz)

@@ -374,6 +374,67 @@ def test_oracle_refuses_oversized_surface():
     assert serialize.MAX_FIBER_RANK is mapping.MAX_FIBER_RANK
 
 
+def _moved_catalog(g):
+    """The (g, 1) catalog moved by the word t_a1 t_a1 t_b1: its twists still
+    generate the mapping class group, but the set is no catalog."""
+    s = SurfaceSpec(g, 1)
+    catalog = twist_catalog(s)
+    a, b = (next(c for c in catalog if c.label in names) for names in (("a", "a1"), ("b", "b1")))
+    w = MCWord(s, tuple(Letter(TwistGen(c)) for c in (a, a, b)))
+    return s, [TwistGen(act_on_curve(w, c)) for c in catalog]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_oracle_refuses_composite_moduli(g):
+    # |Sp(2g, n)| is the full group's order only for n prime: mod 4, 6 and 9
+    # the closure of a generating set fell short of it, so the oracle said
+    # "obstructed" (at g = 1: "mod-4 symplectic closure has order 48 < 60")
+    s, twists = _moved_catalog(g)
+    if g == 1:
+        assert [t.curve.hom for t in twists] == [(-1, -1), (2, 1)]
+    for n in (4, 6, 9):
+        with pytest.raises(InputError, match=f"modulus {n} is not a prime"):
+            mcg_surjectivity_oracle(twists, s, primes=(2, n))
+    for primes in ((2, 3, 5), (2, 3), (2,)):
+        assert mcg_surjectivity_oracle(twists, s, primes).status == "unknown"
+
+
+@pytest.mark.parametrize("modulus", [0, 1, -3, True, False, 2.0, "2", None])
+def test_oracle_refuses_moduli_that_are_no_int_prime(modulus):
+    # 0 raised ZeroDivisionError; 1, -3 and True returned a verdict
+    s, twists = _moved_catalog(1)
+    with pytest.raises(InputError, match="modulus"):
+        mcg_surjectivity_oracle(twists, s, primes=(modulus,))
+    with pytest.raises(InputError, match="modulus"):
+        mcg_surjectivity_oracle([TwistGen(c) for c in twist_catalog(s)], s, primes=(modulus,))
+
+
+def test_oracle_refuses_moduli_past_its_capacity():
+    # |Sp(100, 11)| has 5,259 digits, too many to format: this raised ValueError
+    s = SurfaceSpec(50, 1)
+    with pytest.raises(CapacityError, match=r"\|Sp\(100, 11\)\| has more than 4300 digits"):
+        mcg_surjectivity_oracle([], s, primes=(11,))
+    verdict = mcg_surjectivity_oracle([], s, primes=(7,))  # 4,268 digits
+    assert verdict.detail == f"mod-7 symplectic closure has order 1 < {symplectic_group_order(50, 7)}"
+    assert mcg_surjectivity_oracle([], s).obstructed  # the default primes pass at the largest genus
+    largest = max(p for p in range(mapping.MAX_MODULUS - 100, mapping.MAX_MODULUS + 1)
+                  if all(p % d for d in range(2, int(p ** 0.5) + 1)))
+    assert mcg_surjectivity_oracle([], SurfaceSpec(1, 1), primes=(largest,)).obstructed
+    for p in (1_000_003, 2 ** 61 - 1, 10 ** 30):  # primes, but primality is not checked this far
+        with pytest.raises(CapacityError, match=f"modulus {p} exceeds the bound"):
+            mcg_surjectivity_oracle([], SurfaceSpec(1, 1), primes=(p,))
+
+
+@pytest.mark.parametrize("g, b", [(1, 0), (2, 1)])
+def test_oracle_obstructs_empty_set_without_primes(g, b):
+    # every essential curve at b <= 1 is non-separating, and no twist realizes it
+    verdict = mcg_surjectivity_oracle([], SurfaceSpec(g, b), primes=())
+    assert (verdict.status, verdict.detail) == (
+        "obstructed", "curve type nonsep is realized by no twist curve")
+    single = [TwistGen(nonseparating_curve(SurfaceSpec(g, b), (1,) + (0,) * (2 * g - 1), "a1"))]
+    assert mcg_surjectivity_oracle(single, SurfaceSpec(g, b), primes=()).status == "unknown"
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_oracle_never_certifies_without_catalog(seed):
