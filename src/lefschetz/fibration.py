@@ -299,9 +299,9 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
 # stabilization and destabilization
 # ---------------------------------------------------------------------------
 
-def _away(curve: Curve) -> int:
-    """Boundary circles on the side of a separating curve away from the last one."""
-    return sum(map(abs, curve.hom[2 * curve.surface.genus:]))
+def _away(hom: Vector, genus: int) -> int:
+    """Boundary circles on the side of a separating class away from the last one."""
+    return sum(map(abs, hom[2 * genus:]))
 
 
 def _forced_split(t: int, g: int, b: int) -> CurveClass | None:
@@ -313,43 +313,57 @@ def _forced_split(t: int, g: int, b: int) -> CurveClass | None:
     return None
 
 
-def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) -> Curve:
-    """Re-coordinatized curve after a handle move, with reclassification.
+_NONSEP = CurveClass.nonseparating()
+
+
+def _transported_class(cls: CurveClass, away: int, new_surface: SurfaceSpec,
+                       new_hom: Vector, name: object) -> CurveClass:
+    """The type of a cycle of type ``cls`` after a handle move gives it the
+    class ``new_hom`` on ``new_surface``; ``away`` counts the old circles
+    away from the last one when ``cls`` is separating, and ``name`` is what
+    a refusal calls the cycle.
 
     A class outside the boundary lattice is non-separating.  A separating
     curve keeps its side away from the last boundary circle, which no handle
-    move touches: a recorded side (p_g, p_b) qualifies when p_b counts the
-    old circles away from the last one, p_g <= G and p_b < B on the new
-    fiber F(G, B), whose remainder (G - p_g, B - p_b) is the other side.  A
-    non-separating curve whose class falls into the boundary lattice has
-    become separating and may take any genus split of its boundary subset.
-    The move is refused unless exactly one type qualifies (see
-    :func:`_forced_split` for a newly separating curve).
+    move touches: a recorded side (p_g, p_b) qualifies when p_b == away,
+    p_g <= G and p_b < B on the new fiber F(G, B), whose remainder
+    (G - p_g, B - p_b) is the other side.  A non-separating curve whose class
+    falls into the boundary lattice has become separating and may take any
+    genus split of its boundary subset.  NotApplicable is raised unless
+    exactly one type qualifies (see :func:`_forced_split` for a newly
+    separating curve).
     """
     if not in_radical(new_surface, new_hom):
         if vec_gcd(new_hom) != 1:
             raise NotApplicable("transported class is imprimitive")
-        return Curve(new_surface, CurveClass.nonseparating(), new_hom, curve.label)
+        return _NONSEP
     G, B = new_surface.genus, new_surface.boundary
-    if curve.cls.is_separating:
-        away = _away(curve)
+    if cls.is_separating:
         candidates = {
             CurveClass.separating((p_g, p_b), (G - p_g, B - p_b))
-            for p_g, p_b in curve.cls.sides if p_b == away and p_g <= G and p_b < B
+            for p_g, p_b in cls.sides if p_b == away and p_g <= G and p_b < B
         }
         if len(candidates) != 1:
             raise NotApplicable(
-                f"side data of separating cycle {curve.label or curve.hom} "
+                f"side data of separating cycle {name} "
                 "cannot be transported unambiguously at homology resolution")
-        cls = candidates.pop()
-    else:
-        subset = subset_from_class(new_surface, new_hom)
-        if subset is None:
-            raise NotApplicable(
-                "transported class is boundary-type but not a subset class")
-        cls = _forced_split(len(subset), G, B)
-        if cls is None:
-            raise NotApplicable("genus split of a newly separating cycle is ambiguous")
+        return candidates.pop()
+    subset = subset_from_class(new_surface, new_hom)
+    if subset is None:
+        raise NotApplicable(
+            "transported class is boundary-type but not a subset class")
+    new_cls = _forced_split(len(subset), G, B)
+    if new_cls is None:
+        raise NotApplicable("genus split of a newly separating cycle is ambiguous")
+    return new_cls
+
+
+def _transport_curve(curve: Curve, new_surface: SurfaceSpec, new_hom: Vector) -> Curve:
+    """Re-coordinatized curve after a handle move, reclassified by
+    :func:`_transported_class`; a refusal names the curve by its label, or
+    by its class when it has none."""
+    away = curve.cls.is_separating and _away(curve.hom, curve.surface.genus)
+    cls = _transported_class(curve.cls, away, new_surface, new_hom, curve.label or curve.hom)
     return Curve(new_surface, cls, new_hom, curve.label)
 
 
@@ -390,7 +404,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
                 # The merged circles sit on opposite sides, so the cycle
                 # becomes non-separating.  Allowed only when the matching
                 # destabilization can reclassify it unambiguously.
-                if _forced_split(_away(c.curve), g, b) != c.curve.cls:
+                if _forced_split(_away(c.curve.hom, g), g, b) != c.curve.cls:
                     raise NotApplicable(
                         f"cycle {c.curve.label or c.curve.hom} separates the "
                         "two circles being merged and could not be recovered")
@@ -481,55 +495,104 @@ def _destabilizing_map(surface: SurfaceSpec, generator_index: int,
 
 
 class _ClassTable:
-    """One :func:`reduce` call's cycle classes, interned as ids of curves up to
-    their label, and ``moves``: generator -> class id -> child's id, None if
-    refused."""
+    """One :func:`reduce` call's cycle classes as bare records.
+
+    A record is (fiber, type, class) with no label and no ``Curve`` around
+    it: ``intern`` gives each distinct record an id, and with it ``nonzero``
+    and ``units``, bitmasks of the generators its class crosses and crosses
+    with coefficient +-1, and ``away``, :func:`_away` of a separating class.
+    ``moves`` memoises :func:`_destabilizing_map` per (genus, boundary,
+    generator), with a row that maps a class id to its child's id, or to
+    -1 when :func:`_transported_class` refuses it; underneath, ``transports``
+    memoises that class rule on all it reads.  Every record that ``intern``
+    is given satisfies ``Curve``'s checks: the input's records come from
+    curves, and a transport keeps a nonzero, primitive class off the
+    boundary lattice or a boundary-subset class whose sides it sets.  So
+    ``Curve``s are built, and checked, only for the returned fibration.
+    """
 
     def __init__(self) -> None:
-        self.curves, self.ids, self.moves, self.transports = [], {}, {}, {}
+        self.records, self.ids, self.moves, self.transports = [], {}, {}, {}
+        self.nonzero, self.units, self.away = [], [], []
 
-    def intern(self, curve: Curve) -> int:
-        cid = self.ids.setdefault(curve, len(self.curves))
-        if cid == len(self.curves):
-            self.curves.append(curve)
+    def intern(self, surface: SurfaceSpec, cls: CurveClass, hom: Vector) -> int:
+        key = (surface.genus, surface.boundary, cls.sides, hom)
+        cid = self.ids.get(key)
+        if cid is None:
+            cid = self.ids[key] = len(self.records)
+            self.records.append((surface, cls, hom))
+            nonzero = units = 0
+            for i, x in enumerate(hom):
+                if x:
+                    nonzero |= 1 << i
+                    if x == 1 or x == -1:
+                        units |= 1 << i
+            self.nonzero.append(nonzero)
+            self.units.append(units)
+            self.away.append(cls.is_separating and _away(hom, surface.genus))
         return cid
 
-    def crossings(self, ids: tuple[int, ...], rank: int) -> list[int | None]:
-        """Per generator, the one cycle with a nonzero coefficient there, if +-1."""
-        # with no cycles every column is empty, and no generator is crossed
-        cols = zip(*(self.curves[cid].hom for cid in ids)) if ids else ((),) * rank
-        return list(map(_lone_unit, cols))
+    def crossings(self, ids: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(generator, position) for each generator that exactly one of the
+        cycles ``ids`` crosses, with coefficient +-1, in generator order."""
+        once = twice = units = 0
+        for cid in ids:
+            nz = self.nonzero[cid]
+            twice |= once & nz
+            once |= nz
+            units |= self.units[cid]
+        lone = once & ~twice & units
+        out = []
+        for k, cid in enumerate(ids):
+            bits = self.nonzero[cid] & lone
+            while bits:
+                low = bits & -bits
+                out.append((low.bit_length() - 1, k))
+                bits ^= low
+        out.sort()
+        return out
 
-    def transport(self, cid: int, new_surface: SurfaceSpec, new_hom: Vector) -> int | None:
-        """The child's id by :func:`_transport_curve`, keyed on all it reads bar the label a
-        refusal names: type, circles away from the last one if separating, new fiber, class."""
-        c = self.curves[cid]
-        key = (c.cls, c.cls.is_separating and _away(c), new_surface, new_hom)
-        if key not in self.transports:
-            try:
-                self.transports[key] = self.intern(_transport_curve(c, new_surface, new_hom))
-            except NotApplicable:
-                self.transports[key] = None
-        return self.transports[key]
-
-
-def _destabilized(surface: SurfaceSpec, ids: tuple[int, ...], generator_index: int,
-                  removed: int, table: _ClassTable) -> tuple[SurfaceSpec, tuple[int, ...]] | None:
-    """:func:`destabilize` on a state of :func:`reduce`: the new fiber and the
-    surviving class ids, given the one cycle crossing the generator, or None
-    when the fiber is closed or a survivor's transport is refused."""
-    move = _destabilizing_map(surface, generator_index)
-    if move is None:
-        return None
-    new_surface, remap = move
-    row = table.moves.setdefault(generator_index, {})
-    kept = ids[:removed] + ids[removed + 1:]
-    for cid in kept:
-        if cid not in row:
-            row[cid] = table.transport(cid, new_surface, remap(table.curves[cid].hom))
-        if row[cid] is None:
+    def destabilized(self, surface: SurfaceSpec, ids: tuple[int, ...], generator_index: int,
+                     removed: int) -> tuple[SurfaceSpec, tuple[int, ...]] | None:
+        """:func:`destabilize` on a state: the new fiber and the surviving
+        class ids, given the one cycle crossing the generator, or None when
+        the fiber is closed or a survivor's transport is refused."""
+        key = (surface.genus, surface.boundary, generator_index)
+        if key not in self.moves:
+            move = _destabilizing_map(surface, generator_index)
+            self.moves[key] = None if move is None else (*move, {})
+        move = self.moves[key]
+        if move is None:
             return None
-    return new_surface, tuple(map(row.__getitem__, kept))
+        new_surface, remap, row = move
+        kept = ids[:removed] + ids[removed + 1:]
+        children = tuple(map(row.get, kept))  # -1 marks a refused transport
+        if -1 in children:
+            return None
+        if None in children:  # first visits: transport in order up to a refusal
+            for cid, child in zip(kept, children):
+                if child is None and self._transport(row, cid, new_surface, remap) == -1:
+                    return None
+            children = tuple(map(row.__getitem__, kept))
+        return new_surface, children
+
+    def _transport(self, row: dict[int, int], cid: int, new_surface: SurfaceSpec,
+                   remap: Callable[[Vector], Vector]) -> int:
+        _, cls, hom = self.records[cid]
+        new_hom = remap(hom)
+        # keyed on all the class rule reads: new fiber and class, old type, away
+        key = (new_surface.genus, new_surface.boundary, cls.sides, self.away[cid], new_hom)
+        child = self.transports.get(key)
+        if child is None:
+            try:
+                new_cls = _transported_class(cls, self.away[cid], new_surface, new_hom, hom)
+            except NotApplicable:
+                child = -1
+            else:
+                child = self.intern(new_surface, new_cls, new_hom)
+            self.transports[key] = child
+        row[cid] = child
+        return child
 
 
 @dataclass(frozen=True)
@@ -561,48 +624,57 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     destabilizations explored; if it runs out the best state found so far
     is returned flagged ``exhausted``.
 
-    A state is its fiber, its cycles' class ids (see :class:`_ClassTable`)
-    and each cycle's input position, which fixes its sign and label.  Each
-    transport is computed once per call, memoised by what it reads, and a
-    refused destabilization is skipped (:func:`_destabilized` returns None);
-    the results are those of calling :func:`destabilize` on every state.  A
-    negative budget is refused with InputError before any other check.
+    A state is its fiber, its cycles' record ids (see :class:`_ClassTable`),
+    their signs and each cycle's input position, which fixes its label; two
+    states are the same when (genus, boundary, ids, signs) are.  A state's
+    applicable generators come from the records' bitmasks, each transport
+    is computed once per call, and a refused destabilization is skipped.
+    These are exact: the states, their order, ``explored``, ``states`` and
+    the result are those of calling :func:`destabilize` on every generator
+    of every state.  The budget is checked as if at every generator, so
+    ``exhausted`` is set when the budget is spent while a generator of a
+    positive-rank state is still unvisited.  A negative budget is refused
+    with InputError before any other check.
     """
     if budget < 0:
         raise InputError("budget must be >= 0")
     if f.fiber.rank > 0 and budget > 0:
         _require_disk(f, "destabilize")  # raised by the first destabilization
     table = _ClassTable()
-    signs = f.signs()
-    ids = tuple(map(table.intern, (c.curve for c in f.cycles)))
-    seen = {(f.fiber.genus, f.fiber.boundary, tuple(zip(ids, signs)))}
-    queue = [(f.fiber, ids, tuple(range(f.size)))]
+    ids = tuple(table.intern(c.curve.surface, c.curve.cls, c.curve.hom) for c in f.cycles)
+    seen = {(f.fiber.genus, f.fiber.boundary, ids, f.signs())}
+    queue = [(f.fiber, ids, tuple(range(f.size)), f.signs())]
     edges, exhausted = 0, False
-    for surface, ids, origins in queue:  # the queue grows while it is walked
-        if exhausted:
-            break
-        for gi, removed in enumerate(table.crossings(ids, surface.rank)):
-            if edges >= budget:
+    for surface, ids, origins, signs in queue:  # the queue grows while it is walked
+        if edges >= budget:
+            if surface.rank:  # a generator is left unvisited
                 exhausted = True
                 break
-            move = removed is not None and _destabilized(surface, ids, gi, removed, table)
-            if not move:
+            continue
+        for gi, removed in table.crossings(ids):
+            move = table.destabilized(surface, ids, gi, removed)
+            if move is None:
                 continue
             new_surface, child = move
             edges += 1
-            kept = origins[:removed] + origins[removed + 1:]
-            key = (new_surface.genus, new_surface.boundary,
-                   tuple(zip(child, map(signs.__getitem__, kept))))
+            child_signs = signs[:removed] + signs[removed + 1:]
+            key = (new_surface.genus, new_surface.boundary, child, child_signs)
             if key not in seen:
                 seen.add(key)
-                queue.append((new_surface, child, kept))
+                queue.append((new_surface, child, origins[:removed] + origins[removed + 1:],
+                              child_signs))
+            if edges >= budget:
+                exhausted = gi < surface.rank - 1
+                break
+        if exhausted:
+            break
     # depth is the rank lost and never falls along the queue: the last is deepest
     deepest = queue[-1][0].rank
-    surface, ids, origins = next(state for state in queue if state[0].rank == deepest)
+    surface, ids, origins, _ = next(state for state in queue if state[0].rank == deepest)
     steps = f.fiber.rank - surface.rank
     if steps:  # each cycle takes the sign and label of its input position
         f = LefschetzFibration(surface, DISK, tuple(
-            SignedCycle(replace(table.curves[cid], label=f.cycles[o].curve.label), f.cycles[o].sign)
+            SignedCycle(Curve(*table.records[cid], f.cycles[o].curve.label), f.cycles[o].sign)
             for cid, o in zip(ids, origins)))
     return ReduceResult(f, steps, exhausted, edges, len(queue))
 
@@ -762,22 +834,31 @@ def substitution_witness(
 ) -> MeridianPlan | None:
     """Search for a meridian plan realizing f as a pullback of u.
 
-    For each target cycle, conjugating words over the source's own twist
-    letters (and inverses) are enumerated in deterministic length-then-lex
-    order up to ``depth``, looking for an exact (type, class) match with a
-    source cycle.  Sign-matching sources are preferred (local degree +1);
-    otherwise an opposite-sign source is used with local degree -1.  The
-    returned plan is verified by a pullback round trip and is an
-    ImmersionWitness when every local degree is +1.  Returns None when some
-    cycle stays unmatched within the depth bound.
-
-    The walk skips words that equal a word earlier in that order (see
-    :func:`_walk_steps`); the first match is never such a word, so the plans
-    are those of the full enumeration.  It carries w^-1 t for each target
-    class t instead of w's matrix: w is invertible, so w u_j = t exactly when
-    u_j = w^-1 t, and a source is matched by one dictionary lookup.  Before
-    any search, CapacityError is raised when the unpruned word count passes
+    For each target cycle, the first conjugating word over the source's own
+    twist letters (and inverses), in length-then-lex order up to ``depth``,
+    that carries a source cycle onto it with the same type and class is
+    taken.  Sign-matching sources are preferred (local degree +1), at any
+    length; otherwise the first word reaching an opposite-sign source is
+    used with local degree -1.  Within a tier the first matching source in
+    order wins.  The returned plan is verified by a pullback round trip and
+    is an ImmersionWitness when every local degree is +1.  Returns None when
+    some cycle stays unmatched within the depth bound.  Before any search,
+    CapacityError is raised when the unpruned word count passes
     WITNESS_WORD_BOUND.
+
+    The search meets in the middle.  A word w of length L splits as
+    w1 w2 with |w2| = L // 2, and w^-1 t = u_j exactly when
+    w1^-1 t = w2 u_j.  So :func:`_half_words` tables, once per half length
+    reached, the lex-least w2 per vector w2 u_j and source class u_j, and
+    the walk visits only the first halves, carrying w1^-1 t for each target
+    class t (:func:`_walk_level`); one lookup per open target at each w1
+    gives its candidates.  Lex order on words of one length is lex order on (w1, w2),
+    so the first w1 with a hit, joined to its least tabled w2, is the first
+    word of length L with that hit, per target and tier.  Each half skips
+    the words that :func:`_walk_steps` shows equal to an earlier word; both
+    halves of such an unskipped word are unskipped, and the first match of
+    a full enumeration is never skipped, so the plans are those of the full
+    enumeration.
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
@@ -809,19 +890,27 @@ def substitution_witness(
                     table.setdefault(s.curve.hom, (tier, j))
         tables.append(table)
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * len(tables)
+    sources = tuple(dict.fromkeys(c.curve.hom for c in u.cycles))
 
     def visit(word: tuple[int, ...], preimages: Matrix) -> bool:
         # a tier-1 hit is kept until a tier-0 one replaces it
         for i, p in enumerate(preimages):
-            hit = tables[i].get(p)
-            if hit is not None and (found[i] is None or hit[0] < found[i][0]):
-                found[i] = (hit[0], word, hit[1])
+            if found[i] is not None and found[i][0] == 0:
+                continue
+            for second, v in half.get(p, ()):  # ascending in the second half
+                hit = tables[i].get(v)
+                if hit is not None and (found[i] is None or hit[0] < found[i][0]):
+                    found[i] = (hit[0], word + second, hit[1])
+                    if hit[0] == 0:
+                        break
         return all(x is not None and x[0] == 0 for x in found)
 
     # Length-lexicographic: all words of length L before any of length L+1.
     start = tuple(c.curve.hom for c in f.cycles)
     for length in range(depth + 1 if letters else 1):
-        if _walk_level((), start, length, range(len(steps)), steps, visit):
+        if length % 2 == 0:  # the second half grows by one letter
+            half = _half_words(steps, sources, length // 2)
+        if _walk_level((), start, length - length // 2, range(len(steps)), steps, visit):
             break
 
     if None in found:
@@ -871,3 +960,33 @@ def _walk_level(word, preimages, remaining, allowed, steps, visit) -> bool:
                        after, steps, visit):
             return True
     return False
+
+
+def _half_words(steps, sources: tuple[Vector, ...], m: int,
+                ) -> dict[Vector, list[tuple[tuple[int, ...], Vector]]]:
+    """Per vector x, the pairs (w, u) of a source class u and the lex-least
+    word w of exactly m letters with T_w u = x, sorted by w.
+
+    The words are those :func:`_walk_level` visits, built right to left:
+    putting letter l before a word applies T_l, one rank-1 update of each
+    source class, and l may go before a word whose first letter follows it.
+    """
+    before: list[list[int]] = [[] for _ in steps]
+    for p, (_, _, _, after) in enumerate(steps):
+        for li in after:
+            before[li].append(p)
+    least: dict[Vector, dict[Vector, tuple[int, ...]]] = {}
+
+    def walk(word, images, remaining, allowed) -> None:
+        if remaining == 0:
+            for u, x in zip(sources, images):
+                best = least.setdefault(x, {})
+                if u not in best or word < best[u]:
+                    best[u] = word
+            return
+        for li in allowed:
+            c, w, h, _ = steps[li]
+            walk((li,) + word, transvect(images, w, c, h), remaining - 1, before[li])
+
+    walk((), sources, m, range(len(steps)))
+    return {x: sorted((w, u) for u, w in best.items()) for x, best in least.items()}

@@ -347,9 +347,11 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
     must be a base: an element fixing every base point is the identity.
     Level i keeps the orbit of base[i] under
     H_i = <generators fixing base[:i]> with a transversal (None stands for
-    the identity at the base point itself); the Schreier generators of each
-    (point, generator) pair are sifted through the deeper levels, deepest
-    level first, and a nontrivial residue becomes a new generator.
+    the identity at the base point itself) and, beside it, each transversal
+    element's inverse, computed once when its point joins the orbit.  The
+    Schreier generators of each (point, generator) pair are sifted through
+    the deeper levels, deepest level first, and a nontrivial residue becomes
+    a new generator.
 
     Orbits are extended as generators arrive, each pair is tested once per
     level, and tree edges (pairs that first reached a point) are skipped,
@@ -365,6 +367,7 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
     """
     depth = len(base)
     orbits: list[dict] = [{b: None} for b in base]
+    inverses: list[dict] = [{} for _ in base]  # point -> inverse of its transversal element
     level_gens: list[list] = [[] for _ in base]
     pending: list[list] = [[] for _ in base]  # non-tree pairs, still to sift
     work = 0
@@ -376,15 +379,14 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
             pt = act(h, base[i])
             if pt not in orbits[i]:
                 return h, i
-            u = orbits[i][pt]
-            if u is not None:
-                h = mul(inv(u), h)
+            if orbits[i][pt] is not None:
+                h = mul(inverses[i][pt], h)
             i += 1
         return None, depth
 
     def extend(i: int, pairs: list) -> None:
         nonlocal work, lower_bound
-        orbit, gens_i, todo = orbits[i], level_gens[i], pending[i]
+        orbit, inverse, gens_i, todo = orbits[i], inverses[i], level_gens[i], pending[i]
         before = len(orbit)
         for pt, s in pairs:  # grows while it is read
             img = act(s, pt)
@@ -393,6 +395,7 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
                 continue
             u = orbit[pt]
             orbit[img] = s if u is None else mul(s, u)
+            inverse[img] = inv(orbit[img])
             work += 1
             if work > ORDER_WORK_BOUND:
                 break
@@ -416,10 +419,10 @@ def _group_order(gens, base, act, mul, inv, full_order: int) -> int | None:
             return lower_bound
         pt, s, img = pending[i].pop()
         work += 1
-        u, v = orbits[i][pt], orbits[i][img]
+        u = orbits[i][pt]
         schreier = s if u is None else mul(s, u)
-        if v is not None:
-            schreier = mul(inv(v), schreier)
+        if orbits[i][img] is not None:
+            schreier = mul(inverses[i][img], schreier)
         residue, level = sift(schreier, i + 1)
         if residue is not None:
             add(residue, i + 1, level)

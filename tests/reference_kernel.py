@@ -33,18 +33,26 @@ transports recover boundary subsets with this ``subset_from_class``.
 ``reduce`` tracks each state's depth and the best (rank, size, position)
 seen; the library reads both off the fiber rank.
 
+``whole_word_witness`` is the witness search that walked whole words: the
+vector walk over every word of each length, carrying w^-1 t for each target
+class t and skipping the words ``_whole_word_steps`` shows equal to earlier
+ones.  The library now meets in the middle, walking first halves against a
+table of second halves; its plans are compared with this walk's.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from lefschetz.curves import Curve, CurveClass
-from lefschetz.errors import InputError, NotApplicable
+from lefschetz.errors import CapacityError, InputError, NotApplicable
 from lefschetz.fibration import (
     DISK,
+    WITNESS_WORD_BOUND,
     ImmersionWitness,
     LefschetzFibration,
     MeridianPlan,
@@ -76,6 +84,8 @@ from lefschetz.mapping import (
     Permutation,
     TwistGen,
     act_on_curve,
+    transvect,
+    twist_covector,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -475,6 +485,124 @@ def _walk_level(word, matrix, remaining, mats, visit, hit_pref, n_targets) -> bo
     for li, m in enumerate(mats):
         if _walk_level(word + (li,), mat_mul(matrix, m), remaining - 1,
                        mats, visit, hit_pref, n_targets):
+            return True
+    return False
+
+
+def whole_word_witness(
+    u: LefschetzFibration,
+    f: LefschetzFibration,
+    depth: int = 4,
+) -> MeridianPlan | None:
+    """Search for a meridian plan realizing f as a pullback of u.
+
+    For each target cycle, conjugating words over the source's own twist
+    letters (and inverses) are enumerated in deterministic length-then-lex
+    order up to ``depth``, looking for an exact (type, class) match with a
+    source cycle.  Sign-matching sources are preferred (local degree +1);
+    otherwise an opposite-sign source is used with local degree -1.  The
+    returned plan is verified by a pullback round trip and is an
+    ImmersionWitness when every local degree is +1.  Returns None when some
+    cycle stays unmatched within the depth bound.
+
+    The walk skips words that equal a word earlier in that order (see
+    :func:`_whole_word_steps`); the first match is never such a word, so the
+    plans are those of the full enumeration.  It carries w^-1 t for each
+    target class t instead of w's matrix: w is invertible, so w u_j = t
+    exactly when u_j = w^-1 t, and a source is matched by one dictionary
+    lookup.  Before any search, CapacityError is raised when the unpruned
+    word count passes WITNESS_WORD_BOUND.
+    """
+    if u.fiber != f.fiber:
+        raise InputError("witness search needs a common fiber")
+    _require_disk(u, "substitution_witness")
+    _require_disk(f, "substitution_witness")
+    if depth < 0:
+        raise InputError("depth must be >= 0")
+
+    letters = _alphabet(u)
+    words, level = 0, 1
+    for _ in range(depth + 1):
+        words += level
+        if words > WITNESS_WORD_BOUND:
+            raise CapacityError(
+                f"witness search over {len(letters)} letters to depth {depth} "
+                f"exceeds the bound of {WITNESS_WORD_BOUND} words")
+        level *= len(letters)
+        if not level:
+            break  # an empty alphabet has only the empty word
+    steps = _whole_word_steps(letters)
+    # Per target: source hom -> (tier, j), sign-matching sources (tier 0)
+    # before opposite-sign ones (tier 1), the first j winning within a tier.
+    tables = []
+    for t in f.cycles:
+        table: dict[Vector, tuple[int, int]] = {}
+        for tier in (0, 1):
+            for j, s in enumerate(u.cycles):
+                if s.curve.cls == t.curve.cls and (s.sign == t.sign) == (tier == 0):
+                    table.setdefault(s.curve.hom, (tier, j))
+        tables.append(table)
+    found: list[tuple[int, tuple[int, ...], int] | None] = [None] * len(tables)
+
+    def visit(word: tuple[int, ...], preimages: Matrix) -> bool:
+        # a tier-1 hit is kept until a tier-0 one replaces it
+        for i, p in enumerate(preimages):
+            hit = tables[i].get(p)
+            if hit is not None and (found[i] is None or hit[0] < found[i][0]):
+                found[i] = (hit[0], word, hit[1])
+        return all(x is not None and x[0] == 0 for x in found)
+
+    # Length-lexicographic: all words of length L before any of length L+1.
+    start = tuple(c.curve.hom for c in f.cycles)
+    for length in range(depth + 1 if letters else 1):
+        if _whole_word_level((), start, length, range(len(steps)), steps, visit):
+            break
+
+    if None in found:
+        return None
+    entries = [PlanEntry(j, MCWord(u.fiber, tuple(letters[li] for li in word)),
+                         -1 if tier else 1)
+               for tier, word, j in found]
+    plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
+    plan = plan_cls(tuple(entries))
+
+    if pullback(u, plan).cycles != f.cycles:  # compared up to labels
+        raise AssertionError("witness failed the pullback round trip")
+    return plan
+
+
+def _whole_word_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[int, ...]]]:
+    """Per twist letter: its step (class, covector, hand) and the letters the
+    walk may put after it.
+
+    Letter l is not put after p when it undoes p (the same class with the
+    other hand), or when l < p and the two classes pair to 0: such
+    transvections commute, so swapping them gives a lex-smaller word with
+    the same matrix.  Either way the word equals one that comes earlier in
+    length-then-lex order.
+    """
+    base = [(l.gen.curve.hom, twist_covector(l.gen.curve), l.gen.sign) for l in letters]
+    steps = []
+    for p, (cp, wp, hp) in enumerate(base):
+        after = tuple(
+            l for l, (cl, _, hl) in enumerate(base)
+            if not (cl == cp and hl == -hp)
+            and not (l < p and sum(map(operator.mul, wp, cl)) == 0))
+        steps.append((cp, wp, hp, after))
+    return steps
+
+
+def _whole_word_level(word, preimages, remaining, allowed, steps, visit) -> bool:
+    """Visit the words of exactly ``remaining`` more letters drawn from
+    ``allowed`` and then each letter's followers, in lex order, carrying
+    w^-1 t for each target class t: appending letter l applies T_l^-1, one
+    rank-1 update.  True once ``visit`` reports every target matched."""
+    if remaining == 0:
+        return visit(word, preimages)
+    for li in allowed:
+        c, w, h, after = steps[li]
+        if _whole_word_level(word + (li,), transvect(preimages, w, c, -h), remaining - 1,
+                             after, steps, visit):
             return True
     return False
 

@@ -404,6 +404,25 @@ def test_reduce_reports_work_done():
     assert not r.exhausted and (r.explored, r.states, r.steps) == (463, 387, 16)
 
 
+def test_reduce_budget_runs_out_at_a_last_applicable_generator():
+    # The budget counts as if checked at every generator, applicable or not.
+    # u_g1(2): the 4th and last destabilization is generator 0 of the third
+    # state, F(1, 2), its only applicable one; generators 1 and 2 are still
+    # unvisited, so budget 4 is exhausted although nothing more applies.
+    r = reduce(u_g1(2), budget=4)
+    assert r.exhausted and (r.explored, r.states, r.steps) == (4, 5, 2)
+    r = reduce(u_g1(2), budget=5)
+    assert not r.exhausted and (r.explored, r.states, r.steps) == (4, 5, 2)
+    # u_11: the 3rd destabilization is the last generator of the second
+    # state, F(0, 2), and the third state, F(0, 2) again, has a generator
+    # left; the 4th is the last generator of that state, and only the
+    # rank-0 F(0, 1) follows, so budget 4 is not exhausted.
+    r = reduce(u_11(), budget=3)
+    assert r.exhausted and (r.explored, r.states, r.steps) == (3, 4, 2)
+    r = reduce(u_11(), budget=4)
+    assert not r.exhausted and (r.explored, r.states, r.steps) == (4, 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # pullbacks
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Every twist application in the library goes through ``mapping.transvect``;
 bundle generators are inverted in closed form; ``reduce`` searches over
-interned class ids, memoises transports by what they read and reads its
-result off the fiber rank; the curve census is
-generated in sorted order; the witness walk skips words equal to earlier
-ones.  These tests require the results to equal, exactly, those of the code
-kept in ``reference_kernel``: word evaluation, bundle inverses, twist
-products, Hurwitz moves, global conjugation, the pairing check, the census,
-boundary subsets, stabilization, destabilization, reduction and the witness
-walk.
+interned bare class records, finds applicable generators from their
+bitmasks, memoises transports by what they read and reads its result off
+the fiber rank; the curve census is generated in sorted order; the witness
+search meets in the middle and skips words equal to earlier ones.  These
+tests require the results to equal, exactly, those of the code kept in
+``reference_kernel``: word evaluation, bundle inverses, twist products,
+Hurwitz moves, global conjugation, the pairing check, the census, boundary
+subsets, stabilization, destabilization, reduction, the dense witness walk
+and the whole-word vector walk.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import lefschetz.homology as homology
 import lefschetz.mapping as mapping
 import reference_kernel as ref
 from lefschetz.curves import (
+    CurveClass,
     enumerate_classes,
     nonseparating_curve,
     separating_curve,
@@ -44,6 +46,7 @@ from lefschetz.fibration import (
     SignedCycle,
     _alphabet,
     _forced_split,
+    _half_words,
     _walk_level,
     _walk_steps,
     build,
@@ -65,6 +68,7 @@ from lefschetz.homology import (
     in_radical,
     mat_identity,
     mat_mul,
+    mat_vec,
     preserves_pairing,
     vec_gcd,
 )
@@ -589,6 +593,36 @@ def test_destabilize_refusal_names_its_own_cycle():
         destabilize(bare, 0)
 
 
+def test_reduce_keeps_apart_separating_cycles_of_one_class():
+    # p and q have the same class d1 but different sides, so they are two
+    # records; removing the handle of a_1 sends them to different types
+    s = SurfaceSpec(2, 2)
+    f = LefschetzFibration(s, DISK, (
+        SignedCycle(nonseparating_curve(s, s.basis_vector(0), "x"), 1),
+        SignedCycle(separating_curve(s, {1}, (0, 2), "p"), 1),
+        SignedCycle(separating_curve(s, {1}, (1, 1), "q"), 1),
+    ))
+    _same_reduce_and_destabilize(f)
+    got = reduce(f, 400).fibration
+    assert got.fiber == SurfaceSpec(1, 3)
+    assert [c.curve.cls for c in got.cycles] == [
+        CurveClass.separating((0, 1), (1, 2)), CurveClass.separating((1, 1), (0, 2))]
+
+
+def test_reduce_skips_a_generator_crossed_once_with_coefficient_two():
+    # a_1 is crossed by x alone, but twice (and b_1 by x and y): only d_1,
+    # crossed once by y, destabilizes, and on the F(1, 1) it leaves, x
+    # crosses a_1 twice and b_1 three times, so nothing more does
+    s = SurfaceSpec(1, 2)
+    f = LefschetzFibration(s, DISK, (
+        SignedCycle(nonseparating_curve(s, (2, 3, 0), "x"), 1),
+        SignedCycle(nonseparating_curve(s, (0, 1, 1), "y"), -1),
+    ))
+    _same_reduce_and_destabilize(f)
+    r = reduce(f, 400)
+    assert (r.fibration.fiber, r.steps, r.explored, r.states) == (SurfaceSpec(1, 1), 1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # the witness walk
 # ---------------------------------------------------------------------------
@@ -682,3 +716,91 @@ def test_walk_skips_words_equal_to_earlier_ones():
     assert len(words) == 2905
     assert len(set(words)) == len(words)
     assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def _witness_target(rng, u, flip):
+    """A conjugate or a pullback of u (each cycle by its own word), each
+    cycle's sign flipped with probability ``flip``."""
+    letters = [Letter(TwistGen(c.curve, h)) for c in u.cycles for h in ("right", "left")]
+
+    def word(hi):
+        return MCWord(u.fiber, tuple(rng.choice(letters) for _ in range(rng.randint(0, hi))))
+
+    if rng.random() < 0.5:
+        target = global_conjugate(u, word(4))
+    else:
+        target = pullback(u, MeridianPlan(tuple(PlanEntry(i, word(3), 1) for i in range(u.size))))
+    return LefschetzFibration(u.fiber, DISK, tuple(
+        SignedCycle(c.curve, -c.sign if rng.random() < flip else c.sign) for c in target.cycles))
+
+
+def _same_whole_word_plan(u, target, depth):
+    got = substitution_witness(u, target, depth)
+    want = ref.whole_word_witness(u, target, depth)
+    assert type(got) is type(want)
+    if want is not None:
+        assert plan_to_json(got) == plan_to_json(want)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 5),
+       source=st.sampled_from(["u_g1", "doubled", "positive"]))
+def test_meet_in_the_middle_matches_whole_word_walk(seed, depth, source):
+    # Sources: u_g1(2); u_g1(2) with every cycle again under the opposite
+    # sign and one cycle a third time, so the source order and the tiers
+    # pick among duplicates; and p_g(2), all positive, whose flipped targets
+    # match only at tier 1.  Targets are conjugates or pullbacks of u_g1(2)
+    # with some signs flipped, so tier-1 hits found at a shorter length than
+    # a tier-0 hit get replaced; at small depths some stay unmatched.
+    rng = random.Random(seed)
+    u = u_g1(2)
+    target = _witness_target(rng, u, 0.4)
+    if source == "doubled":
+        u = LefschetzFibration(u.fiber, DISK, u.cycles + tuple(
+            SignedCycle(replace(c.curve, label=c.curve.label + "'"), -c.sign)
+            for c in u.cycles) + u.cycles[2:3])
+    elif source == "positive":
+        u = LefschetzFibration(u.fiber, DISK, tuple(SignedCycle(c.curve, 1) for c in u.cycles))
+    _same_whole_word_plan(u, target, depth)
+
+
+def test_meet_in_the_middle_on_tier_one_and_unreachable_targets():
+    # every target cycle negative against the all-positive source: each entry
+    # has degree -1; a class out of reach leaves the plan None at every depth
+    u = u_g1(2)
+    positive = LefschetzFibration(u.fiber, DISK, tuple(SignedCycle(c.curve, 1) for c in u.cycles))
+    rng = random.Random(15)
+    for depth in range(6):
+        target = _witness_target(rng, u, 0.0)
+        target = LefschetzFibration(u.fiber, DISK, tuple(SignedCycle(c.curve, -1) for c in target.cycles))
+        plan = _same_whole_word_plan(positive, target, depth)
+        assert plan is None or {e.local_degree for e in plan.entries} == {-1}
+        far = list(target.cycles)
+        far[1] = SignedCycle(nonseparating_curve(u.fiber, (3 ** depth + 1, 1, 0, 0), "far"), 1)
+        assert _same_whole_word_plan(u, LefschetzFibration(u.fiber, DISK, tuple(far)), depth) is None
+
+
+@pytest.mark.parametrize("genus, most", [(2, 3), (3, 2)])
+def test_half_words_table_the_lex_least_second_half(genus, most):
+    # against every word the whole-word walk visits, each evaluated afresh:
+    # per vector x, each source class u with the least word w, |w| = m,
+    # that sends u to x, sorted by w
+    u = u_g1(genus)
+    letters = _alphabet(u)
+    steps = _walk_steps(letters)
+    sources = tuple(dict.fromkeys(c.curve.hom for c in u.cycles))
+    for m in range(most + 1):
+        words = []
+        _walk_level((), (), m, range(len(steps)), steps,
+                    lambda word, _: words.append(word) or False)
+        least = {}
+        for word in words:
+            matrix = evaluate(MCWord(u.fiber, tuple(letters[li] for li in word))).matrix
+            for v in sources:
+                key = (mat_vec(matrix, v), v)
+                least[key] = min(least.get(key, word), word)
+        want = {}
+        for (x, v), word in sorted(least.items(), key=lambda item: item[1]):
+            want.setdefault(x, []).append((word, v))
+        assert _half_words(steps, sources, m) == want
