@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .curves import Curve, CurveClass, enumerate_classes, subset_from_class
 from .errors import CapacityError, InputError, NotApplicable, Unsupported
@@ -35,6 +35,7 @@ from .homology import (
     in_radical,
     mat_from_columns,
     mat_identity,
+    mat_vec,
     vec_gcd,
 )
 from .mapping import (
@@ -278,16 +279,31 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     moved = SignedCycle(
         Curve(c.surface, c.cls, twist_vector(c.hom, twist.curve, h), c.label), moving.sign)
     cyc[i - 1], cyc[i] = (right, moved) if direction == "R" else (moved, left)
-    return replace(f, cycles=tuple(cyc))
+    return LefschetzFibration(f.fiber, f.base, tuple(cyc), f.bundle)
 
 
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     """Transport every cycle by w and replace each bundle generator g by the
-    evaluation of the word w g w^-1 (there are none over the disk)."""
+    evaluation of the word w g w^-1 (there are none over the disk).
+
+    A word of twists moves all the cycle classes together, one transvection
+    per letter, right to left; each curve keeps its type and label, as in
+    :func:`act_on_curve`.  A word with a bundle letter is evaluated, so its
+    pairing is asserted, and its matrix is applied to each class.
+    """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
-    rep = evaluate(w)
-    cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
+    if all(isinstance(let.gen, TwistGen) for let in w.letters):
+        homs = tuple(c.curve.hom for c in f.cycles)
+        for let in reversed(w.letters):
+            c = let.gen.curve
+            homs = transvect(homs, twist_covector(c), c.hom, let.power * let.gen.sign)
+        cycles = tuple(
+            SignedCycle(Curve(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
+            for c, hom in zip(f.cycles, homs))
+    else:
+        rep = evaluate(w)
+        cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
     bundle = []
     for bg in f.bundle:
         conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())
@@ -732,8 +748,12 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
     conjugator, with sign multiplied by the local degree.  The monodromy
     factors through the source at the implemented resolution: with rep the
     conjugator, the twist about each transported curve satisfies
-    T_{rep(c)} rep == rep T_c, which is asserted as two rank-1 updates of
-    rep, one on its rows and one on its columns.
+    T_{rep(c)} rep == rep T_c.  Since T_{rep(c)} rep x - rep T_c x is
+    (<rep(c), rep(x)> - <c, x>) rep(c), and evaluating the conjugator has
+    asserted that rep preserves the pairing, it suffices to check that the
+    transported class equals rep applied to the source class, one matrix
+    times vector per entry.  (The twist identity alone would also accept
+    the negative of that class.)
     """
     _require_disk(u, "pullback")
     cycles = []
@@ -745,8 +765,7 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
         src = u.cycles[e.source]
         rep = evaluate(e.conjugator)
         moved = act_on_curve(rep, src.curve)
-        cols = transvect(tuple(zip(*rep.matrix)), twist_covector(moved), moved.hom, 1)
-        if tuple(zip(*cols)) != twist_right(rep.matrix, src.curve, 1):
+        if moved.hom != mat_vec(rep.matrix, src.curve.hom):
             raise AssertionError("monodromy does not factor through the source")
         cycles.append(SignedCycle(moved, e.local_degree * src.sign))
     return LefschetzFibration(u.fiber, DISK, tuple(cycles))

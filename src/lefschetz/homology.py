@@ -18,7 +18,9 @@ ints and matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 from .errors import CapacityError, InputError
@@ -32,7 +34,7 @@ Matrix = tuple[tuple[int, ...], ...]
 # ---------------------------------------------------------------------------
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def mat_shape(a: Matrix) -> tuple[int, int]:
@@ -45,17 +47,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if k != k2:
         raise InputError(f"matrix shapes {m}x{k} and {k2}x{n} do not compose")
     bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a
-    )
+    mul = operator.mul
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     m, n = mat_shape(a)
     if n != len(v):
         raise InputError(f"matrix is {m}x{n} but vector has length {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    mul = operator.mul
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_from_columns(cols: list[Vector], rows: int) -> Matrix:
@@ -167,7 +168,7 @@ def pairing(surface: SurfaceSpec, x: Vector, y: Vector) -> int:
 
 def is_essential(x: Vector) -> bool:
     """A class is homologically essential iff it is nonzero."""
-    return any(a != 0 for a in x)
+    return any(x)
 
 
 def in_radical(surface: SurfaceSpec, x: Vector) -> bool:
@@ -178,17 +179,30 @@ def in_radical(surface: SurfaceSpec, x: Vector) -> bool:
 def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
     """Check m^T J m == J exactly, from the g symplectic row pairs of m.
 
-    Both sides are antisymmetric, so entries above the diagonal are compared.
-    A matrix that is not r x r, r the rank, raises InputError.
+    Let P_x and Q_x be column x of the a-rows and of the b-rows of m; entry
+    (x, y) of m^T J m is P_x . Q_y - Q_x . P_y.  Both sides are
+    antisymmetric, so entries above the diagonal are compared, row by row,
+    stopping at the first row that differs.  A matrix that is not r x r, r
+    the rank, raises InputError.
     """
     r = surface.rank
     if len(m) != r or any(len(row) != r for row in m):
         raise InputError(f"matrix must be {r}x{r} for {surface}")
-    j = pairing_matrix(surface)
-    pairs = [(m[2 * i], m[2 * i + 1]) for i in range(surface.genus)]
-    return all(
-        sum(p[x] * q[y] - q[x] * p[y] for p, q in pairs) == j[x][y]
-        for x in range(r) for y in range(x + 1, r))
+    n = 2 * surface.genus
+    cols = tuple(zip(*m))
+    ps = [col[0:n:2] for col in cols]
+    qs = [col[1:n:2] for col in cols]
+    mul = operator.mul
+    for x in range(r):
+        px, qx = ps[x], qs[x]
+        got = [sum(map(mul, px, q)) - sum(map(mul, qx, p))
+               for p, q in zip(ps[x + 1:], qs[x + 1:])]
+        want = [0] * (r - x - 1)
+        if x < n and not x % 2:  # <a_i, b_i> = +1
+            want[0] = 1
+        if got != want:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +240,7 @@ def smith_normal_form(a: Matrix) -> tuple[int, ...]:
         p = prow[j]
         for row in w:
             if row is not prow and row[j]:
-                q = row[j] // p
-                row[:] = [x - q * y for x, y in zip(row, prow)]
+                row[:] = map(operator.sub, row, map(operator.mul, repeat(row[j] // p), prow))
         near = [(abs(row[j]), r, j) for r, row in enumerate(w) if row[j] and r != i]
         if near:
             continue

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import factorial, isqrt
 
 from .curves import Curve, boundary_subset_class, nonseparating_curve
@@ -257,10 +258,11 @@ def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
     rank-1 right update ``transvect(m, c, w, h)`` = m + h (m c) w^T, and
     T x is ``transvect((x,), w, c, h)[0]``.
     """
+    add, mul = operator.add, operator.mul
     out = []
     for x in rows:
-        k = h * sum(map(operator.mul, x, a))
-        out.append(tuple(p + k * q for p, q in zip(x, b)) if k else x)
+        k = h * sum(map(mul, x, a))
+        out.append(tuple(map(add, x, map(mul, repeat(k), b))) if k else x)
     return tuple(out)
 
 

@@ -15,7 +15,6 @@ in :mod:`lefschetz.homology`) is refused with CapacityError.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .curves import Curve, CurveClass
 from .errors import InputError
@@ -33,7 +32,7 @@ from .homology import MAX_FIBER_RANK, SurfaceSpec, check_fiber_rank  # noqa: F40
 from .mapping import BundleGen, Letter, MCWord, TwistGen
 
 
-def dumps(doc: Any) -> str:
+def dumps(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -49,7 +48,7 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], what: str) -
         raise InputError(f"{what} is missing fields {sorted(missing)}")
 
 
-def _int(value: Any, what: str) -> int:
+def _int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer")
     return value
@@ -61,25 +60,25 @@ def surface_to_json(s: SurfaceSpec) -> dict:
     return {"genus": s.genus, "boundary": s.boundary}
 
 
-def surface_from_json(obj: Any, what: str = "surface") -> SurfaceSpec:
+def surface_from_json(obj: object, what: str = "surface") -> SurfaceSpec:
     _expect_keys(obj, {"genus", "boundary"}, set(), what)
     return SurfaceSpec(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
 
 
-def base_from_json(obj: Any) -> BaseSurface:
+def base_from_json(obj: object) -> BaseSurface:
     _expect_keys(obj, {"genus", "boundary"}, set(), "base")
     return BaseSurface(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
 
 
 # -- curves -----------------------------------------------------------------
 
-def curve_class_to_json(cls: CurveClass) -> Any:
+def curve_class_to_json(cls: CurveClass) -> object:
     if cls.kind == "nonsep":
         return "nonsep"
     return {"sep": [list(cls.sides[0]), list(cls.sides[1])]}
 
 
-def curve_class_from_json(obj: Any) -> CurveClass:
+def curve_class_from_json(obj: object) -> CurveClass:
     if obj == "nonsep":
         return CurveClass.nonseparating()
     if isinstance(obj, dict) and set(obj) == {"sep"}:
@@ -102,7 +101,7 @@ def curve_to_json(c: Curve) -> dict:
     }
 
 
-def curve_from_json(obj: Any, surface: SurfaceSpec) -> Curve:
+def curve_from_json(obj: object, surface: SurfaceSpec) -> Curve:
     _expect_keys(obj, {"class", "hom"}, {"label"}, "curve")
     hom = obj["hom"]
     if not isinstance(hom, list):
@@ -128,7 +127,7 @@ def bundle_gen_to_json(bg: BundleGen) -> dict:
     }
 
 
-def bundle_gen_from_json(obj: Any, surface: SurfaceSpec) -> BundleGen:
+def bundle_gen_from_json(obj: object, surface: SurfaceSpec) -> BundleGen:
     _expect_keys(obj, {"matrix", "perm"}, {"label"}, "bundle generator")
     matrix = obj["matrix"]
     if not isinstance(matrix, list) or any(not isinstance(r, list) for r in matrix):
@@ -161,7 +160,7 @@ def fibration_to_json(f: LefschetzFibration) -> dict:
     }
 
 
-def fibration_from_json(obj: Any) -> LefschetzFibration:
+def fibration_from_json(obj: object) -> LefschetzFibration:
     _expect_keys(obj, {"fiber", "base", "cycles", "bundle"}, set(), "fibration")
     fiber = surface_from_json(obj["fiber"], "fiber")
     check_fiber_rank(fiber)
@@ -230,7 +229,7 @@ def _letter_to_json(letter: Letter) -> dict:
     }
 
 
-def _letter_from_json(obj: Any, surface: SurfaceSpec) -> Letter:
+def _letter_from_json(obj: object, surface: SurfaceSpec) -> Letter:
     _expect_keys(obj, {"curve", "handed"}, {"power"}, "plan letter")
     handed = obj["handed"]
     if handed not in ("right", "left"):
@@ -253,7 +252,7 @@ def plan_to_json(plan: MeridianPlan) -> dict:
     }
 
 
-def plan_from_json(obj: Any, surface: SurfaceSpec) -> MeridianPlan:
+def plan_from_json(obj: object, surface: SurfaceSpec) -> MeridianPlan:
     _expect_keys(obj, {"entries"}, {"immersion"}, "plan")
     if not isinstance(obj["entries"], list):
         raise InputError("plan entries must be a list")

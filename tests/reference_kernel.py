@@ -39,6 +39,11 @@ class t and skipping the words ``_whole_word_steps`` shows equal to earlier
 ones.  The library now meets in the middle, walking first halves against a
 table of second halves; its plans are compared with this walk's.
 
+``mat_mul``, ``mat_vec`` and ``transvect`` are the integer kernel as it was
+written with generator expressions over ``zip``; the library now takes its
+inner products with ``sum(map(operator.mul, ...))``.  Every reference here
+multiplies with these copies.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
@@ -70,9 +75,7 @@ from lefschetz.homology import (
     check_fiber_rank,
     in_radical,
     mat_identity,
-    mat_mul,
     mat_shape,
-    mat_vec,
     pairing_matrix,
     vec_gcd,
 )
@@ -84,12 +87,43 @@ from lefschetz.mapping import (
     Permutation,
     TwistGen,
     act_on_curve,
-    transvect,
     twist_covector,
     perm_compose,
     perm_identity,
     perm_inverse,
 )
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel with generator-expression inner products
+# ---------------------------------------------------------------------------
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    m, k = mat_shape(a)
+    k2, n = mat_shape(b)
+    if k != k2:
+        raise InputError(f"matrix shapes {m}x{k} and {k2}x{n} do not compose")
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+        for row in a
+    )
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    m, n = mat_shape(a)
+    if n != len(v):
+        raise InputError(f"matrix is {m}x{n} but vector has length {len(v)}")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
+    """Send each row x to x + h (x . a) b."""
+    out = []
+    for x in rows:
+        k = h * sum(map(operator.mul, x, a))
+        out.append(tuple(p + k * q for p, q in zip(x, b)) if k else x)
+    return tuple(out)
 
 
 def mat_det(a: Matrix) -> int:

@@ -5,12 +5,15 @@ bundle generators are inverted in closed form; ``reduce`` searches over
 interned bare class records, finds applicable generators from their
 bitmasks, memoises transports by what they read and reads its result off
 the fiber rank; the curve census is generated in sorted order; the witness
-search meets in the middle and skips words equal to earlier ones.  These
-tests require the results to equal, exactly, those of the code kept in
-``reference_kernel``: word evaluation, bundle inverses, twist products,
-Hurwitz moves, global conjugation, the pairing check, the census, boundary
-subsets, stabilization, destabilization, reduction, the dense witness walk
-and the whole-word vector walk.
+search meets in the middle and skips words equal to earlier ones; the
+integer kernel takes its inner products with ``map``, and ``global_conjugate``
+moves cycles through a twist word one transvection per letter.  These tests
+require the results to equal, exactly, those of the code kept in
+``reference_kernel``: matrix products and transvections, word evaluation,
+bundle inverses, twist products, Hurwitz moves, global conjugation, the
+pairing check, the census, boundary subsets, stabilization,
+destabilization, reduction, the dense witness walk and the whole-word vector
+walk.
 """
 
 from __future__ import annotations
@@ -140,6 +143,66 @@ def _random_fibration(rng):
 def _cycle_data(f):
     """Everything a cycle carries, label included (curve equality ignores it)."""
     return [(c.curve.cls, c.curve.hom, c.curve.label, c.sign) for c in f.cycles]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.integers(-10**9, 10**9)
+
+
+def _matrices(rows, cols):
+    row = st.lists(ENTRIES, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+def _same_outcome(fn, ref_fn, *args):
+    """fn returns what ref_fn returns, or raises the same InputError."""
+    try:
+        want = ref_fn(*args)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            fn(*args)
+        assert str(got.value) == str(exc)
+    else:
+        assert fn(*args) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(0, 6), k=st.integers(0, 6), k2=st.integers(0, 6),
+       n=st.integers(0, 6))
+def test_mat_mul_and_mat_vec_match_reference(data, m, k, k2, n):
+    # k2 != k is a shape mismatch for both, and so is a vector of length k2
+    a = data.draw(_matrices(m, k))
+    b = data.draw(_matrices(data.draw(st.sampled_from((k, k2))), n))
+    v = data.draw(st.lists(ENTRIES, min_size=k2, max_size=k2).map(tuple))
+    _same_outcome(mat_mul, ref.mat_mul, a, b)
+    _same_outcome(mat_vec, ref.mat_vec, a, v)
+
+
+def test_kernel_shapes_match_reference():
+    # every empty, 1 x n and n x 1 shape, and each mismatch
+    rng = random.Random(16)
+    sizes = (0, 1, 3)
+    for m, k, k2, n in itertools.product(sizes, repeat=4):
+        a = tuple(tuple(rng.randint(-10**9, 10**9) for _ in range(k)) for _ in range(m))
+        b = tuple(tuple(rng.randint(-10**9, 10**9) for _ in range(n)) for _ in range(k2))
+        v = tuple(rng.randint(-10**9, 10**9) for _ in range(k2))
+        _same_outcome(mat_mul, ref.mat_mul, a, b)
+        _same_outcome(mat_vec, ref.mat_vec, a, v)
+    with pytest.raises(InputError, match="^matrix shapes 2x3 and 2x1 do not compose$"):
+        mat_mul(((1, 2, 3), (4, 5, 6)), ((1,), (2,)))
+    with pytest.raises(InputError, match="^matrix is 1x2 but vector has length 3$"):
+        mat_vec(((1, 2),), (1, 2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(0, 6), n=st.integers(0, 6), h=st.integers(-3, 3))
+def test_transvect_matches_reference(data, m, n, h):
+    rows = data.draw(_matrices(m, n))
+    a, b = (data.draw(st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)) for _ in "ab")
+    assert mapping.transvect(rows, a, b, h) == ref.transvect(rows, a, b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +451,28 @@ def test_global_conjugate_matches_reference(seed, length):
         got, want = global_conjugate(f, w), ref.global_conjugate(f, w)
         assert got == want
         assert fibration_to_json(got) == fibration_to_json(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(0, 8))
+def test_twist_word_conjugation_matches_reference(seed, length):
+    # a twist-only word moves the cycles one transvection per letter
+    rng = random.Random(seed)
+    while True:
+        s = SurfaceSpec(rng.randint(0, 6), rng.randint(0, 13))
+        if 1 <= s.rank <= 12 and (s.genus >= 1 or s.boundary >= 2):
+            break
+    f = LefschetzFibration(s, DISK, tuple(
+        SignedCycle(_random_curve(rng, s), rng.choice((1, -1)))
+        for _ in range(rng.randint(1, 10))))
+    w = MCWord(s, tuple(
+        Letter(TwistGen(_random_curve(rng, s), rng.choice(("right", "left"))),
+               rng.choice((1, -1)))
+        for _ in range(length)))
+    got, want = global_conjugate(f, w), ref.global_conjugate(f, w)
+    assert got == want
+    assert _cycle_data(got) == _cycle_data(want)
+    assert fibration_to_json(got) == fibration_to_json(want)
 
 
 # ---------------------------------------------------------------------------
