@@ -10,7 +10,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # dependency order: the first of these that binds a public name defines it
-_MODULES = ("errors", "homology", "curves", "mapping", "fibration")
+_MODULES = ("errors", "homology", "curves", "mapping", "fibration",
+            "universality", "reduction", "witness")
 
 __all__ = [
     "ANNULUS",

@@ -5,6 +5,11 @@ invocations print byte-identical output.  Exit codes: 0 affirmative or
 success, 1 negative verdict, 2 input error, 3 unknown verdict.  The witness
 search depth defaults to 4 and can be overridden by --depth or the MF_DEPTH
 environment variable.
+
+Importing this module loads no library module: each command imports the
+modules it runs, so ``census`` loads no mapping class code and only
+``check-universal``, ``reduce`` and ``witness`` load the modules of the
+universality report, the reduction search and the witness search.
 """
 
 from __future__ import annotations
@@ -13,20 +18,6 @@ import argparse
 import os
 import sys
 
-from . import serialize
-from .curves import class_count, enumerate_classes
-from .errors import CapacityError, InputError, NotApplicable, Unsupported
-from .fibration import (
-    WITNESS_DEPTH,
-    build,
-    hurwitz_move,
-    reduce,
-    substitution_witness,
-    total_space_invariants,
-    universality_report,
-)
-from .homology import SurfaceSpec
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
@@ -34,6 +25,9 @@ EXIT_UNKNOWN = 3
 
 
 def _read_fibration(path: str):
+    from . import serialize
+    from .errors import InputError
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -43,6 +37,9 @@ def _read_fibration(path: str):
 
 
 def _emit(doc, out: str | None) -> None:
+    from . import serialize
+    from .errors import InputError
+
     text = serialize.dumps(doc)
     if out is None:
         sys.stdout.write(text)
@@ -55,6 +52,10 @@ def _emit(doc, out: str | None) -> None:
 
 
 def cmd_census(args) -> int:
+    from . import serialize
+    from .curves import class_count, enumerate_classes
+    from .homology import SurfaceSpec
+
     surface = SurfaceSpec(args.genus, args.boundary)
     report: dict = {
         "surface": serialize.surface_to_json(surface),
@@ -69,12 +70,18 @@ def cmd_census(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import serialize
+    from .fibration import build
+
     f = build(args.name, args.g)
     _emit(serialize.fibration_to_json(f), args.out)
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
+    from . import serialize
+    from .fibration import total_space_invariants
+
     f = _read_fibration(args.file)
     report = total_space_invariants(f)
     _emit(serialize.invariant_report_to_json(report), args.out)
@@ -82,6 +89,9 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_check_universal(args) -> int:
+    from . import serialize
+    from .universality import universality_report
+
     f = _read_fibration(args.file)
     report = universality_report(f)
     _emit(serialize.universality_report_to_json(report), args.out)
@@ -90,6 +100,10 @@ def cmd_check_universal(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import serialize
+    from .errors import InputError
+    from .witness import WITNESS_DEPTH, substitution_witness
+
     u = _read_fibration(args.source)
     f = _read_fibration(args.target)
     if args.depth is not None:
@@ -111,6 +125,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import serialize
+    from .reduction import reduce
+
     f = _read_fibration(args.file)
     result = reduce(f, args.budget)
     if result.exhausted:
@@ -123,6 +140,8 @@ def cmd_reduce(args) -> int:
 
 
 def _parse_move(text: str) -> tuple[int, str]:
+    from .errors import InputError
+
     parts = text.split(":")
     if len(parts) != 2 or parts[1] not in ("L", "R"):
         raise InputError(f"--move wants the form INDEX:L or INDEX:R, got {text!r}")
@@ -134,6 +153,9 @@ def _parse_move(text: str) -> tuple[int, str]:
 
 
 def cmd_hurwitz(args) -> int:
+    from . import serialize
+    from .fibration import hurwitz_move
+
     f = _read_fibration(args.file)
     for spec in args.move:
         index, direction = _parse_move(spec)
@@ -197,6 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .errors import CapacityError, InputError, NotApplicable, Unsupported
+
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,11 @@ two circles); in memory they are 0-based tuples.
 
 A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` (defined
 in :mod:`lefschetz.homology`) is refused with CapacityError.
+
+Only the surface and curve-class writers run at every import; each function
+that builds or reads a fibration, a bundle generator, a report or a plan
+imports that class's module when it runs, so ``lefschetz census`` loads no
+mapping class code.
 """
 
 from __future__ import annotations
@@ -18,18 +23,14 @@ import json
 
 from .curves import Curve, CurveClass
 from .errors import InputError
-from .fibration import (
-    BaseSurface,
-    ImmersionWitness,
-    InvariantReport,
-    LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
-    SignedCycle,
-    UniversalityReport,
-)
 from .homology import MAX_FIBER_RANK, SurfaceSpec, check_fiber_rank  # noqa: F401
-from .mapping import BundleGen, Letter, MCWord, TwistGen
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # the classes named only in annotations
+    from .fibration import BaseSurface, InvariantReport, LefschetzFibration
+    from .mapping import BundleGen, Letter
+    from .universality import UniversalityReport
+    from .witness import MeridianPlan
 
 
 def dumps(doc: object) -> str:
@@ -66,6 +67,7 @@ def surface_from_json(obj: object, what: str = "surface") -> SurfaceSpec:
 
 
 def base_from_json(obj: object) -> BaseSurface:
+    from .fibration import BaseSurface
     _expect_keys(obj, {"genus", "boundary"}, set(), "base")
     return BaseSurface(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
 
@@ -128,6 +130,7 @@ def bundle_gen_to_json(bg: BundleGen) -> dict:
 
 
 def bundle_gen_from_json(obj: object, surface: SurfaceSpec) -> BundleGen:
+    from .mapping import BundleGen
     _expect_keys(obj, {"matrix", "perm"}, {"label"}, "bundle generator")
     matrix = obj["matrix"]
     if not isinstance(matrix, list) or any(not isinstance(r, list) for r in matrix):
@@ -161,6 +164,7 @@ def fibration_to_json(f: LefschetzFibration) -> dict:
 
 
 def fibration_from_json(obj: object) -> LefschetzFibration:
+    from .fibration import LefschetzFibration, SignedCycle
     _expect_keys(obj, {"fiber", "base", "cycles", "bundle"}, set(), "fibration")
     fiber = surface_from_json(obj["fiber"], "fiber")
     check_fiber_rank(fiber)
@@ -219,6 +223,7 @@ def universality_report_to_json(r: UniversalityReport) -> dict:
 # -- witness plans ----------------------------------------------------------
 
 def _letter_to_json(letter: Letter) -> dict:
+    from .mapping import TwistGen
     gen = letter.gen
     if not isinstance(gen, TwistGen):
         raise InputError("only twist letters are serialized in plans")
@@ -230,6 +235,7 @@ def _letter_to_json(letter: Letter) -> dict:
 
 
 def _letter_from_json(obj: object, surface: SurfaceSpec) -> Letter:
+    from .mapping import Letter, TwistGen
     _expect_keys(obj, {"curve", "handed"}, {"power"}, "plan letter")
     handed = obj["handed"]
     if handed not in ("right", "left"):
@@ -253,6 +259,8 @@ def plan_to_json(plan: MeridianPlan) -> dict:
 
 
 def plan_from_json(obj: object, surface: SurfaceSpec) -> MeridianPlan:
+    from .mapping import MCWord
+    from .witness import ImmersionWitness, MeridianPlan, PlanEntry
     _expect_keys(obj, {"entries"}, {"immersion"}, "plan")
     if not isinstance(obj["entries"], list):
         raise InputError("plan entries must be a list")

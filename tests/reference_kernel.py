@@ -64,9 +64,8 @@ from lefschetz.fibration import (
     PlanEntry,
     ReduceResult,
     SignedCycle,
-    _alphabet,
-    _require_disk,
     pullback,
+    require_disk,
 )
 from lefschetz.homology import (
     Matrix,
@@ -92,6 +91,7 @@ from lefschetz.mapping import (
     perm_identity,
     perm_inverse,
 )
+from lefschetz.witness import _alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +449,8 @@ def substitution_witness(
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
-    _require_disk(u, "substitution_witness")
-    _require_disk(f, "substitution_witness")
+    require_disk(u, "substitution_witness")
+    require_disk(f, "substitution_witness")
     if depth < 0:
         raise InputError("depth must be >= 0")
 
@@ -549,8 +549,8 @@ def whole_word_witness(
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
-    _require_disk(u, "substitution_witness")
-    _require_disk(f, "substitution_witness")
+    require_disk(u, "substitution_witness")
+    require_disk(f, "substitution_witness")
     if depth < 0:
         raise InputError("depth must be >= 0")
 
@@ -800,7 +800,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
 
     The total space is unchanged either way.
     """
-    _require_disk(f, "stabilize")
+    require_disk(f, "stabilize")
     if sign not in (1, -1):
         raise InputError("sign must be +-1")
     g, b = f.fiber.genus, f.fiber.boundary
@@ -854,7 +854,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
 
 def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibration:
     """Remove a cancelling handle pair recognized on one basis generator."""
-    _require_disk(f, "destabilize")
+    require_disk(f, "destabilize")
     surface = f.fiber
     g, b = surface.genus, surface.boundary
     rank = surface.rank

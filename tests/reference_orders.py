@@ -15,14 +15,13 @@ from collections.abc import Iterable
 from lefschetz.homology import Matrix, SurfaceSpec, Vector, mat_identity
 from lefschetz.mapping import (
     Permutation,
-    _group_order,
-    _pairing_inverse,
     check_perm,
+    pairing_inverse,
     perm_compose,
     perm_identity,
     perm_inverse,
-    symplectic_group_order,
 )
+from lefschetz.universality import _group_order, symplectic_group_order
 
 
 def _perm_group_order(gens: list[Permutation], n: int) -> int:
@@ -146,7 +145,7 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
 
     def inv(m: Matrix) -> Matrix:
         # entries in (-p, p): every inverse is consumed by mul, which reduces
-        return _pairing_inverse(block, m, ())
+        return pairing_inverse(block, m, ())
 
     base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return _group_order(mats, base, act, mul, inv, symplectic_group_order(g, p))

@@ -146,6 +146,17 @@ def test_build_argument_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["u_11", "u_10"])
+def test_build_refuses_a_genus_for_a_fixed_fiber(name, capsys):
+    # these two have a torus fiber; a genus used to be ignored silently
+    assert main(["build", name, "--g", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: builder {name} takes no genus parameter\n"
+    assert main(["build", name]) == 0
+    assert fibration_loads(capsys.readouterr().out).fiber.genus == 1
+
+
 def test_check_universal_exit_codes(tmp_path, capsys):
     strong = _write(tmp_path, "u.json", u_g1(2))
     positive = _write(tmp_path, "p.json", p_g(2))

@@ -120,7 +120,8 @@ def test_private_sibling_import_is_caught():
 # the package resolves its public names lazily (PEP 562)
 # ---------------------------------------------------------------------------
 
-LIBRARY = ("errors", "homology", "curves", "mapping", "fibration")
+LIBRARY = ("errors", "homology", "curves", "mapping", "fibration", "universality", "reduction",
+           "witness")
 
 
 def _fresh(code: str) -> str:
@@ -182,3 +183,77 @@ def test_a_patched_module_shows_through_the_package(monkeypatch):
     monkeypatch.undo()
     assert lefschetz.evaluate is original
     assert "evaluate" not in vars(lefschetz)
+
+
+# the public names that fibration and mapping used to define, by the module
+# that defines them now
+_MOVED = [
+    ("fibration", "reduction", ("stabilize", "destabilize", "ReduceResult", "reduce")),
+    ("fibration", "witness", ("PlanEntry", "MeridianPlan", "ImmersionWitness", "identity_plan",
+                              "pullback", "WITNESS_WORD_BOUND", "WITNESS_DEPTH",
+                              "substitution_witness")),
+    ("fibration", "universality", ("UniversalityReport", "universality_report")),
+    ("mapping", "universality", ("ORDER_WORK_BOUND", "perm_group_surjective",
+                                 "symplectic_group_order", "MAX_MODULUS",
+                                 "SurjectivityVerdict", "mcg_surjectivity_oracle")),
+]
+
+
+@pytest.mark.parametrize("old, new, names", _MOVED, ids=[f"{o}-{n}" for o, n, _ in _MOVED])
+def test_moved_names_resolve_from_their_old_modules(monkeypatch, old, new, names):
+    old_module = importlib.import_module(f"lefschetz.{old}")
+    new_module = importlib.import_module(f"lefschetz.{new}")
+    for name in names:
+        assert getattr(old_module, name) is getattr(new_module, name), name
+    # looked up afresh on every access, so a patch of the new module shows through
+    monkeypatch.setattr(new_module, names[0], None)
+    assert getattr(old_module, names[0]) is None
+    with pytest.raises(AttributeError, match=f"^module 'lefschetz.{old}' has no attribute 'x'$"):
+        old_module.x
+
+
+# ---------------------------------------------------------------------------
+# each CLI subcommand loads only the modules it runs
+# ---------------------------------------------------------------------------
+
+# runs the CLI as ``python -m lefschetz.cli`` does, then prints the exit code
+# and the library modules loaded
+_RUN_CLI = """\
+import runpy, sys
+sys.argv = ["lefschetz", *sys.argv[1:]]
+try:
+    runpy.run_module("lefschetz.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("lefschetz.")))
+"""
+
+_CENSUS = {"errors", "homology", "curves", "serialize"}
+_FIBRATION = _CENSUS | {"mapping", "fibration"}
+_SUBCOMMANDS = {
+    "census": (["census", "2", "3", "--enumerate"], _CENSUS),
+    "build": (["build", "u_g1", "--g", "2"], _FIBRATION),
+    "invariants": (["invariants", "{f}"], _FIBRATION),
+    "hurwitz": (["hurwitz", "{f}", "--move", "1:R"], _FIBRATION),
+    "reduce": (["reduce", "{f}"], _FIBRATION | {"reduction"}),
+    "witness": (["witness", "-u", "{f}", "-f", "{f}"], _FIBRATION | {"witness"}),
+    "check-universal": (["check-universal", "{f}"], _FIBRATION | {"universality"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+def test_each_subcommand_loads_only_its_modules(subcommand, tmp_path):
+    from lefschetz.fibration import u_g1
+    from lefschetz.serialize import fibration_dumps
+
+    path = tmp_path / "f.json"
+    path.write_text(fibration_dumps(u_g1(2)), encoding="utf-8")
+    argv, want = _SUBCOMMANDS[subcommand]
+    argv = [arg.format(f=path) for arg in argv] + ["--out", str(tmp_path / "out.json")]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == want
+    assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith("{")

@@ -18,6 +18,7 @@ walk.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 import sys
@@ -27,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lefschetz.fibration as fibration
 import lefschetz.homology as homology
 import lefschetz.mapping as mapping
+import lefschetz.witness as witness
 import reference_kernel as ref
 from lefschetz.curves import (
     CurveClass,
@@ -47,11 +48,6 @@ from lefschetz.fibration import (
     MeridianPlan,
     PlanEntry,
     SignedCycle,
-    _alphabet,
-    _forced_split,
-    _half_words,
-    _walk_level,
-    _walk_steps,
     build,
     destabilize,
     global_conjugate,
@@ -90,7 +86,9 @@ from lefschetz.mapping import (
     twist_vector,
     twist_word,
 )
+from lefschetz.reduction import _forced_split
 from lefschetz.serialize import fibration_to_json, plan_to_json
+from lefschetz.witness import _alphabet, _half_words, _walk_level, _walk_steps
 
 
 def _random_surface(rng):
@@ -285,7 +283,10 @@ def test_large_twist_product_matches_dense_reference():
 
 def _forbid(monkeypatch, module, name):
     """Rebind ``module.name`` in every lefschetz module that imported it to a
-    stub that raises, the way perfbench's tracer rebinds what it wraps."""
+    stub that raises, the way perfbench's tracer rebinds what it wraps.  The
+    modules that load on use are imported first, so that they are reached."""
+    for lazy in ("universality", "reduction", "witness"):
+        importlib.import_module(f"lefschetz.{lazy}")
     original = getattr(module, name)
 
     def stub(*args, **kwargs):
@@ -339,13 +340,13 @@ def test_pullback_and_witness_need_no_matrix_product(monkeypatch, family):
 def test_pullback_check_catches_a_wrong_transport(monkeypatch):
     u = u_g1(2)
     a1 = u.cycles[2].curve  # pairs to +-1 with b1, the first cycle
-    transport = fibration.act_on_curve
+    transport = witness.act_on_curve
 
     def one_twist_too_many(rep, c):
         moved = transport(rep, c)
         return replace(moved, hom=twist_vector(moved.hom, a1, 1))
 
-    monkeypatch.setattr(fibration, "act_on_curve", one_twist_too_many)
+    monkeypatch.setattr(witness, "act_on_curve", one_twist_too_many)
     with pytest.raises(AssertionError, match="^monodromy does not factor through the source$"):
         pullback(u, identity_plan(u))
 

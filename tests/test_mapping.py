@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import lefschetz.mapping as mapping
 import lefschetz.serialize as serialize
+import lefschetz.universality as universality
 from lefschetz.curves import nonseparating_curve, separating_curve
 from lefschetz.errors import CapacityError, InputError
 from lefschetz.homology import (
@@ -30,9 +31,6 @@ from lefschetz.mapping import (
     Letter,
     MCWord,
     TwistGen,
-    _group_order,
-    _mod_p_generators,
-    _symplectic_order_mod,
     act_on_curve,
     boundary_permutation_gen,
     evaluate,
@@ -46,6 +44,7 @@ from lefschetz.mapping import (
     twist_word,
 )
 from lefschetz.serialize import curve_to_json
+from lefschetz.universality import _group_order, _mod_p_generators, _symplectic_order_mod
 from reference_orders import _closure, _perm_group_order
 from reference_orders import _symplectic_order_mod as _tuple_order_mod
 
@@ -459,7 +458,7 @@ REFERENCE_CAP = 1_500
 
 def _symplectic_block_mod(m, g, p):
     """The handle block of a dense matrix mod p: applied to ``twist_matrix``,
-    the reference for ``mapping._mod_p_generators``."""
+    the reference for ``universality._mod_p_generators``."""
     return tuple(tuple(m[i][j] % p for j in range(2 * g)) for i in range(2 * g))
 
 
@@ -559,12 +558,12 @@ def test_packed_mod2_chain_matches_tuple_reference(case, extra):
     assert _symplectic_order_mod(gens, g, 2) == _tuple_order_mod(gens, g, 2)
     with pytest.MonkeyPatch.context() as mp:
         def reference_at(bound):
-            mp.setattr(mapping, "ORDER_WORK_BOUND", bound)
+            mp.setattr(universality, "ORDER_WORK_BOUND", bound)
             return _tuple_order_mod(gens, g, 2)
 
         # the least bound at which the reference completes: just below it
         # both chains must give up, at it both must finish
-        lo, hi = -1, mapping.ORDER_WORK_BOUND
+        lo, hi = -1, universality.ORDER_WORK_BOUND
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if reference_at(mid) is not None else (mid, hi)
@@ -572,7 +571,7 @@ def test_packed_mod2_chain_matches_tuple_reference(case, extra):
             order = reference_at(bound)
             assert _symplectic_order_mod(gens, g, 2) == order
             verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
-            mp.setattr(mapping, "_symplectic_order_mod", _tuple_order_mod)
+            mp.setattr(universality, "_symplectic_order_mod", _tuple_order_mod)
             assert mcg_surjectivity_oracle(twists, s, primes=(2,)) == verdict
             mp.undo()
 
@@ -600,7 +599,7 @@ def test_work_bound_makes_a_prime_inconclusive_never_obstructed(monkeypatch):
     assert exact.detail == "mod-2 symplectic closure has order 48 < 720"
     verdicts = set()
     for bound in range(0, 60):
-        monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", bound)
+        monkeypatch.setattr(universality, "ORDER_WORK_BOUND", bound)
         verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
         # a chain cut short gives up; only a completed one obstructs
         assert verdict in (exact, mapping.SurjectivityVerdict(
@@ -620,9 +619,9 @@ def test_least_completing_work_bound_is_pinned(monkeypatch, g, p, drop, order, l
     s = SurfaceSpec(g, 1)
     twists = [TwistGen(c) for i, c in enumerate(twist_catalog(s)) if i != drop]
     gens = _mod_p_generators(twists, g, p)
-    monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", least - 1)
+    monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least - 1)
     assert _symplectic_order_mod(gens, g, p) is None
-    monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", least)
+    monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least)
     assert _symplectic_order_mod(gens, g, p) == order
 
 
@@ -633,9 +632,9 @@ def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
 
     def least_bound(target):
         """Smallest work bound at which the chain returns an order."""
-        monkeypatch.setattr(mapping, "symplectic_group_order", lambda g, p: target)
+        monkeypatch.setattr(universality, "symplectic_group_order", lambda g, p: target)
         for bound in range(0, 10_000, 20):
-            monkeypatch.setattr(mapping, "ORDER_WORK_BOUND", bound)
+            monkeypatch.setattr(universality, "ORDER_WORK_BOUND", bound)
             order = _symplectic_order_mod(gens, 2, 3)
             if order is not None:
                 assert order == full
