@@ -9,82 +9,37 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# dependency order: the first of these that binds a public name defines it
-_MODULES = ("errors", "homology", "curves", "mapping", "fibration",
-            "universality", "reduction", "witness")
-
-__all__ = [
-    "ANNULUS",
-    "BaseSurface",
-    "BundleGen",
-    "CapacityError",
-    "Curve",
-    "CurveClass",
-    "DISK",
-    "HomPermRep",
-    "ImmersionWitness",
-    "InputError",
-    "InvariantReport",
-    "LefschetzFibration",
-    "Letter",
-    "MCWord",
-    "MeridianPlan",
-    "NotApplicable",
-    "PlanEntry",
-    "ReduceResult",
-    "SignedCycle",
-    "SurfaceSpec",
-    "SurjectivityVerdict",
-    "TwistGen",
-    "UniversalityReport",
-    "Unsupported",
-    "act_on_curve",
-    "boundary_permutation_gen",
-    "build",
-    "class_count",
-    "cokernel_invariants",
-    "destabilize",
-    "enumerate_classes",
-    "evaluate",
-    "global_conjugate",
-    "hurwitz_move",
-    "identity_plan",
-    "is_essential",
-    "mcg_surjectivity_oracle",
-    "nonseparating_curve",
-    "p_g",
-    "pairing",
-    "pairing_matrix",
-    "perm_group_surjective",
-    "pullback",
-    "reduce",
-    "separating_curve",
-    "smith_normal_form",
-    "stabilize",
-    "substitution_witness",
-    "total_space_invariants",
-    "twist_catalog",
-    "twist_matrix",
-    "twist_product",
-    "twist_word",
-    "u_10",
-    "u_11",
-    "u_g1",
-    "universality_report",
-]
+# public names by the library module that defines them, in dependency order
+_PUBLIC = {
+    "errors": ("CapacityError", "InputError", "NotApplicable", "Unsupported"),
+    "homology": ("SurfaceSpec", "cokernel_invariants", "is_essential", "pairing",
+                 "pairing_matrix", "smith_normal_form"),
+    "curves": ("Curve", "CurveClass", "class_count", "enumerate_classes",
+               "nonseparating_curve", "separating_curve"),
+    "mapping": ("BundleGen", "HomPermRep", "Letter", "MCWord", "TwistGen", "act_on_curve",
+                "boundary_permutation_gen", "evaluate", "twist_catalog", "twist_matrix",
+                "twist_word"),
+    "fibration": ("ANNULUS", "BaseSurface", "DISK", "InvariantReport", "LefschetzFibration",
+                  "SignedCycle", "build", "global_conjugate", "hurwitz_move", "p_g",
+                  "total_space_invariants", "twist_product", "u_10", "u_11", "u_g1"),
+    "universality": ("SurjectivityVerdict", "UniversalityReport", "mcg_surjectivity_oracle",
+                     "perm_group_surjective", "universality_report"),
+    "reduction": ("ReduceResult", "destabilize", "reduce", "stabilize"),
+    "witness": ("ImmersionWitness", "MeridianPlan", "PlanEntry", "identity_plan", "pullback",
+                "substitution_witness"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
     """A library module, or a public name looked up afresh in its module."""
-    if name in _MODULES:
+    if name in _PUBLIC:
         return import_module(f"{__name__}.{name}")
-    if name in __all__:
-        for module in _MODULES:
-            namespace = vars(import_module(f"{__name__}.{module}"))
-            if name in namespace:
-                return namespace[name]
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_MODULES})
+    return sorted({*globals(), *__all__, *_PUBLIC})

@@ -17,10 +17,9 @@ over the circles on one side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
 from .homology import (
+    Record,
     SurfaceSpec,
     Vector,
     check_fiber_rank,
@@ -30,33 +29,34 @@ from .homology import (
 )
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """Homeomorphism type of an essential simple closed curve.
 
     ``kind`` is "nonsep" or "sep"; separating types carry the normalized
     unordered pair of sides, ``sides[0] <= sides[1]`` lexicographically.
     """
 
-    kind: str
-    sides: tuple[tuple[int, int], tuple[int, int]] | None = None
+    __slots__ = ("kind", "sides")
 
-    def __post_init__(self) -> None:
-        if self.kind == "nonsep":
-            if self.sides is not None:
+    def __init__(self, kind: str,
+                 sides: tuple[tuple[int, int], tuple[int, int]] | None = None) -> None:
+        if kind == "nonsep":
+            if sides is not None:
                 raise InputError("non-separating type carries no side data")
-        elif self.kind == "sep":
-            if self.sides is None:
+        elif kind == "sep":
+            if sides is None:
                 raise InputError("separating type needs side data")
-            (g1, b1), (g2, b2) = self.sides
+            (g1, b1), (g2, b2) = sides
             if min(g1, g2) < 0 or min(b1, b2) < 1:
                 raise InputError(
-                    f"separating sides {self.sides}: each side needs >= 1 "
+                    f"separating sides {sides}: each side needs >= 1 "
                     "boundary circle (else the curve is null-homologous)")
-            if self.sides[0] > self.sides[1]:
+            if sides[0] > sides[1]:
                 raise InputError("separating sides must be normalized")
         else:
-            raise InputError(f"unknown curve kind {self.kind!r}")
+            raise InputError(f"unknown curve kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sides", sides)
 
     @staticmethod
     def nonseparating() -> "CurveClass":
@@ -164,43 +164,42 @@ def subset_from_class(surface: SurfaceSpec, hom: Vector) -> frozenset[int] | Non
     return None
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """Simple closed curve at (type, homology) resolution.
 
     Labels are provenance metadata and are ignored by equality.
     """
 
-    surface: SurfaceSpec
-    cls: CurveClass
-    hom: Vector
-    label: str = field(default="", compare=False)
+    __slots__ = ("surface", "cls", "hom", "label")
+    _compare = ("surface", "cls", "hom")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hom", tuple(self.hom))
-        if len(self.hom) != self.surface.rank:
+    def __init__(self, surface: SurfaceSpec, cls: CurveClass, hom: Vector,
+                 label: str = "") -> None:
+        hom = tuple(hom)
+        if len(hom) != surface.rank:
             raise InputError(
-                f"class of length {len(self.hom)} on {self.surface} "
-                f"(rank {self.surface.rank})")
-        if not is_essential(self.hom):
+                f"class of length {len(hom)} on {surface} (rank {surface.rank})")
+        if not is_essential(hom):
             raise InputError("curve class must be essential (nonzero)")
-        self.cls.validate_for(self.surface)
-        if self.cls.kind == "nonsep":
-            if vec_gcd(self.hom) != 1:
+        cls.validate_for(surface)
+        if cls.kind == "nonsep":
+            if vec_gcd(hom) != 1:
                 raise InputError("non-separating curves have primitive class")
-            if in_radical(self.surface, self.hom):
+            if in_radical(surface, hom):
                 raise InputError(
                     "a curve with boundary-type class cannot be non-separating")
         else:
-            subset = subset_from_class(self.surface, self.hom)
+            subset = subset_from_class(surface, hom)
             if subset is None:
-                raise InputError(
-                    f"separating class {self.hom} is not a boundary-subset class")
-            (g1, b1), (g2, b2) = self.cls.sides
+                raise InputError(f"separating class {hom} is not a boundary-subset class")
+            (g1, b1), (g2, b2) = cls.sides
             t = len(subset)
-            if sorted((t, self.surface.boundary - t)) != sorted((b1, b2)):
-                raise InputError(
-                    f"subset size {t} inconsistent with sides {self.cls.sides}")
+            if sorted((t, surface.boundary - t)) != sorted((b1, b2)):
+                raise InputError(f"subset size {t} inconsistent with sides {cls.sides}")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "label", label)
 
     def boundary_subset(self) -> frozenset[int] | None:
         """For separating curves, the circles on the side the class sums over."""

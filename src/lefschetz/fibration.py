@@ -21,13 +21,13 @@ none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 
 from .curves import Curve
 from .errors import InputError, Unsupported
 from .homology import (
     Matrix,
+    Record,
     SurfaceSpec,
     Vector,
     check_fiber_rank,
@@ -66,18 +66,18 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class BaseSurface:
+class BaseSurface(Record):
     """Compact oriented base surface with nonempty boundary."""
 
-    genus: int
-    boundary: int
+    __slots__ = ("genus", "boundary")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, genus: int, boundary: int) -> None:
+        if genus < 0:
             raise InputError("base genus must be >= 0")
-        if self.boundary < 1:
+        if boundary < 1:
             raise InputError("base surfaces must have nonempty boundary")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def free_loop_count(self) -> int:
@@ -89,38 +89,39 @@ DISK = BaseSurface(0, 1)
 ANNULUS = BaseSurface(0, 2)
 
 
-@dataclass(frozen=True)
-class SignedCycle:
+class SignedCycle(Record):
     """Vanishing cycle with the sign of its singular point."""
 
-    curve: Curve
-    sign: int
+    __slots__ = ("curve", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, curve: Curve, sign: int) -> None:
+        if sign not in (1, -1):
             raise InputError("cycle sign must be +-1")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class LefschetzFibration:
-    fiber: SurfaceSpec
-    base: BaseSurface
-    cycles: tuple[SignedCycle, ...]
-    bundle: tuple[BundleGen, ...] = ()
+class LefschetzFibration(Record):
+    __slots__ = ("fiber", "base", "cycles", "bundle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cycles", tuple(self.cycles))
-        object.__setattr__(self, "bundle", tuple(self.bundle))
-        for c in self.cycles:
-            if c.curve.surface != self.fiber:
+    def __init__(self, fiber: SurfaceSpec, base: BaseSurface,
+                 cycles: tuple[SignedCycle, ...], bundle: tuple[BundleGen, ...] = ()) -> None:
+        cycles = tuple(cycles)
+        bundle = tuple(bundle)
+        for c in cycles:
+            if c.curve.surface != fiber:
                 raise InputError("vanishing cycle on the wrong surface")
-        if len(self.bundle) != self.base.free_loop_count:
+        if len(bundle) != base.free_loop_count:
             raise InputError(
-                f"base has {self.base.free_loop_count} free loops but "
-                f"{len(self.bundle)} bundle generators were given")
-        for bg in self.bundle:
-            if bg.surface != self.fiber:
+                f"base has {base.free_loop_count} free loops but "
+                f"{len(bundle)} bundle generators were given")
+        for bg in bundle:
+            if bg.surface != fiber:
                 raise InputError("bundle generator on the wrong surface")
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "bundle", bundle)
 
     @property
     def size(self) -> int:
@@ -221,17 +222,21 @@ def build(name: str, g: int | None = None) -> LefschetzFibration:
 # total-space invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Algebraic invariants of the total space of a fibration over the disk."""
 
-    euler: int
-    h1_free_rank: int
-    h1_torsion: tuple[int, ...]
-    h2_rank: int
-    positive: int
-    negative: int
-    allowable: bool = True
+    __slots__ = ("euler", "h1_free_rank", "h1_torsion", "h2_rank", "positive", "negative",
+                 "allowable")
+
+    def __init__(self, euler: int, h1_free_rank: int, h1_torsion: tuple[int, ...],
+                 h2_rank: int, positive: int, negative: int, allowable: bool = True) -> None:
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "h1_free_rank", h1_free_rank)
+        object.__setattr__(self, "h1_torsion", h1_torsion)
+        object.__setattr__(self, "h2_rank", h2_rank)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "allowable", allowable)
 
 
 def total_space_invariants(f: LefschetzFibration) -> InvariantReport:

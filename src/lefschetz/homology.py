@@ -19,7 +19,6 @@ ints and matrices are tuples of row tuples.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 
@@ -71,6 +70,54 @@ def vec_gcd(x: Vector) -> int:
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the library's immutable value types.
+
+    A record lists its fields in ``__slots__`` and stores them in its own
+    ``__init__`` through ``object.__setattr__``, after any validation; that
+    ``__init__`` takes the fields in slot order.  Two records are equal when
+    they have the same class and equal compared fields, and a record hashes
+    as the tuple of its compared fields, as a frozen dataclass does.  The
+    compared fields are all fields, in order, unless the class names them in
+    ``_compare``.  Pickling and copying go through the constructor, so a
+    copy is validated again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in vars(c).get("__slots__", ()))
+        compared = getattr(cls, "_compare", cls._fields)
+        get = operator.attrgetter(*compared)
+        cls._key = staticmethod(get if len(compared) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # surfaces and the intersection pairing
 # ---------------------------------------------------------------------------
 
@@ -81,16 +128,16 @@ def vec_gcd(x: Vector) -> int:
 MAX_FIBER_RANK = 100
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """Compact connected oriented surface, recorded by genus and boundary count."""
 
-    genus: int
-    boundary: int
+    __slots__ = ("genus", "boundary")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.boundary < 0:
-            raise InputError(f"invalid surface ({self.genus}, {self.boundary})")
+    def __init__(self, genus: int, boundary: int) -> None:
+        if genus < 0 or boundary < 0:
+            raise InputError(f"invalid surface ({genus}, {boundary})")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
 
     @property
     def rank(self) -> int:

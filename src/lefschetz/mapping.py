@@ -21,7 +21,6 @@ on use (PEP 562), so importing this module does not load that one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import repeat
 
@@ -30,6 +29,7 @@ from .errors import InputError
 from .homology import (
     MAX_FIBER_RANK,  # noqa: F401  (re-exported)
     Matrix,
+    Record,
     SurfaceSpec,
     Vector,
     mat_identity,
@@ -82,16 +82,16 @@ def check_perm(p: Permutation, n: int) -> None:
 # generators and words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistGen:
+class TwistGen(Record):
     """Dehn twist about a curve; handed is "right" or "left"."""
 
-    curve: Curve
-    handed: str = "right"
+    __slots__ = ("curve", "handed")
 
-    def __post_init__(self) -> None:
-        if self.handed not in ("right", "left"):
-            raise InputError(f"bad handedness {self.handed!r}")
+    def __init__(self, curve: Curve, handed: str = "right") -> None:
+        if handed not in ("right", "left"):
+            raise InputError(f"bad handedness {handed!r}")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "handed", handed)
 
     @property
     def surface(self) -> SurfaceSpec:
@@ -103,32 +103,33 @@ class TwistGen:
         return 1 if self.handed == "right" else -1
 
 
-@dataclass(frozen=True)
-class BundleGen:
+class BundleGen(Record):
     """Monodromy of a fiber-bundle loop: matrix plus boundary permutation.
 
     The matrix must preserve the pairing and act on the boundary classes
     d_1, ..., d_b compatibly with the permutation.
     """
 
-    surface: SurfaceSpec
-    matrix: Matrix
-    perm: Permutation
-    label: str = field(default="", compare=False)
+    __slots__ = ("surface", "matrix", "perm", "label")
+    _compare = ("surface", "matrix", "perm")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if not preserves_pairing(self.surface, self.matrix):
+    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
+                 label: str = "") -> None:
+        matrix = tuple(tuple(r) for r in matrix)
+        perm = tuple(perm)
+        if not preserves_pairing(surface, matrix):
             raise InputError("bundle generator must preserve the pairing form")
-        b = self.surface.boundary
-        check_perm(self.perm, b)
+        b = surface.boundary
+        check_perm(perm, b)
         for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
-            src = boundary_subset_class(self.surface, frozenset({j}))
-            dst = boundary_subset_class(self.surface, frozenset({self.perm[j - 1] + 1}))
-            if mat_vec(self.matrix, src) != dst:
-                raise InputError(
-                    f"matrix moves boundary class {j} off d_{self.perm[j - 1] + 1}")
+            src = boundary_subset_class(surface, frozenset({j}))
+            dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
+            if mat_vec(matrix, src) != dst:
+                raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "label", label)
 
     def inverse(self) -> "BundleGen":
         return BundleGen(
@@ -188,16 +189,16 @@ def boundary_permutation_gen(
     return BundleGen(surface, matrix, perm, label)
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Record):
     """One word letter: a generator or its formal inverse (power -1)."""
 
-    gen: TwistGen | BundleGen
-    power: int = 1
+    __slots__ = ("gen", "power")
 
-    def __post_init__(self) -> None:
-        if self.power not in (1, -1):
+    def __init__(self, gen: TwistGen | BundleGen, power: int = 1) -> None:
+        if power not in (1, -1):
             raise InputError("letter power must be +-1")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "power", power)
 
     @property
     def surface(self) -> SurfaceSpec:
@@ -207,18 +208,18 @@ class Letter:
         return Letter(self.gen, -self.power)
 
 
-@dataclass(frozen=True)
-class MCWord:
+class MCWord(Record):
     """Word of generators on one surface, acting right to left."""
 
-    surface: SurfaceSpec
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("surface", "letters")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for let in self.letters:
-            if let.surface != self.surface:
+    def __init__(self, surface: SurfaceSpec, letters: tuple[Letter, ...] = ()) -> None:
+        letters = tuple(letters)
+        for let in letters:
+            if let.surface != surface:
                 raise InputError("word letters live on different surfaces")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "MCWord") -> "MCWord":
         if self.surface != other.surface:
@@ -238,13 +239,15 @@ def twist_word(*twists: TwistGen) -> MCWord:
     return MCWord(twists[0].surface, tuple(Letter(t) for t in twists))
 
 
-@dataclass(frozen=True)
-class HomPermRep:
+class HomPermRep(Record):
     """Evaluated mapping class: pairing-preserving matrix and boundary permutation."""
 
-    surface: SurfaceSpec
-    matrix: Matrix
-    perm: Permutation
+    __slots__ = ("surface", "matrix", "perm")
+
+    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation) -> None:
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "perm", perm)
 
     def compose(self, other: "HomPermRep") -> "HomPermRep":
         if self.surface != other.surface:

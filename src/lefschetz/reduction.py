@@ -11,12 +11,11 @@ breadth-first for a fibration of least fiber rank.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .curves import Curve, CurveClass, subset_from_class
 from .errors import InputError, NotApplicable
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import SurfaceSpec, Vector, in_radical, vec_gcd
+from .homology import Record, SurfaceSpec, Vector, in_radical, vec_gcd
 
 
 def _away(hom: Vector, genus: int) -> int:
@@ -324,8 +323,7 @@ class _ClassTable:
         return child
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(Record):
     """Outcome of :func:`reduce`.
 
     ``explored`` counts the successful destabilizations tried, which the
@@ -333,11 +331,15 @@ class ReduceResult:
     the input included.
     """
 
-    fibration: LefschetzFibration
-    steps: int
-    exhausted: bool
-    explored: int = 0
-    states: int = 1
+    __slots__ = ("fibration", "steps", "exhausted", "explored", "states")
+
+    def __init__(self, fibration: LefschetzFibration, steps: int, exhausted: bool,
+                 explored: int = 0, states: int = 1) -> None:
+        object.__setattr__(self, "fibration", fibration)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "exhausted", exhausted)
+        object.__setattr__(self, "explored", explored)
+        object.__setattr__(self, "states", states)
 
 
 def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .curves import CurveClass, enumerate_classes
 from .errors import CapacityError, InputError
 from .fibration import LefschetzFibration
-from .homology import Matrix, SurfaceSpec, Vector, check_fiber_rank, mat_identity
+from .homology import Matrix, Record, SurfaceSpec, Vector, check_fiber_rank, mat_identity
 from .mapping import (
     Permutation,
     TwistGen,
@@ -255,12 +254,14 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
 # the surjectivity oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
+class SurjectivityVerdict(Record):
     """Three-valued answer: "certified", "obstructed" or "unknown"."""
 
-    status: str
-    detail: str = ""
+    __slots__ = ("status", "detail")
+
+    def __init__(self, status: str, detail: str = "") -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def certified(self) -> bool:
@@ -364,16 +365,20 @@ def mcg_surjectivity_oracle(
 # universality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniversalityReport:
+class UniversalityReport(Record):
     """Condition flags and overall verdicts ("yes" / "no" / "unknown")."""
 
-    cond_perm: bool
-    cond_lef: SurjectivityVerdict
-    cond2: bool
-    cond2strong: bool
-    universal: str
-    strongly_universal: str
+    __slots__ = ("cond_perm", "cond_lef", "cond2", "cond2strong", "universal",
+                 "strongly_universal")
+
+    def __init__(self, cond_perm: bool, cond_lef: SurjectivityVerdict, cond2: bool,
+                 cond2strong: bool, universal: str, strongly_universal: str) -> None:
+        object.__setattr__(self, "cond_perm", cond_perm)
+        object.__setattr__(self, "cond_lef", cond_lef)
+        object.__setattr__(self, "cond2", cond2)
+        object.__setattr__(self, "cond2strong", cond2strong)
+        object.__setattr__(self, "universal", universal)
+        object.__setattr__(self, "strongly_universal", strongly_universal)
 
 
 def _verdict(cond_perm: bool, lef: SurjectivityVerdict, cond_cls: bool) -> str:

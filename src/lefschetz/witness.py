@@ -10,11 +10,10 @@ twists for one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Matrix, Vector, mat_vec
+from .homology import Matrix, Record, Vector, mat_vec
 from .mapping import (
     Letter,
     MCWord,
@@ -30,39 +29,39 @@ from .mapping import (
 # pullbacks along meridian plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(Record):
     """One target meridian: source cycle, conjugating word, local degree."""
 
-    source: int
-    conjugator: MCWord
-    local_degree: int = 1
+    __slots__ = ("source", "conjugator", "local_degree")
 
-    def __post_init__(self) -> None:
-        if self.local_degree not in (1, -1):
+    def __init__(self, source: int, conjugator: MCWord, local_degree: int = 1) -> None:
+        if local_degree not in (1, -1):
             raise InputError("local degree must be +-1")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "local_degree", local_degree)
 
 
-@dataclass(frozen=True)
-class MeridianPlan:
+class MeridianPlan(Record):
     """Combinatorial u-regular map of the disk, one entry per target cycle."""
 
-    entries: tuple[PlanEntry, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[PlanEntry, ...]) -> None:
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def is_immersion(self) -> bool:
         return all(e.local_degree == 1 for e in self.entries)
 
 
-@dataclass(frozen=True)
 class ImmersionWitness(MeridianPlan):
     """A meridian plan with every local degree +1 (orientation-preserving)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, entries: tuple[PlanEntry, ...]) -> None:
+        super().__init__(entries)
         if not self.is_immersion:
             raise InputError("an immersion witness needs all local degrees +1")
 

@@ -50,7 +50,7 @@ multiplies with these copies.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from lefschetz.curves import Curve, CurveClass
@@ -428,7 +428,7 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
             f.fiber, twist_matrix(left.curve, handed), perm_identity(f.fiber.boundary))
         moved = SignedCycle(act_on_curve(rep, right.curve), right.sign)
         cyc[i - 1], cyc[i] = moved, left
-    return replace(f, cycles=tuple(cyc))
+    return LefschetzFibration(f.fiber, f.base, tuple(cyc), f.bundle)
 
 
 def substitution_witness(

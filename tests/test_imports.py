@@ -48,8 +48,9 @@ def _used(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            # a literal __all__ marks re-exports; the package computes its own and imports none
             used.update(ast.literal_eval(node.value))
         # function returns, arguments and annotated assignments
         ann = getattr(node, "returns", None) or getattr(node, "annotation", None)
@@ -172,6 +173,18 @@ def test_unknown_names_raise_and_dir_lists_all():
     assert listed == sorted(listed)
 
 
+@pytest.mark.parametrize("name, modules", [
+    ("reduce", {"errors", "homology", "curves", "mapping", "fibration", "reduction"}),
+    ("substitution_witness", {"errors", "homology", "curves", "mapping", "fibration", "witness"}),
+    ("mcg_surjectivity_oracle", {"errors", "homology", "curves", "mapping", "fibration",
+                                 "universality"}),
+])
+def test_a_public_name_loads_only_its_module_and_imports(name, modules):
+    code = (f"import sys, lefschetz\nlefschetz.{name}\n"
+            "print(*(m.partition('.')[2] for m in sys.modules if m.startswith('lefschetz.')))")
+    assert set(_fresh(code).split()) == modules
+
+
 def test_a_patched_module_shows_through_the_package(monkeypatch):
     # the package looks a name up on every access, so patching the defining
     # module (as a tracer does) is seen at once, and undone with it
@@ -217,7 +230,8 @@ def test_moved_names_resolve_from_their_old_modules(monkeypatch, old, new, names
 # ---------------------------------------------------------------------------
 
 # runs the CLI as ``python -m lefschetz.cli`` does, then prints the exit code
-# and the library modules loaded
+# and the library modules loaded, and on a second line which of the slow
+# stdlib modules ``dataclasses`` and ``inspect`` got loaded
 _RUN_CLI = """\
 import runpy, sys
 sys.argv = ["lefschetz", *sys.argv[1:]]
@@ -226,6 +240,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("lefschetz.")))
+print(*sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
 _CENSUS = {"errors", "homology", "curves", "serialize"}
@@ -253,7 +268,9 @@ def test_each_subcommand_loads_only_its_modules(subcommand, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    code, *loaded = proc.stdout.split()
+    library, stdlib = proc.stdout.splitlines()
+    code, *loaded = library.split()
     assert code == "0", proc.stderr
     assert set(loaded) == want
+    assert stdlib == ""
     assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith("{")

@@ -22,7 +22,6 @@ import importlib
 import itertools
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ import lefschetz.mapping as mapping
 import lefschetz.witness as witness
 import reference_kernel as ref
 from lefschetz.curves import (
+    Curve,
     CurveClass,
     enumerate_classes,
     nonseparating_curve,
@@ -344,7 +344,7 @@ def test_pullback_check_catches_a_wrong_transport(monkeypatch):
 
     def one_twist_too_many(rep, c):
         moved = transport(rep, c)
-        return replace(moved, hom=twist_vector(moved.hom, a1, 1))
+        return Curve(moved.surface, moved.cls, twist_vector(moved.hom, a1, 1), moved.label)
 
     monkeypatch.setattr(witness, "act_on_curve", one_twist_too_many)
     with pytest.raises(AssertionError, match="^monodromy does not factor through the source$"):
@@ -722,6 +722,11 @@ def _same_plan(u, target, depth):
     return got
 
 
+def _relabeled(c):
+    """The same curve with a primed label: equal to ``c``, named apart."""
+    return Curve(c.surface, c.cls, c.hom, c.label + "'")
+
+
 def test_witness_plans_match_reference_on_ac8_seeds():
     rng = random.Random(888)
     u = u_g1(2)
@@ -756,7 +761,7 @@ def test_witness_plans_match_reference_with_flipped_signs(seed, depth):
     # every class twice with each sign, one three times: the source order
     # and the sign tiers decide which duplicate a target takes, and letters
     # are named after the first curve of a class, whatever the later labels
-    doubled = u.cycles + tuple(SignedCycle(replace(c.curve, label=c.curve.label + "'"), -c.sign)
+    doubled = u.cycles + tuple(SignedCycle(_relabeled(c.curve), -c.sign)
                                for c in u.cycles) + u.cycles[1:2]
     _same_plan(LefschetzFibration(u.fiber, DISK, doubled), f, depth)
 
@@ -844,7 +849,7 @@ def test_meet_in_the_middle_matches_whole_word_walk(seed, depth, source):
     target = _witness_target(rng, u, 0.4)
     if source == "doubled":
         u = LefschetzFibration(u.fiber, DISK, u.cycles + tuple(
-            SignedCycle(replace(c.curve, label=c.curve.label + "'"), -c.sign)
+            SignedCycle(_relabeled(c.curve), -c.sign)
             for c in u.cycles) + u.cycles[2:3])
     elif source == "positive":
         u = LefschetzFibration(u.fiber, DISK, tuple(SignedCycle(c.curve, 1) for c in u.cycles))
