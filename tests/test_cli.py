@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import cli
 from lefschetz.cli import main
 from lefschetz.curves import nonseparating_curve, separating_curve
 from lefschetz.errors import CapacityError, InputError
@@ -109,6 +110,59 @@ def test_plan_round_trip():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+# one argv per subcommand -> its parsed namespace, defaults included
+PARSED = [
+    (["census", "2", "1"],
+     {"command": "census", "genus": 2, "boundary": 1, "enumerate": False, "out": None}),
+    (["build", "u_g1"], {"command": "build", "name": "u_g1", "g": None, "out": None}),
+    (["invariants", "f.json"], {"command": "invariants", "file": "f.json", "out": None}),
+    (["check-universal", "f.json"],
+     {"command": "check-universal", "file": "f.json", "strong": False, "out": None}),
+    (["witness", "-u", "u.json", "-f", "f.json"],
+     {"command": "witness", "source": "u.json", "target": "f.json", "depth": None,
+      "out": None}),
+    (["reduce", "f.json"], {"command": "reduce", "file": "f.json", "budget": 100, "out": None}),
+    (["hurwitz", "f.json", "--move", "1:R", "--out", "o.json"],
+     {"command": "hurwitz", "file": "f.json", "move": ["1:R"], "out": "o.json"}),
+]
+
+
+# what each subcommand's --help must name, besides -h, --help and --out
+HELP_NAMES = {
+    "census": ["genus", "boundary", "--enumerate"],
+    "build": ["u_11", "u_10", "u_g1", "p_g", "--g"],
+    "invariants": ["file"],
+    "check-universal": ["file", "--strong"],
+    "witness": ["-u", "--source", "-f", "--target", "--depth"],
+    "reduce": ["file", "--budget"],
+    "hurwitz": ["file", "--move", "INDEX:L|R"],
+}
+
+
+@pytest.mark.parametrize("argv, want", PARSED, ids=[a[0] for a, _ in PARSED])
+def test_parser_namespace_and_help(argv, want, capsys):
+    args = cli._build_parser().parse_args(argv)
+    func = vars(args).pop("func")
+    assert vars(args) == want
+    assert func is getattr(cli, "cmd_" + argv[0].replace("-", "_"))
+    # argparse's help layout differs across Python versions: check names only
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in ["-h", "--help", "--out"] + HELP_NAMES[argv[0]]:
+        assert name in text
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for command in HELP_NAMES:
+        assert command in text
+
 
 def test_census_command(capsys):
     assert main(["census", "1", "1"]) == 0

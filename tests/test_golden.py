@@ -2,8 +2,9 @@
 
 ``data/cli_golden.json`` lists argv, exit code and stdout of ``cli.main``
 calls on the fixtures below, which are written to a temporary directory; an
-argv entry naming a fixture file is replaced by its path.  ``data/demos``
-holds each demo's stdout.  Both run in-process.
+argv entry naming a fixture file is replaced by its path.  Each call is run
+again with ``--out``, which must write that stdout to the file instead.
+``data/demos`` holds each demo's stdout.  Both run in-process.
 """
 
 from __future__ import annotations
@@ -78,11 +79,39 @@ def test_golden_covers_every_fixture_and_subcommand():
         "census", "build", "invariants", "check-universal", "witness", "reduce", "hurwitz"}
 
 
+def _argv(call, fixture_dir) -> list[str]:
+    return [str(fixture_dir / a) if a.endswith(".json") else a for a in call["argv"]]
+
+
+def _assert_stderr(argv, code, err):
+    """stderr is one error line on exit 2, else empty but for reduce's budget line."""
+    lines = err.splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    elif argv[0] == "reduce" and lines:
+        assert len(lines) == 1 and lines[0].startswith("budget ")
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("call", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_cli_output_is_pinned(call, fixture_dir, capsys):
-    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in call["argv"]]
-    code = main(argv)
+    code = main(_argv(call, fixture_dir))
     assert (code, capsys.readouterr().out) == (call["exit"], call["stdout"])
+
+
+@pytest.mark.parametrize("call", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_cli_out_file_holds_the_pinned_stdout(call, fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = _argv(call, fixture_dir)
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (call["exit"], "")
+    _assert_stderr(argv, code, captured.err)
+    if code == 2:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == call["stdout"].encode("utf-8")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
