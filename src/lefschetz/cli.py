@@ -6,6 +6,11 @@ success, 1 negative verdict, 2 input error, 3 unknown verdict.  The witness
 search depth defaults to 4 and can be overridden by --depth or the MF_DEPTH
 environment variable.
 
+Each command returns its document and exit code; ``main`` writes the
+document to stdout or to ``--out``, and maps every refusal (InputError,
+CapacityError, NotApplicable, Unsupported), a failed write and a document
+with an integer of over 4300 digits to one ``error:`` line and exit 2.
+
 Importing this module loads no library module: each command imports the
 modules it runs, so ``census`` loads no mapping class code and only
 ``check-universal``, ``reduce`` and ``witness`` load the modules of the
@@ -36,79 +41,54 @@ def _read_fibration(path: str):
     return serialize.fibration_loads(text)
 
 
-def _emit(doc, out: str | None) -> None:
-    from . import serialize
-    from .errors import InputError
-
-    text = serialize.dumps(doc)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from None
-
-
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[dict, int]:
     from . import serialize
     from .curves import class_count, enumerate_classes
     from .homology import SurfaceSpec
 
     surface = SurfaceSpec(args.genus, args.boundary)
-    report: dict = {
-        "surface": serialize.surface_to_json(surface),
-        "count": class_count(surface),
-    }
+    report = {"surface": serialize.surface_to_json(surface), "count": class_count(surface)}
     if args.enumerate:
         classes = enumerate_classes(surface)
         assert len(classes) == report["count"], "census formula disagrees with enumeration"
         report["classes"] = [serialize.curve_class_to_json(c) for c in classes]
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[dict, int]:
     from . import serialize
     from .fibration import build
 
-    f = build(args.name, args.g)
-    _emit(serialize.fibration_to_json(f), args.out)
-    return EXIT_OK
+    return serialize.fibration_to_json(build(args.name, args.g)), EXIT_OK
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple[dict, int]:
     from . import serialize
     from .fibration import total_space_invariants
 
-    f = _read_fibration(args.file)
-    report = total_space_invariants(f)
-    _emit(serialize.invariant_report_to_json(report), args.out)
-    return EXIT_OK
+    report = total_space_invariants(_read_fibration(args.file))
+    return serialize.invariant_report_to_json(report), EXIT_OK
 
 
-def cmd_check_universal(args) -> int:
+def cmd_check_universal(args) -> tuple[dict, int]:
     from . import serialize
     from .universality import universality_report
 
-    f = _read_fibration(args.file)
-    report = universality_report(f)
-    _emit(serialize.universality_report_to_json(report), args.out)
+    report = universality_report(_read_fibration(args.file))
     verdict = report.strongly_universal if args.strong else report.universal
-    return {"yes": EXIT_OK, "no": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}[verdict]
+    code = {"yes": EXIT_OK, "no": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}[verdict]
+    return serialize.universality_report_to_json(report), code
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict, int]:
     from . import serialize
     from .errors import InputError
     from .witness import WITNESS_DEPTH, substitution_witness
 
     u = _read_fibration(args.source)
     f = _read_fibration(args.target)
-    if args.depth is not None:
-        depth = args.depth
-    else:
+    depth = args.depth
+    if depth is None:
         raw = os.environ.get("MF_DEPTH", str(WITNESS_DEPTH))
         try:
             depth = int(raw)
@@ -116,27 +96,21 @@ def cmd_witness(args) -> int:
             raise InputError(f"MF_DEPTH must be an integer, got {raw!r}") from None
     plan = substitution_witness(u, f, depth)
     if plan is None:
-        _emit({"found": False, "depth": depth}, args.out)
-        return EXIT_UNKNOWN
-    doc = {"found": True, "depth": depth}
-    doc.update(serialize.plan_to_json(plan))
-    _emit(doc, args.out)
-    return EXIT_OK
+        return {"found": False, "depth": depth}, EXIT_UNKNOWN
+    return {"found": True, "depth": depth, **serialize.plan_to_json(plan)}, EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, int]:
     from . import serialize
     from .reduction import reduce
 
-    f = _read_fibration(args.file)
-    result = reduce(f, args.budget)
+    result = reduce(_read_fibration(args.file), args.budget)
     if result.exhausted:
         sys.stderr.write(
             f"budget {args.budget} exhausted: {result.explored} destabilizations "
             f"explored, {result.states} distinct states, best after "
             f"{result.steps} steps\n")
-    _emit(serialize.fibration_to_json(result.fibration), args.out)
-    return EXIT_OK
+    return serialize.fibration_to_json(result.fibration), EXIT_OK
 
 
 def _parse_move(text: str) -> tuple[int, str]:
@@ -152,7 +126,7 @@ def _parse_move(text: str) -> tuple[int, str]:
     return index, parts[1]
 
 
-def cmd_hurwitz(args) -> int:
+def cmd_hurwitz(args) -> tuple[dict, int]:
     from . import serialize
     from .fibration import hurwitz_move
 
@@ -160,8 +134,7 @@ def cmd_hurwitz(args) -> int:
     for spec in args.move:
         index, direction = _parse_move(spec)
         f = hurwitz_move(f, index, direction)
-    _emit(serialize.fibration_to_json(f), args.out)
-    return EXIT_OK
+    return serialize.fibration_to_json(f), EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,63 +144,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", help="count (and list) curve types on a fiber")
+    def command(name, func, help, *positionals):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("census", cmd_census, "count (and list) curve types on a fiber")
     p.add_argument("genus", type=int)
     p.add_argument("boundary", type=int)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("build", help="emit a standard fibration file")
+    p = command("build", cmd_build, "emit a standard fibration file")
     p.add_argument("name", choices=["u_11", "u_10", "u_g1", "p_g"])
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("invariants", help="total-space invariants of a fibration file")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_invariants)
+    command("invariants", cmd_invariants, "total-space invariants of a fibration file", "file")
 
-    p = sub.add_parser("check-universal", help="universality report and verdict exit code")
-    p.add_argument("file")
+    p = command("check-universal", cmd_check_universal,
+                "universality report and verdict exit code", "file")
     p.add_argument("--strong", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_check_universal)
 
-    p = sub.add_parser("witness", help="search a pullback witness plan")
+    p = command("witness", cmd_witness, "search a pullback witness plan")
     p.add_argument("-u", "--source", required=True)
     p.add_argument("-f", "--target", required=True)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser(
-        "reduce", help="breadth-first search for a maximally destabilized fibration")
-    p.add_argument("file")
+    p = command("reduce", cmd_reduce,
+                "breadth-first search for a maximally destabilized fibration", "file")
     p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("hurwitz", help="apply elementary moves to the cycle sequence")
-    p.add_argument("file")
+    p = command("hurwitz", cmd_hurwitz, "apply elementary moves to the cycle sequence", "file")
     p.add_argument("--move", action="append", required=True, metavar="INDEX:L|R")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hurwitz)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: write its document to stdout or --out, and return
+    its exit code; a refused input or a failed write is one error line on
+    stderr and exit 2, with nothing written."""
+    args = _build_parser().parse_args(argv)
+    from . import serialize
     from .errors import CapacityError, InputError, NotApplicable, Unsupported
 
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        try:
+            text = serialize.dumps(doc)
+        except ValueError:  # json writes no int past the int-string digit limit
+            raise CapacityError("the result has an integer of more than 4300 digits") from None
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc}") from None
     except (InputError, CapacityError, NotApplicable, Unsupported) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -156,7 +156,6 @@ def twist_product(f: LefschetzFibration) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def _catalog_fibration(fiber: SurfaceSpec, signs: tuple[int, ...]) -> LefschetzFibration:
-    check_fiber_rank(fiber)
     curves = twist_catalog(fiber)
     if len(signs) != len(curves):
         raise InputError("sign count does not match the catalog")
@@ -170,10 +169,12 @@ def u_g1(g: int) -> LefschetzFibration:
     configuration (b1 and c1 negative)."""
     if g < 2:
         raise InputError("u_g1 needs genus >= 2; use u_11 for genus one")
+    fiber = SurfaceSpec(g, 1)
+    check_fiber_rank(fiber)
     signs = [1] * (2 * g + 1)
     signs[0] = -1          # b1
     signs[g + 2] = -1      # c1
-    return _catalog_fibration(SurfaceSpec(g, 1), tuple(signs))
+    return _catalog_fibration(fiber, tuple(signs))
 
 
 def u_11() -> LefschetzFibration:
@@ -191,6 +192,7 @@ def p_g(g: int) -> LefschetzFibration:
     if g < 1:
         raise InputError("p_g needs genus >= 1")
     fiber = SurfaceSpec(g, 1)
+    check_fiber_rank(fiber)
     count = 2 if g == 1 else 2 * g + 1
     return _catalog_fibration(fiber, (1,) * count)
 

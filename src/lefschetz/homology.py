@@ -187,8 +187,11 @@ class SurfaceSpec(Record):
 def check_fiber_rank(surface: SurfaceSpec) -> None:
     """Refuse a surface of H1 rank above MAX_FIBER_RANK with CapacityError."""
     if surface.rank > MAX_FIBER_RANK:
-        raise CapacityError(
-            f"fiber rank {surface.rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
+        try:
+            rank = str(surface.rank)
+        except ValueError:  # past the int-string digit limit
+            rank = "of more than 4300 digits"
+        raise CapacityError(f"fiber rank {rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
 
 
 def pairing_matrix(surface: SurfaceSpec) -> Matrix:

@@ -57,19 +57,15 @@ def _int(value: object, what: str) -> int:
 
 # -- surfaces ---------------------------------------------------------------
 
-def surface_to_json(s: SurfaceSpec) -> dict:
+def surface_to_json(s: SurfaceSpec | BaseSurface) -> dict:
     return {"genus": s.genus, "boundary": s.boundary}
 
 
-def surface_from_json(obj: object, what: str = "surface") -> SurfaceSpec:
+def surface_from_json(obj: object, what: str = "surface",
+                      cls: type = SurfaceSpec) -> SurfaceSpec | BaseSurface:
+    """A (genus, boundary) object as a ``cls``: a SurfaceSpec or a BaseSurface."""
     _expect_keys(obj, {"genus", "boundary"}, set(), what)
-    return SurfaceSpec(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
-
-
-def base_from_json(obj: object) -> BaseSurface:
-    from .fibration import BaseSurface
-    _expect_keys(obj, {"genus", "boundary"}, set(), "base")
-    return BaseSurface(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
+    return cls(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
 
 
 # -- curves -----------------------------------------------------------------
@@ -155,7 +151,7 @@ def bundle_gen_from_json(obj: object, surface: SurfaceSpec) -> BundleGen:
 def fibration_to_json(f: LefschetzFibration) -> dict:
     return {
         "fiber": surface_to_json(f.fiber),
-        "base": {"genus": f.base.genus, "boundary": f.base.boundary},
+        "base": surface_to_json(f.base),
         "cycles": [
             {"sign": c.sign, "curve": curve_to_json(c.curve)} for c in f.cycles
         ],
@@ -164,19 +160,17 @@ def fibration_to_json(f: LefschetzFibration) -> dict:
 
 
 def fibration_from_json(obj: object) -> LefschetzFibration:
-    from .fibration import LefschetzFibration, SignedCycle
+    from .fibration import BaseSurface, LefschetzFibration, SignedCycle
     _expect_keys(obj, {"fiber", "base", "cycles", "bundle"}, set(), "fibration")
     fiber = surface_from_json(obj["fiber"], "fiber")
     check_fiber_rank(fiber)
-    base = base_from_json(obj["base"])
+    base = surface_from_json(obj["base"], "base", BaseSurface)
     if not isinstance(obj["cycles"], list) or not isinstance(obj["bundle"], list):
         raise InputError("cycles and bundle must be lists")
     cycles = []
     for entry in obj["cycles"]:
         _expect_keys(entry, {"sign", "curve"}, set(), "cycle")
         sign = _int(entry["sign"], "sign")
-        if sign not in (1, -1):
-            raise InputError("cycle sign must be 1 or -1")
         cycles.append(SignedCycle(curve_from_json(entry["curve"], fiber), sign))
     bundle = [bundle_gen_from_json(bg, fiber) for bg in obj["bundle"]]
     return LefschetzFibration(fiber, base, tuple(cycles), tuple(bundle))
@@ -237,11 +231,8 @@ def _letter_to_json(letter: Letter) -> dict:
 def _letter_from_json(obj: object, surface: SurfaceSpec) -> Letter:
     from .mapping import Letter, TwistGen
     _expect_keys(obj, {"curve", "handed"}, {"power"}, "plan letter")
-    handed = obj["handed"]
-    if handed not in ("right", "left"):
-        raise InputError("letter handedness must be 'right' or 'left'")
     power = _int(obj.get("power", 1), "letter power")
-    return Letter(TwistGen(curve_from_json(obj["curve"], surface), handed), power)
+    return Letter(TwistGen(curve_from_json(obj["curve"], surface), obj["handed"]), power)
 
 
 def plan_to_json(plan: MeridianPlan) -> dict:

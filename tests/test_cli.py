@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -96,6 +97,10 @@ def test_invalid_content_rejected():
         fibration_loads(json.dumps(doc))
     with pytest.raises(InputError):
         fibration_loads("not json")
+    plan = json.loads(json.dumps(FUZZ_PLAN))
+    plan["entries"][0]["conjugator"][0]["handed"] = "both"
+    with pytest.raises(InputError, match="bad handedness"):
+        plan_from_json(plan, FUZZ_PLAN_SURFACE)
 
 
 def test_plan_round_trip():
@@ -398,6 +403,34 @@ def test_build_past_rank_bound_refused(tmp_path, capsys):
         _assert_refused(main(["build", name, "--g", "51"]), capsys)
     with pytest.raises(CapacityError):
         u_g1(10**6)
+
+
+# G has 4,300 digits, the most that int() parses by default; H has 2,200
+G, H = "9" * 4300, "9" * 2200
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", H, H],                      # the count has over 4,300 digits
+    ["census", G, "1", "--enumerate"],     # so has the fiber rank 2G
+    ["build", "u_g1", "--g", G],           # these two built lists of 2G + 1 signs
+    ["build", "p_g", "--g", G],
+], ids=["census", "census-enumerate", "build-u_g1", "build-p_g"])
+def test_oversized_integer_argument_refused(argv, capsys):
+    # each used to leak a ValueError or OverflowError traceback as exit 1
+    _assert_refused(main(argv), capsys)
+
+
+@pytest.mark.parametrize("builder", [u_g1, p_g])
+def test_builder_checks_the_rank_before_allocating(builder):
+    # u_g1(10**6) allocated 30.5 MB before it refused the fiber
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            builder(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
