@@ -83,17 +83,6 @@ def _argv(call, fixture_dir) -> list[str]:
     return [str(fixture_dir / a) if a.endswith(".json") else a for a in call["argv"]]
 
 
-def _assert_stderr(argv, code, err):
-    """stderr is one error line on exit 2, else empty but for reduce's budget line."""
-    lines = err.splitlines()
-    if code == 2:
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    elif argv[0] == "reduce" and lines:
-        assert len(lines) == 1 and lines[0].startswith("budget ")
-    else:
-        assert err == ""
-
-
 @pytest.mark.parametrize("call", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_cli_output_is_pinned(call, fixture_dir, capsys):
     code = main(_argv(call, fixture_dir))
@@ -107,10 +96,14 @@ def test_cli_out_file_holds_the_pinned_stdout(call, fixture_dir, tmp_path, capsy
     code = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (call["exit"], "")
-    _assert_stderr(argv, code, captured.err)
+    # stderr is one error line on exit 2, else empty but for reduce's budget line
+    lines = captured.err.splitlines()
     if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
     else:
+        assert lines == [] or (argv[0] == "reduce" and len(lines) == 1
+                               and lines[0].startswith("budget "))
         assert out.read_bytes() == call["stdout"].encode("utf-8")
 
 
