@@ -92,8 +92,10 @@ def cmd_witness(args) -> tuple[dict, int]:
         raw = os.environ.get("MF_DEPTH", str(WITNESS_DEPTH))
         try:
             depth = int(raw)
-        except ValueError:
-            raise InputError(f"MF_DEPTH must be an integer, got {raw!r}") from None
+        except ValueError:  # a long value is clipped, so the error stays one short line
+            shown = raw if len(raw) <= 20 else raw[:20] + "..."
+            raise InputError(
+                f"MF_DEPTH must be an integer of at most 4300 digits, got {shown!r}") from None
     plan = substitution_witness(u, f, depth)
     if plan is None:
         return {"found": False, "depth": depth}, EXIT_UNKNOWN

@@ -189,6 +189,47 @@ def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
         for t in twists))
 
 
+def _irreducible_mod(twists: list[TwistGen], g: int, p: int) -> bool:
+    """True when the twists' centers span F_p^(2g) and their graph is connected.
+
+    A center is the handle part (the first 2g entries) of a twist's class
+    mod p, zero and repeated centers dropped; two centers are joined when
+    they pair to nonzero mod p.  The twists then act irreducibly on F_p^(2g):
+    a twist about c moves x by a multiple of <c, x> c, so an invariant
+    subspace U holds c or lies in c's orthogonal.  A nonzero U does not lie
+    in every center's orthogonal, as the centers span and the pairing is
+    nondegenerate, so U holds a center, then every center joined to one it
+    holds, and so all of them, which span.  Conversely a set that fails is
+    reducible: the span of its centers, or of one component's, is invariant.
+    """
+    n = 2 * g
+    covectors: dict[Vector, Vector] = {}  # center -> its covector's handle part
+    for t in twists:
+        center = tuple(x % p for x in t.curve.hom[:n])
+        if any(center):
+            covectors.setdefault(center, twist_covector(t.curve)[:n])
+    basis: dict[int, list[int]] = {}  # pivot -> echelon row, 1 at the pivot
+    for center in covectors:
+        v = list(center)
+        for j, row in basis.items():
+            k = v[j]
+            if k:
+                v = [(x - k * y) % p for x, y in zip(v, row)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            k = pow(v[j], -1, p)
+            basis[j] = [x * k % p for x in v]
+    if len(basis) < n:
+        return False
+    reached, rest = [next(iter(covectors))], list(covectors)[1:]
+    for c in reached:  # grows while it is read
+        w, unjoined = covectors[c], []
+        for d in rest:
+            (reached if sum(map(operator.mul, w, d)) % p else unjoined).append(d)
+        rest = unjoined
+    return not rest
+
+
 def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
     """Order of the group the symplectic matrices generate mod p (None: gave up).
 
@@ -312,7 +353,21 @@ def mcg_surjectivity_oracle(
         The chain stops early, as full, once the product of its orbit
         lengths reaches |Sp(2g, p)|: each orbit is an orbit of a subgroup
         of the true point stabilizer, so the product is a lower bound on
-        the order;
+        the order.  At an odd prime the chain runs only on a reducible
+        set: when the twists' centers span F_p^(2g) and their graph is
+        connected (:func:`_irreducible_mod`), the twists act irreducibly,
+        and by McLaughlin (1967, *Some groups generated by transvections*)
+        an irreducible subgroup of SL(n, p), p an odd prime, generated by
+        transvections is SL(n, p) or the symplectic group of a
+        nondegenerate alternating form.  Inside Sp(2g, p) either has order
+        |Sp(2g, p)| (SL(n, p) fits only at n = 2, where it is Sp(2, p)), so
+        it is all of Sp(2g, p).  In the general list (Kantor 1979, *Subgroups
+        of classical groups generated by long root elements*) the other
+        cases need a field larger than F_p or characteristic 2.  The prime
+        then counts as full with no chain.  On such a set the chain could
+        only have returned |Sp(2g, p)| or given up at the work bound, and
+        both go on to the next prime, so no verdict or detail changes.  A
+        reducible set still runs the chain, under the same work bound;
       * g >= 1, b <= 1 and no twists: a surjective monodromy would realize
         the non-separating type, the only one at b <= 1.
 
@@ -346,6 +401,8 @@ def mcg_surjectivity_oracle(
 
     if g >= 1:
         for p in primes:
+            if p != 2 and _irreducible_mod(twists, g, p):
+                continue  # all of Sp(2g, p), by McLaughlin's theorem
             order = _symplectic_order_mod(_mod_p_generators(twists, g, p), g, p)
             if order is None:
                 continue  # inconclusive at this prime

@@ -164,8 +164,9 @@ def substitution_witness(
     for _ in range(depth + 1):
         words += level
         if words > WITNESS_WORD_BOUND:
+            shown = depth if depth <= WITNESS_WORD_BOUND else f"above {WITNESS_WORD_BOUND}"
             raise CapacityError(
-                f"witness search over {len(letters)} letters to depth {depth} "
+                f"witness search over {len(letters)} letters to depth {shown} "
                 f"exceeds the bound of {WITNESS_WORD_BOUND} words")
         level *= len(letters)
         if not level:

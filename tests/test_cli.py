@@ -433,6 +433,20 @@ def test_builder_checks_the_rank_before_allocating(builder):
     assert peak < 2**20
 
 
+def test_oversized_depth_is_not_echoed(tmp_path, capsys, monkeypatch):
+    # the two refusals used to print the whole 4,300- or 4,301-digit depth
+    u = _write(tmp_path, "u.json", u_g1(2))
+    for env, argv in [(G + "9", []), (None, ["--depth", G])]:
+        if env is None:
+            monkeypatch.delenv("MF_DEPTH", raising=False)
+        else:
+            monkeypatch.setenv("MF_DEPTH", env)
+        code = main(["witness", "-u", u, "-f", u, *argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
     doc = fibration_to_json(u_g1(2))
     text = dumps(doc).replace('"hom": [', '"hom": [' + "1" * 4401 + ",", 1)

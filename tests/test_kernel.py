@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import lefschetz.homology as homology
 import lefschetz.mapping as mapping
+import lefschetz.universality as universality
 import lefschetz.witness as witness
 import reference_kernel as ref
 from lefschetz.curves import (
@@ -313,6 +314,10 @@ def _dense_free_results():
         for curves in (catalog, tuple(act_on_curve(conj, c) for c in catalog)):
             for removed in (0, 1):
                 out.append(mcg_surjectivity_oracle([TwistGen(c) for c in curves[removed:]], s))
+    # spans only a line mod 3, so its odd-prime chain still runs
+    s = SurfaceSpec(1, 1)
+    out.append(mcg_surjectivity_oracle(
+        [TwistGen(nonseparating_curve(s, v, "r")) for v in ((1, 0), (1, 3))], s))
     u = u_g1(2)
     plan = substitution_witness(u, _conjugated_target(u, 1), 2)
     assert plan is not None
@@ -322,7 +327,16 @@ def _dense_free_results():
 def test_no_library_path_builds_a_dense_twist(monkeypatch):
     want = _dense_free_results()
     _forbid(monkeypatch, mapping, "twist_matrix")
+    chains = []
+    order_mod = universality._symplectic_order_mod
+
+    def spy(mats, g, p):
+        chains.append((g, p))
+        return order_mod(mats, g, p)
+
+    monkeypatch.setattr(universality, "_symplectic_order_mod", spy)
     assert _dense_free_results() == want
+    assert (1, 3) in chains
 
 
 @pytest.mark.parametrize("family", [u_g1(2), u_g1(3)], ids=["u_g1(2)", "u_g1(3)"])

@@ -589,6 +589,58 @@ def test_mod2_chain_on_conjugated_genus_four_catalog():
 
 
 # ---------------------------------------------------------------------------
+# odd primes: transvection-group recognition against the chain
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mod2_twist_sets(), p=st.sampled_from((3, 5, 7)))
+def test_recognition_agrees_with_the_chain(case, p):
+    twists, s = case
+    g = s.genus
+    p = 3 if g == 3 else p  # the chain to |Sp(6, p)| takes seconds for p >= 5
+    # the criterion holds exactly when the group acts irreducibly, and then
+    # (McLaughlin) exactly when a completed chain reaches |Sp(2g, p)|
+    order = _symplectic_order_mod(_mod_p_generators(twists, g, p), g, p)
+    if order is not None:
+        assert universality._irreducible_mod(twists, g, p) == (
+            order == symplectic_group_order(g, p))
+    verdict = mcg_surjectivity_oracle(twists, s, primes=(p,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(universality, "_irreducible_mod", lambda twists, g, p: False)
+        assert mcg_surjectivity_oracle(twists, s, primes=(p,)) == verdict
+
+
+def test_reducible_sets_keep_the_chains_detail():
+    torus = SurfaceSpec(1, 1)
+    line = [TwistGen(nonseparating_curve(torus, v, "r")) for v in ((1, 0), (1, 3))]
+    assert not universality._irreducible_mod(line, 1, 3)  # (1, 3) = (1, 0) mod 3
+    assert mcg_surjectivity_oracle(line, torus).detail == (
+        "mod-3 symplectic closure has order 3 < 24")
+    s = SurfaceSpec(2, 1)
+    basis = [TwistGen(nonseparating_curve(s, s.basis_vector(i), "e")) for i in range(4)]
+    assert not universality._irreducible_mod(basis, 2, 3)  # spans, two components
+    assert mcg_surjectivity_oracle(basis, s, primes=(3,)).detail == (
+        "mod-3 symplectic closure has order 576 < 51840")
+
+
+def _catalog_conjugated_by_b1_a1(g):
+    s = SurfaceSpec(g, 1)
+    catalog = {c.label: c for c in twist_catalog(s)}
+    rep = evaluate(twist_word(TwistGen(catalog["b1"]), TwistGen(catalog["a1"])))
+    return [TwistGen(act_on_curve(rep, c)) for c in catalog.values()], s
+
+
+def test_recognized_odd_primes_run_no_chain(monkeypatch):
+    def no_chain(mats, g, p):
+        raise AssertionError(f"chain run at p = {p}")
+
+    monkeypatch.setattr(universality, "_symplectic_order_mod", no_chain)
+    for g, primes in [(4, (3, 5)), (50, (3,))]:
+        twists, s = _catalog_conjugated_by_b1_a1(g)
+        assert mcg_surjectivity_oracle(twists, s, primes).status == "unknown"
+
+
+# ---------------------------------------------------------------------------
 # the work bound
 # ---------------------------------------------------------------------------
 
