@@ -29,6 +29,20 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 
 
+def _clipped(text: str) -> str:
+    """``text`` cut to 20 characters, so that a refusal stays one short line."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def _integer(text: str) -> int:
+    """An integer argument.  argparse's ``type=int`` would echo a refused
+    value in full: thousands of bytes for one past the int-string digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_clipped(text)!r}") from None
+
+
 def _read_fibration(path: str):
     from . import serialize
     from .errors import InputError
@@ -92,10 +106,10 @@ def cmd_witness(args) -> tuple[dict, int]:
         raw = os.environ.get("MF_DEPTH", str(WITNESS_DEPTH))
         try:
             depth = int(raw)
-        except ValueError:  # a long value is clipped, so the error stays one short line
-            shown = raw if len(raw) <= 20 else raw[:20] + "..."
+        except ValueError:
             raise InputError(
-                f"MF_DEPTH must be an integer of at most 4300 digits, got {shown!r}") from None
+                f"MF_DEPTH must be an integer of at most 4300 digits, got {_clipped(raw)!r}"
+            ) from None
     plan = substitution_witness(u, f, depth)
     if plan is None:
         return {"found": False, "depth": depth}, EXIT_UNKNOWN
@@ -154,13 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("census", cmd_census, "count (and list) curve types on a fiber")
-    p.add_argument("genus", type=int)
-    p.add_argument("boundary", type=int)
+    p.add_argument("genus", type=_integer)
+    p.add_argument("boundary", type=_integer)
     p.add_argument("--enumerate", action="store_true")
 
     p = command("build", cmd_build, "emit a standard fibration file")
     p.add_argument("name", choices=["u_11", "u_10", "u_g1", "p_g"])
-    p.add_argument("--g", type=int, default=None)
+    p.add_argument("--g", type=_integer, default=None)
 
     command("invariants", cmd_invariants, "total-space invariants of a fibration file", "file")
 
@@ -171,11 +185,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("witness", cmd_witness, "search a pullback witness plan")
     p.add_argument("-u", "--source", required=True)
     p.add_argument("-f", "--target", required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_integer, default=None)
 
     p = command("reduce", cmd_reduce,
                 "breadth-first search for a maximally destabilized fibration", "file")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=_integer, default=100)
 
     p = command("hurwitz", cmd_hurwitz, "apply elementary moves to the cycle sequence", "file")
     p.add_argument("--move", action="append", required=True, metavar="INDEX:L|R")

@@ -10,11 +10,13 @@ twists for one.
 from __future__ import annotations
 
 import operator
+import threading
 
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
 from .homology import Matrix, Record, Vector, mat_vec
 from .mapping import (
+    HomPermRep,
     Letter,
     MCWord,
     TwistGen,
@@ -83,17 +85,22 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
     asserted that rep preserves the pairing, it suffices to check that the
     transported class equals rep applied to the source class, one matrix
     times vector per entry.  (The twist identity alone would also accept
-    the negative of that class.)
+    the negative of that class.)  Each distinct conjugator object is
+    evaluated once per call, so entries that share one word object, as
+    :func:`substitution_witness`'s plans do, share its evaluation.
     """
     require_disk(u, "pullback")
     cycles = []
+    reps: dict[int, HomPermRep] = {}  # by the conjugator's identity: no record is hashed
     for e in plan.entries:
         if not 0 <= e.source < u.size:
             raise InputError(f"plan source {e.source} out of range")
-        if e.conjugator.surface != u.fiber:
-            raise InputError("plan conjugator on the wrong surface")
+        rep = reps.get(id(e.conjugator))
+        if rep is None:
+            if e.conjugator.surface != u.fiber:
+                raise InputError("plan conjugator on the wrong surface")
+            rep = reps[id(e.conjugator)] = evaluate(e.conjugator)
         src = u.cycles[e.source]
-        rep = evaluate(e.conjugator)
         moved = act_on_curve(rep, src.curve)
         if moved.hom != mat_vec(rep.matrix, src.curve.hom):
             raise AssertionError("monodromy does not factor through the source")
@@ -110,6 +117,39 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
 # 579,195.
 WITNESS_WORD_BOUND = 1_000_000
 WITNESS_DEPTH = 4  # default depth of substitution_witness and `lefschetz witness`
+
+# Most (second half, source class) pairs the walk cache keeps across searches,
+# a walk step counting as one pair: at most about 0.5 KiB each, so a few MB.
+# A new entry that would pass the bound empties the cache first; an entry
+# larger than the bound serves its own search and is not kept.
+WITNESS_CACHE_PAIRS = 10_000
+
+# The walk cache: (fiber, (class, hand) per letter in alphabet order) -> the
+# walk steps, and that key plus the source classes and a half length -> the
+# half table.  That is all the two read; labels stay out, since the entries
+# hold letter indices and each plan takes its letters from its own call.
+_walk_cache: dict[tuple, list | dict] = {}
+_walk_cache_pairs = 0  # the pairs _walk_cache holds
+_walk_cache_lock = threading.Lock()  # keeps the count true when threads share the cache
+
+
+def _cached(key: tuple, build, pairs):
+    """The walk cache's entry under ``key``, made by ``build()`` and kept,
+    with ``pairs(entry)`` counted against WITNESS_CACHE_PAIRS, when missing."""
+    global _walk_cache_pairs
+    entry = _walk_cache.get(key)
+    if entry is None:
+        entry = build()
+        n = pairs(entry)
+        if n <= WITNESS_CACHE_PAIRS:
+            with _walk_cache_lock:
+                if key not in _walk_cache:  # another thread may have kept it
+                    if _walk_cache_pairs + n > WITNESS_CACHE_PAIRS:
+                        _walk_cache.clear()
+                        _walk_cache_pairs = 0
+                    _walk_cache[key] = entry
+                    _walk_cache_pairs += n
+    return entry
 
 
 def _alphabet(u: LefschetzFibration) -> list[Letter]:
@@ -140,8 +180,8 @@ def substitution_witness(
 
     The search meets in the middle.  A word w of length L splits as
     w1 w2 with |w2| = L // 2, and w^-1 t = u_j exactly when
-    w1^-1 t = w2 u_j.  So :func:`_half_words` tables, once per half length
-    reached, the lex-least w2 per vector w2 u_j and source class u_j, and
+    w1^-1 t = w2 u_j.  So :func:`_half_words` tables the lex-least w2 per
+    vector w2 u_j and source class u_j, once per half length reached, and
     the walk visits only the first halves, carrying w1^-1 t for each target
     class t (:func:`_walk_level`); one lookup per open target at each w1
     gives its candidates.  Lex order on words of one length is lex order on (w1, w2),
@@ -151,6 +191,12 @@ def substitution_witness(
     halves of such an unskipped word are unskipped, and the first match of
     a full enumeration is never skipped, so the plans are those of the full
     enumeration.
+
+    The walk steps and half tables are kept across calls in the walk cache,
+    bounded by WITNESS_CACHE_PAIRS, so further searches from a source with
+    the same fiber, letter classes and hands, and source classes build
+    neither again.  The plan holds one word object per distinct conjugator,
+    which the round trip evaluates once.
     """
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
@@ -171,7 +217,8 @@ def substitution_witness(
         level *= len(letters)
         if not level:
             break  # an empty alphabet has only the empty word
-    steps = _walk_steps(letters)
+    key = (u.fiber, tuple((l.gen.curve.hom, l.gen.sign) for l in letters))
+    steps = _cached(key, lambda: _walk_steps(letters), len)
     # Per target: source hom -> (tier, j), sign-matching sources (tier 0)
     # before opposite-sign ones (tier 1), the first j winning within a tier.
     tables = []
@@ -202,15 +249,18 @@ def substitution_witness(
     start = tuple(c.curve.hom for c in f.cycles)
     for length in range(depth + 1 if letters else 1):
         if length % 2 == 0:  # the second half grows by one letter
-            half = _half_words(steps, sources, length // 2)
+            m = length // 2
+            half = _cached(key + (sources, m), lambda: _half_words(steps, sources, m),
+                           lambda table: sum(map(len, table.values())))
         if _walk_level((), start, length - length // 2, range(len(steps)), steps, visit):
             break
 
     if None in found:
         return None
-    entries = [PlanEntry(j, MCWord(u.fiber, tuple(letters[li] for li in word)),
-                         -1 if tier else 1)
-               for tier, word, j in found]
+    # one word object per distinct word, so the round trip evaluates each once
+    conjugators = {word: MCWord(u.fiber, tuple(letters[li] for li in word))
+                   for word in dict.fromkeys(word for _, word, _ in found)}
+    entries = [PlanEntry(j, conjugators[word], -1 if tier else 1) for tier, word, j in found]
     plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
     plan = plan_cls(tuple(entries))
 

@@ -447,6 +447,31 @@ def test_oversized_depth_is_not_echoed(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", G + "9", "1"],
+    ["census", "1", G + "9"],
+    ["build", "u_g1", "--g", G + "9"],
+    ["witness", "-u", "u.json", "-f", "f.json", "--depth", G + "9"],
+    ["reduce", "f.json", "--budget", G + "9"],
+], ids=["census-genus", "census-boundary", "build", "witness", "reduce"])
+def test_integer_argument_past_the_digit_limit_is_not_echoed(argv, capsys):
+    # argparse's type=int printed all 4,301 digits of the refused value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert len(err.encode()) < 400
+    assert err.endswith(": invalid int value: '99999999999999999999...'\n")
+
+
+def test_short_non_integer_argument_is_echoed_as_before(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "x", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument genus: invalid int value: 'x'\n")
+
+
 def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
     doc = fibration_to_json(u_g1(2))
     text = dumps(doc).replace('"hom": [', '"hom": [' + "1" * 4401 + ",", 1)

@@ -5,9 +5,10 @@ bundle generators are inverted in closed form; ``reduce`` searches over
 interned bare class records, finds applicable generators from their
 bitmasks, memoises transports by what they read and reads its result off
 the fiber rank; the curve census is generated in sorted order; the witness
-search meets in the middle and skips words equal to earlier ones; the
-integer kernel takes its inner products with ``map``, and ``global_conjugate``
-moves cycles through a twist word one transvection per letter.  These tests
+search meets in the middle, skips words equal to earlier ones and keeps its
+walk tables across calls; the integer kernel takes its inner products with
+``map``, and ``global_conjugate`` moves cycles through a twist word one
+transvection per letter.  These tests
 require the results to equal, exactly, those of the code kept in
 ``reference_kernel``: matrix products and transvections, word evaluation,
 bundle inverses, twist products, Hurwitz moves, global conjugation, the
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import os
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +57,7 @@ from lefschetz.fibration import (
     global_conjugate,
     hurwitz_move,
     identity_plan,
+    p_g,
     pullback,
     reduce,
     stabilize,
@@ -909,3 +913,163 @@ def test_half_words_table_the_lex_least_second_half(genus, most):
         for (x, v), word in sorted(least.items(), key=lambda item: item[1]):
             want.setdefault(x, []).append((word, v))
         assert _half_words(steps, sources, m) == want
+
+
+# ---------------------------------------------------------------------------
+# the walk cache and the round trip
+# ---------------------------------------------------------------------------
+
+def _fresh_walk_cache(monkeypatch, pairs=None):
+    """An empty walk cache for this test, bounded at ``pairs`` when given."""
+    monkeypatch.setattr(witness, "_walk_cache", {})
+    monkeypatch.setattr(witness, "_walk_cache_pairs", 0)
+    if pairs is not None:
+        monkeypatch.setattr(witness, "WITNESS_CACHE_PAIRS", pairs)
+
+
+def _cached_pairs():
+    """The pairs the walk cache holds, counted from its entries: a walk step
+    list by its steps, a half table by its (word, source class) pairs."""
+    return sum(len(e) if isinstance(e, list) else sum(map(len, e.values()))
+               for e in witness._walk_cache.values())
+
+
+def _same_class_sources():
+    """Sources on F(2, 1) and F(1, 3), both of rank 4, with one class tuple:
+    (1, 0, 1, 0) has covector (0, 1, 0, 1) on the first fiber and (0, 1, 0, 0)
+    on the second, so the two walk steps differ."""
+    homs = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
+    return [LefschetzFibration(s, DISK, tuple(
+                SignedCycle(nonseparating_curve(s, v, f"c{i}"), -1) for i, v in enumerate(homs)))
+            for s in (SurfaceSpec(2, 1), SurfaceSpec(1, 3))]
+
+
+def test_walk_cache_key_carries_the_fiber(monkeypatch):
+    sources = _same_class_sources()
+    searches = [(u, _witness_target(random.Random(seed), u, 0.2))
+                for u in sources for seed in range(8)]
+    for order in (searches, searches[::-1]):
+        _fresh_walk_cache(monkeypatch)
+        for _ in ("cold", "warm"):
+            for u, target in order:
+                _same_whole_word_plan(u, target, 4)
+
+
+def test_walk_cache_plans_carry_their_own_labels(monkeypatch):
+    _fresh_walk_cache(monkeypatch)
+    u = u_g1(2)
+    primed = LefschetzFibration(u.fiber, DISK, tuple(
+        SignedCycle(_relabeled(c.curve), c.sign) for c in u.cycles))
+    target = global_conjugate(u, MCWord(u.fiber, (Letter(TwistGen(u.cycles[2].curve)),)))
+    plans = [_same_whole_word_plan(source, target, 4) for source in (u, primed, u)]
+    labels = [{l.gen.curve.label for e in p.entries for l in e.conjugator.letters} for p in plans]
+    assert labels[0] == labels[2] == {"a1"} and labels[1] == {"a1'"}
+
+
+def test_walk_cache_builds_the_shared_work_once(monkeypatch):
+    _fresh_walk_cache(monkeypatch)
+    calls = []
+
+    def spy(name):
+        original = getattr(witness, name)
+
+        def recorded(*args):
+            calls.append((name, args[-1] if name == "_half_words" else None))
+            return original(*args)
+
+        monkeypatch.setattr(witness, name, recorded)
+
+    for name in ("_half_words", "_walk_steps", "evaluate"):
+        spy(name)
+    u = u_g1(3)
+    rng = random.Random(21)
+    built, shared = [], 0
+    for _ in range(6):
+        target = _witness_target(rng, u, 0.0)
+        for attempt in ("cold", "warm"):
+            calls.clear()
+            plan = substitution_witness(u, target, 4)
+            tables = [c for c in calls if c[0] != "evaluate"]
+            if attempt == "warm":  # an identical search builds nothing
+                assert tables == []
+            built += tables
+            # the round trip evaluates each distinct conjugator once
+            distinct = {e.conjugator for e in plan.entries}
+            assert len(calls) - len(tables) == len(distinct)
+            shared += len(plan.entries) - len(distinct)
+            assert plan_to_json(plan) == plan_to_json(ref.whole_word_witness(u, target, 4))
+    # one source: its steps once, and each half length reached once
+    assert built.count(("_walk_steps", None)) == 1
+    lengths = [m for name, m in built if name == "_half_words"]
+    assert lengths == list(range(len(lengths))) and lengths
+    assert shared > 0
+
+
+def test_walk_cache_keeps_at_most_its_bound(monkeypatch):
+    # u_g1(2) tables 5, 21 and 105 pairs at half lengths 0 to 2 and has 10
+    # walk steps; the 105-pair table is larger than the bound and is not kept
+    _fresh_walk_cache(monkeypatch, 60)
+    built = []
+    half_words = witness._half_words
+
+    def spy(steps, sources, m):
+        built.append(m)
+        return half_words(steps, sources, m)
+
+    monkeypatch.setattr(witness, "_half_words", spy)
+    u2 = u_g1(2)
+    # negative targets on a positive source match only at tier 1, so the
+    # walk runs to full depth
+    positive = LefschetzFibration(u2.fiber, DISK, tuple(SignedCycle(c.curve, 1) for c in u2.cycles))
+    target = LefschetzFibration(u2.fiber, DISK, tuple(
+        SignedCycle(c.curve, -1) for c in _witness_target(random.Random(5), u2, 0.0).cycles))
+    for want in ([0, 1, 2], [2]):
+        built.clear()
+        assert _same_whole_word_plan(positive, target, 4) is not None
+        assert built == want
+        assert _cached_pairs() == witness._walk_cache_pairs == 36
+    # more sources than the bound holds: the cache is emptied each time a new
+    # entry would pass it, and every plan is the reference plan
+    u3 = u_g1(3)
+    sources = [u3, u2, p_g(2), *_same_class_sources(), LefschetzFibration(
+        u3.fiber, DISK, tuple(SignedCycle(c.curve, -c.sign) for c in u3.cycles))]
+    rng = random.Random(6)
+    for u in sources * 2:
+        _same_whole_word_plan(u, _witness_target(rng, u, 0.3), 4)
+        assert _cached_pairs() == witness._walk_cache_pairs <= 60
+
+
+@pytest.mark.parametrize("bound", [None, 60], ids=["kept", "emptied"])
+def test_walk_cache_shared_by_threads(monkeypatch, bound):
+    # more threads than cores, started together and switching often, with the
+    # cache kept whole or emptied again and again: every plan is the reference
+    # plan, and the count is that of the entries kept
+    _fresh_walk_cache(monkeypatch, bound)
+    rng = random.Random(8)
+    searches = [(u, _witness_target(rng, u, 0.3))
+                for u in (u_g1(2), u_g1(3), *_same_class_sources()) for _ in range(3)]
+    want = [plan_to_json(p) if p else None
+            for p in (ref.whole_word_witness(u, t, 4) for u, t in searches)]
+    n = min(8, (os.cpu_count() or 1) + 2)
+    start = threading.Barrier(n)
+    got = {}
+
+    def run(k):
+        start.wait(timeout=60)
+        for i, (u, t) in enumerate(searches):
+            p = substitution_witness(u, t, 4)
+            got[k, i] = plan_to_json(p) if p else None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {(k, i): w for k in range(n) for i, w in enumerate(want)}
+    assert _cached_pairs() == witness._walk_cache_pairs <= witness.WITNESS_CACHE_PAIRS
