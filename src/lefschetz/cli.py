@@ -129,16 +129,20 @@ def cmd_reduce(args) -> tuple[dict, int]:
     return serialize.fibration_to_json(result.fibration), EXIT_OK
 
 
-def _parse_move(text: str) -> tuple[int, str]:
+def _parse_move(text: str, size: int) -> tuple[int, str]:
+    """``INDEX:L`` or ``INDEX:R`` as (index, direction) for a fibration of
+    ``size`` cycles; a refusal echoes the value clipped."""
     from .errors import InputError
 
     parts = text.split(":")
     if len(parts) != 2 or parts[1] not in ("L", "R"):
-        raise InputError(f"--move wants the form INDEX:L or INDEX:R, got {text!r}")
+        raise InputError(f"--move wants the form INDEX:L or INDEX:R, got {_clipped(text)!r}")
     try:
         index = int(parts[0])
     except ValueError:
-        raise InputError(f"bad move index in {text!r}") from None
+        raise InputError(f"bad move index in {_clipped(text)!r}") from None
+    if not 1 <= index < size:  # hurwitz_move's refusal would echo every digit
+        raise InputError(f"move position {_clipped(str(index))} out of range 1..{size - 1}")
     return index, parts[1]
 
 
@@ -148,7 +152,7 @@ def cmd_hurwitz(args) -> tuple[dict, int]:
 
     f = _read_fibration(args.file)
     for spec in args.move:
-        index, direction = _parse_move(spec)
+        index, direction = _parse_move(spec, f.size)
         f = hurwitz_move(f, index, direction)
     return serialize.fibration_to_json(f), EXIT_OK
 

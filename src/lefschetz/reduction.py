@@ -10,6 +10,7 @@ breadth-first for a fibration of least fiber rank.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 
 from .curves import Curve, CurveClass, subset_from_class
@@ -214,7 +215,7 @@ def _destabilizing_map(surface: SurfaceSpec, generator_index: int,
 
 
 class _ClassTable:
-    """One :func:`reduce` call's cycle classes as bare records.
+    """The cycle classes :func:`reduce` has met, as bare records.
 
     A record is (fiber, type, class) with no label and no ``Curve`` around
     it: ``intern`` gives each distinct record an id, and with it ``nonzero``
@@ -223,11 +224,16 @@ class _ClassTable:
     ``moves`` memoises :func:`_destabilizing_map` per (genus, boundary,
     generator), with a row that maps a class id to its child's id and the
     set of class ids whose transport :func:`_transported_class` refuses;
-    underneath, ``transports`` memoises that class rule on all it reads.  Every record that ``intern``
-    is given satisfies ``Curve``'s checks: the input's records come from
-    curves, and a transport keeps a nonzero, primitive class off the
-    boundary lattice or a boundary-subset class whose sides it sets.  So
-    ``Curve``s are built, and checked, only for the returned fibration.
+    underneath, ``transports`` memoises that class rule on all it reads.
+    Every entry is a pure function of its key and no id is ever ordered, so
+    one table serves any number of calls: nothing in it reads a sign, a
+    label, a budget or another cycle.  Move rows and refused sets hold ids,
+    so a table is only ever dropped whole, never cleared in part.  Every
+    record that ``intern`` is given satisfies ``Curve``'s checks: the
+    input's records come from curves, and a transport keeps a nonzero,
+    primitive class off the boundary lattice or a boundary-subset class
+    whose sides it sets.  So ``Curve``s are built, and checked, only for the
+    returned fibration.
     """
 
     def __init__(self) -> None:
@@ -323,6 +329,17 @@ class _ClassTable:
         return child
 
 
+# Most records the class table keeps across reduce calls: at about 1 KiB a
+# record with its transports and move rows, a few MB.  A call that leaves
+# more drops the table whole, and the next call starts from an empty one.
+REDUCE_TABLE_RECORDS = 4_000
+
+_table: _ClassTable | None = None  # the class table that reduce calls reuse
+# held for a whole search, so threads take the table in turn and intern's
+# appends never interleave
+_table_lock = threading.Lock()
+
+
 class ReduceResult(Record):
     """Outcome of :func:`reduce`.
 
@@ -359,7 +376,8 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     their signs and each cycle's input position, which fixes its label; two
     states are the same when (genus, boundary, ids, signs) are.  A state's
     applicable generators come from the records' bitmasks, each transport
-    is computed once per call, and a refused destabilization is skipped,
+    is computed once while the module's table is kept (across calls, up to
+    REDUCE_TABLE_RECORDS records), and a refused destabilization is skipped,
     by one set test once one of its surviving classes has been refused.
     These are exact: the states, their order, ``explored``, ``states`` and
     the result are those of calling :func:`destabilize` on every generator
@@ -372,34 +390,41 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
         raise InputError("budget must be >= 0")
     if f.fiber.rank > 0 and budget > 0:
         require_disk(f, "destabilize")  # raised by the first destabilization
-    table = _ClassTable()
-    ids = tuple(table.intern(c.curve.surface, c.curve.cls, c.curve.hom) for c in f.cycles)
-    seen = {(f.fiber.genus, f.fiber.boundary, ids, f.signs())}
-    queue = [(f.fiber, ids, tuple(range(f.size)), f.signs())]
-    edges, exhausted = 0, False
-    for surface, ids, origins, signs in queue:  # the queue grows while it is walked
-        if edges >= budget:
-            if surface.rank:  # a generator is left unvisited
-                exhausted = True
-                break
-            continue
-        for gi, removed in table.crossings(ids):
-            move = table.destabilized(surface, ids, gi, removed)
-            if move is None:
-                continue
-            new_surface, child = move
-            edges += 1
-            child_signs = signs[:removed] + signs[removed + 1:]
-            key = (new_surface.genus, new_surface.boundary, child, child_signs)
-            if key not in seen:
-                seen.add(key)
-                queue.append((new_surface, child, origins[:removed] + origins[removed + 1:],
-                              child_signs))
+    global _table
+    with _table_lock:
+        # out of the module while in use: a search cut short by an exception
+        # leaves no half-made entry behind
+        table, _table = _table or _ClassTable(), None
+        ids = tuple(table.intern(c.curve.surface, c.curve.cls, c.curve.hom) for c in f.cycles)
+        seen = {(f.fiber.genus, f.fiber.boundary, ids, f.signs())}
+        queue = [(f.fiber, ids, tuple(range(f.size)), f.signs())]
+        edges, exhausted = 0, False
+        for surface, ids, origins, signs in queue:  # the queue grows while it is walked
             if edges >= budget:
-                exhausted = gi < surface.rank - 1
+                if surface.rank:  # a generator is left unvisited
+                    exhausted = True
+                    break
+                continue
+            for gi, removed in table.crossings(ids):
+                move = table.destabilized(surface, ids, gi, removed)
+                if move is None:
+                    continue
+                new_surface, child = move
+                edges += 1
+                child_signs = signs[:removed] + signs[removed + 1:]
+                key = (new_surface.genus, new_surface.boundary, child, child_signs)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((new_surface, child, origins[:removed] + origins[removed + 1:],
+                                  child_signs))
+                if edges >= budget:
+                    exhausted = gi < surface.rank - 1
+                    break
+            if exhausted:
                 break
-        if exhausted:
-            break
+        if len(table.records) <= REDUCE_TABLE_RECORDS:
+            _table = table
+    # records are only ever appended, so those read below stay put
     # depth is the rank lost and never falls along the queue: the last is deepest
     deepest = queue[-1][0].rank
     surface, ids, origins, _ = next(state for state in queue if state[0].rank == deepest)

@@ -464,6 +464,28 @@ def test_integer_argument_past_the_digit_limit_is_not_echoed(argv, capsys):
     assert err.endswith(": invalid int value: '99999999999999999999...'\n")
 
 
+@pytest.mark.parametrize("spec", [G + "9:L", G + "9:X", G + ":L"],
+                         ids=["past-the-limit", "bad-direction", "out-of-range"])
+def test_oversized_move_is_not_echoed(spec, tmp_path, capsys):
+    # the three refusals printed all 4,300 or 4,301 digits of the index
+    path = _write(tmp_path, "u.json", u_g1(2))
+    code = main(["hurwitz", path, "--move", spec])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 400
+    assert "99999999999999999999..." in err
+
+
+def test_short_move_refusals_are_echoed_as_before(tmp_path, capsys):
+    path = _write(tmp_path, "u.json", u_g1(2))
+    n = u_g1(2).size
+    for spec, message in [("0:L", f"move position 0 out of range 1..{n - 1}"),
+                          ("x:R", "bad move index in 'x:R'"),
+                          ("1:X", "--move wants the form INDEX:L or INDEX:R, got '1:X'")]:
+        assert main(["hurwitz", path, "--move", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_short_non_integer_argument_is_echoed_as_before(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "x", "1"])

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import lefschetz.homology as homology
 import lefschetz.mapping as mapping
+import lefschetz.reduction as reduction
 import lefschetz.universality as universality
 import lefschetz.witness as witness
 import reference_kernel as ref
@@ -725,6 +726,107 @@ def test_reduce_skips_a_generator_crossed_once_with_coefficient_two():
     _same_reduce_and_destabilize(f)
     r = reduce(f, 400)
     assert (r.fibration.fiber, r.steps, r.explored, r.states) == (SurfaceSpec(1, 1), 1, 1, 2)
+
+
+def _fresh_reduce_table(monkeypatch, records=None):
+    """No kept class table for this test, bounded at ``records`` when given."""
+    monkeypatch.setattr(reduction, "_table", None)
+    if records is not None:
+        monkeypatch.setattr(reduction, "REDUCE_TABLE_RECORDS", records)
+
+
+def _shared_table_calls():
+    """(fibration, budget) calls whose inputs share classes: u_g1(g) and p_g(g)
+    have the same classes, a stabilized input meets them after one move, and
+    its two signs give equal records under different signs."""
+    inputs = []
+    for g in range(2, 7):
+        for f in (u_g1(g), p_g(g)):
+            inputs += [f, stabilize(f, "boundary_up", 1), stabilize(f, "boundary_up", -1)]
+    return [(f, budget) for f in inputs for budget in (0, 1, 200, 10**6)]
+
+
+def _reduce_outcome(r):
+    return (r.fibration, _cycle_data(r.fibration), r.steps, r.exhausted, r.explored, r.states)
+
+
+def test_reduce_table_kept_across_calls_matches_reference(monkeypatch):
+    # cold, then warm, in both call orders: every result is the reference BFS's
+    calls = _shared_table_calls()
+    want = [_reduce_outcome(ref.reduce(f, budget)) for f, budget in calls]
+    for order in (list(range(len(calls))), list(reversed(range(len(calls))))):
+        _fresh_reduce_table(monkeypatch)
+        for _ in ("cold", "warm"):
+            for i in order:
+                assert _reduce_outcome(reduce(*calls[i])) == want[i]
+            kept = reduction._table
+            assert (len(kept.records) == len(kept.ids) == len(kept.nonzero)
+                    <= reduction.REDUCE_TABLE_RECORDS)
+        # a warm call of the largest input adds nothing to the table
+        n = len(kept.records)
+        reduce(p_g(6), 10**6)
+        assert reduction._table is kept and len(kept.records) == n
+
+
+def test_reduce_table_past_its_bound_is_replaced(monkeypatch):
+    _fresh_reduce_table(monkeypatch, 40)
+    calls = _shared_table_calls()
+    tables = set()
+    for f, budget in calls:
+        assert _reduce_outcome(reduce(f, budget)) == _reduce_outcome(ref.reduce(f, budget))
+        kept = reduction._table
+        assert kept is None or len(kept.records) <= 40
+        tables.add(id(kept))
+    assert len(tables) > 2  # tables were dropped and new ones kept
+    # under the bound a table is kept and reused
+    reduce(u_g1(2), 0)
+    kept = reduction._table
+    reduce(p_g(2), 0)
+    assert reduction._table is kept
+
+
+@pytest.mark.parametrize("bound", [None, 40], ids=["kept", "replaced"])
+def test_reduce_table_shared_by_threads(monkeypatch, bound):
+    # more threads than cores, started together and switching often: every
+    # result is the reference result, and with the table kept whole each
+    # transport was decided once across all threads
+    calls = [(f, budget) for f, budget in _shared_table_calls() if budget != 10**6]
+    want = [_reduce_outcome(ref.reduce(f, budget)) for f, budget in calls]
+    _fresh_reduce_table(monkeypatch, bound)
+    decided = []
+    transported_class = reduction._transported_class
+
+    def spy(*args):
+        decided.append(args)
+        return transported_class(*args)
+
+    monkeypatch.setattr(reduction, "_transported_class", spy)
+    n = min(8, (os.cpu_count() or 1) + 2)
+    start = threading.Barrier(n)
+    got = {}
+
+    def run(k):
+        start.wait(timeout=60)
+        for i, (f, budget) in enumerate(calls):
+            got[k, i] = _reduce_outcome(reduce(f, budget))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {(k, i): w for k in range(n) for i, w in enumerate(want)}
+    kept = reduction._table
+    if bound is None:
+        assert len(decided) == len(kept.transports)
+    else:
+        assert kept is None or len(kept.records) <= bound
 
 
 # ---------------------------------------------------------------------------
