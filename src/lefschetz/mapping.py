@@ -151,8 +151,8 @@ def pairing_inverse(surface: SurfaceSpec, m: Matrix, perm: Permutation) -> Matri
     where S^-1 = J^T S^T J has entry (x, y) equal to +-S[y^1][x^1] (+ when x
     and y have the same parity) and P^-1 is the action of perm^-1.  Every
     BundleGen and every evaluated word has this form.  This is the one
-    inverse formula: ``BundleGen.inverse`` and the odd-prime stabilizer chain
-    of :mod:`lefschetz.universality` both call it.
+    inverse formula, called by ``BundleGen.inverse``; no stabilizer chain
+    calls it, as the mod-2 chain inverts by a bit transpose.
     """
     n = 2 * surface.genus
     sign = (1, -1) * surface.genus

@@ -28,7 +28,6 @@ from .mapping import (
     Permutation,
     TwistGen,
     check_perm,
-    pairing_inverse,
     perm_compose,
     perm_inverse,
     transvect,
@@ -170,10 +169,8 @@ def symplectic_group_order(g: int, p: int) -> int:
     return order
 
 
-# The oracle takes int primes up to MAX_MODULUS (the trial division that checks
-# them) whose |Sp(2g, p)| has at most 4300 digits, the most Python formats.
+# The oracle takes int primes up to MAX_MODULUS, the trial division that checks them.
 MAX_MODULUS = 1_000_000
-_MAX_ORDER = 10 ** 4300
 
 
 def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
@@ -189,28 +186,11 @@ def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
         for t in twists))
 
 
-def _irreducible_mod(twists: list[TwistGen], g: int, p: int) -> bool:
-    """True when the twists' centers span F_p^(2g) and their graph is connected.
-
-    A center is the handle part (the first 2g entries) of a twist's class
-    mod p, zero and repeated centers dropped; two centers are joined when
-    they pair to nonzero mod p.  The twists then act irreducibly on F_p^(2g):
-    a twist about c moves x by a multiple of <c, x> c, so an invariant
-    subspace U holds c or lies in c's orthogonal.  A nonzero U does not lie
-    in every center's orthogonal, as the centers span and the pairing is
-    nondegenerate, so U holds a center, then every center joined to one it
-    holds, and so all of them, which span.  Conversely a set that fails is
-    reducible: the span of its centers, or of one component's, is invariant.
-    """
-    n = 2 * g
-    covectors: dict[Vector, Vector] = {}  # center -> its covector's handle part
-    for t in twists:
-        center = tuple(x % p for x in t.curve.hom[:n])
-        if any(center):
-            covectors.setdefault(center, twist_covector(t.curve)[:n])
+def _rank_mod(vectors: Iterable[Vector], p: int) -> int:
+    """Dimension of the span of the vectors over F_p, by echelon reduction."""
     basis: dict[int, list[int]] = {}  # pivot -> echelon row, 1 at the pivot
-    for center in covectors:
-        v = list(center)
+    for v in vectors:
+        v = list(v)
         for j, row in basis.items():
             k = v[j]
             if k:
@@ -219,76 +199,88 @@ def _irreducible_mod(twists: list[TwistGen], g: int, p: int) -> bool:
         if j is not None:
             k = pow(v[j], -1, p)
             basis[j] = [x * k % p for x in v]
-    if len(basis) < n:
-        return False
+    return len(basis)
+
+
+def _invariant_subspace(twists: list[TwistGen], g: int, p: int) -> int | None:
+    """Dimension of a proper subspace of F_p^(2g) the twists preserve, or None.
+
+    A center is the handle part (the first 2g entries) of a twist's class
+    mod p, zero and repeated centers dropped; two centers are joined when
+    they pair to nonzero mod p.  A twist about c moves x by a multiple of
+    <c, x> c, so:
+
+      * when the centers do not span, their span is invariant (dimension 0,
+        a trivial action, when no center is nonzero);
+      * when they span but their graph splits, the span of one component's
+        centers is invariant, since every other twist fixes it pointwise.
+        It is proper, since the other centers are nonzero and pair to 0
+        with it;
+      * otherwise (None) the twists act irreducibly: an invariant subspace
+        U holds c or lies in c's orthogonal, a nonzero U does not lie in
+        every center's orthogonal, as the centers span and the pairing is
+        nondegenerate, so U holds a center, then every center joined to
+        one it holds, and so all of them, which span.
+    """
+    n = 2 * g
+    covectors: dict[Vector, Vector] = {}  # center -> its covector's handle part
+    for t in twists:
+        center = tuple(x % p for x in t.curve.hom[:n])
+        if any(center):
+            covectors.setdefault(center, twist_covector(t.curve)[:n])
+    rank = _rank_mod(covectors, p)
+    if rank < n:
+        return rank
     reached, rest = [next(iter(covectors))], list(covectors)[1:]
     for c in reached:  # grows while it is read
         w, unjoined = covectors[c], []
         for d in rest:
             (reached if sum(map(operator.mul, w, d)) % p else unjoined).append(d)
         rest = unjoined
-    return not rest
+    return _rank_mod(reached, p) if rest else None
 
 
-def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:
-    """Order of the group the symplectic matrices generate mod p (None: gave up).
+def _symplectic_order_mod(mats: Iterable[Matrix], g: int) -> int | None:
+    """Order of the group the symplectic matrices generate mod 2 (None: gave up).
 
-    The group acts on column vectors of F_p^(2g); the standard basis is a
-    base, since a matrix fixing every basis vector is the identity.
-
-    At p = 2 the chain runs on bit-packed vectors: a point is a 2g-bit int
-    whose bit i is entry i, and a matrix is the tuple of its column masks
-    (bit i of column j is entry (i, j)), so a matrix acts by XOR-ing the
-    columns the point's bits select.  Over F_2 the signs drop out of
-    S^-1 = J^T S^T J, so the inverse is a bit transpose: entry (x, y) is
-    bit y^1 of column x^1.  Packing is a bijection onto the tuple
-    representation, so the chain visits the same points in the same order
-    and does the same work.  Odd primes act on tuples of residues.
+    The group acts on column vectors of F_2^(2g); the standard basis is a
+    base, since a matrix fixing every basis vector is the identity.  The
+    chain runs on bit-packed vectors: a point is a 2g-bit int whose bit i
+    is entry i, and a matrix is the tuple of its column masks (bit i of
+    column j is entry (i, j)), so a matrix acts by XOR-ing the columns the
+    point's bits select.  Over F_2 the signs drop out of S^-1 = J^T S^T J,
+    so the inverse is a bit transpose: entry (x, y) is bit y^1 of column
+    x^1.  Packing is a bijection onto the tuple representation of
+    ``tests/reference_orders.py``, so the chain visits the same points in
+    the same order and does the same work.
     """
     n = 2 * g
-    full = symplectic_group_order(g, p)
-    if p == 2:
-        def act2(m: tuple[int, ...], v: int) -> int:
-            out = 0
-            while v:
-                low = v & -v
-                out ^= m[low.bit_length() - 1]
-                v ^= low
-            return out
 
-        def mul2(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple([act2(a, col) for col in b])
+    def act(m: tuple[int, ...], v: int) -> int:
+        out = 0
+        while v:
+            low = v & -v
+            out ^= m[low.bit_length() - 1]
+            v ^= low
+        return out
 
-        def inv2(m: tuple[int, ...]) -> tuple[int, ...]:
-            out = [0] * n
-            for x in range(n):  # bit y^1 of column x^1 is bit x of column y
-                col = m[x ^ 1]
-                while col:
-                    low = col & -col
-                    out[(low.bit_length() - 1) ^ 1] |= 1 << x
-                    col ^= low
-            return tuple(out)
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([act(a, col) for col in b])
 
-        packed = [tuple(sum((m[i][j] & 1) << i for i in range(n)) for j in range(n))
-                  for m in mats]
-        return _group_order(packed, [1 << i for i in range(n)], act2, mul2, inv2, full)
+    def inv(m: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * n
+        for x in range(n):  # bit y^1 of column x^1 is bit x of column y
+            col = m[x ^ 1]
+            while col:
+                low = col & -col
+                out[(low.bit_length() - 1) ^ 1] |= 1 << x
+                col ^= low
+        return tuple(out)
 
-    block = SurfaceSpec(g, 0)
-
-    def act(m: Matrix, v: Vector) -> Vector:
-        return tuple(sum(map(operator.mul, row, v)) % p for row in m)
-
-    def mul(a: Matrix, b: Matrix) -> Matrix:
-        cols = tuple(zip(*b))
-        return tuple(
-            tuple(sum(map(operator.mul, row, col)) % p for col in cols) for row in a)
-
-    def inv(m: Matrix) -> Matrix:
-        # entries in (-p, p): every inverse is consumed by mul, which reduces
-        return pairing_inverse(block, m, ())
-
-    base = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _group_order(mats, base, act, mul, inv, full)
+    packed = [tuple(sum((m[i][j] & 1) << i for i in range(n)) for j in range(n))
+              for m in mats]
+    return _group_order(packed, [1 << i for i in range(n)], act, mul, inv,
+                        symplectic_group_order(g, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +335,28 @@ def mcg_surjectivity_oracle(
     Obstructed is only returned with a finite computed obstruction:
 
       * the homology images mod p generate a proper subgroup of the full
-        symplectic group Sp(2g, p) for some p.  The order of that group is
-        computed exactly by a stabilizer chain (Schreier-Sims on F_p^(2g),
-        with the standard basis as base points; at p = 2 on bit-packed
-        vectors, where the symplectic inverse is a sign-free bit
-        transpose), and only a *completed* chain counts.  A chain that
-        would need more than ORDER_WORK_BOUND orbit points and sifted
-        Schreier generators is abandoned, and that prime is inconclusive.
-        The chain stops early, as full, once the product of its orbit
-        lengths reaches |Sp(2g, p)|: each orbit is an orbit of a subgroup
-        of the true point stabilizer, so the product is a lower bound on
-        the order.  At an odd prime the chain runs only on a reducible
-        set: when the twists' centers span F_p^(2g) and their graph is
-        connected (:func:`_irreducible_mod`), the twists act irreducibly,
-        and by McLaughlin (1967, *Some groups generated by transvections*)
-        an irreducible subgroup of SL(n, p), p an odd prime, generated by
-        transvections is SL(n, p) or the symplectic group of a
-        nondegenerate alternating form.  Inside Sp(2g, p) either has order
-        |Sp(2g, p)| (SL(n, p) fits only at n = 2, where it is Sp(2, p)), so
-        it is all of Sp(2g, p).  In the general list (Kantor 1979, *Subgroups
-        of classical groups generated by long root elements*) the other
-        cases need a field larger than F_p or characteristic 2.  The prime
-        then counts as full with no chain.  On such a set the chain could
-        only have returned |Sp(2g, p)| or given up at the work bound, and
-        both go on to the next prime, so no verdict or detail changes.  A
-        reducible set still runs the chain, under the same work bound;
+        symplectic group Sp(2g, p) for some p.  At p = 2 the order of that
+        group is computed exactly by a stabilizer chain (Schreier-Sims on
+        bit-packed vectors of F_2^(2g), with the standard basis as base
+        points, where the symplectic inverse is a sign-free bit transpose),
+        and only a *completed* chain counts.  A chain that would need more
+        than ORDER_WORK_BOUND orbit points and sifted Schreier generators
+        is abandoned, and the prime is inconclusive.  The chain stops
+        early, as full, once the product of its orbit lengths reaches
+        |Sp(2g, 2)|: each orbit is an orbit of a subgroup of the true point
+        stabilizer, so the product is a lower bound on the order.  At an
+        odd prime no chain runs.  A set that preserves a proper subspace of
+        F_p^(2g) (:func:`_invariant_subspace`) generates a proper subgroup,
+        as Sp(2g, p) acts irreducibly.  Otherwise the twists act
+        irreducibly, and by McLaughlin (1967, *Some groups generated by
+        transvections*) an irreducible subgroup of SL(n, p), p an odd
+        prime, generated by transvections is SL(n, p) or the symplectic
+        group of a nondegenerate alternating form.  Inside Sp(2g, p) either
+        has order |Sp(2g, p)| (SL(n, p) fits only at n = 2, where it is
+        Sp(2, p)), so it is all of Sp(2g, p).  In the general list (Kantor
+        1979, *Subgroups of classical groups generated by long root
+        elements*) the other cases need a field larger than F_p or
+        characteristic 2.  The prime then counts as full;
       * g >= 1, b <= 1 and no twists: a surjective monodromy would realize
         the non-separating type, the only one at b <= 1.
 
@@ -375,9 +364,8 @@ def mcg_surjectivity_oracle(
     surjectivity of the full group.
 
     Before any work, a modulus that is not an int prime (a bool included) is
-    refused with InputError; a surface of H1 rank above MAX_FIBER_RANK, a
-    modulus above MAX_MODULUS and a prime whose |Sp(2g, p)| has more than 4300
-    digits are refused with CapacityError.
+    refused with InputError; a surface of H1 rank above MAX_FIBER_RANK and a
+    modulus above MAX_MODULUS are refused with CapacityError.
     """
     check_fiber_rank(surface)
     for p in primes:
@@ -386,8 +374,6 @@ def mcg_surjectivity_oracle(
             raise InputError(f"modulus {p!r} is not a prime")
         if p > MAX_MODULUS:
             raise CapacityError(f"modulus {p} exceeds the bound {MAX_MODULUS}")
-        if symplectic_group_order(surface.genus, p) >= _MAX_ORDER:
-            raise CapacityError(f"|Sp({2 * surface.genus}, {p})| has more than 4300 digits")
     for t in twists:
         if t.surface != surface:
             raise InputError("twist on the wrong surface")
@@ -401,16 +387,18 @@ def mcg_surjectivity_oracle(
 
     if g >= 1:
         for p in primes:
-            if p != 2 and _irreducible_mod(twists, g, p):
-                continue  # all of Sp(2g, p), by McLaughlin's theorem
-            order = _symplectic_order_mod(_mod_p_generators(twists, g, p), g, p)
-            if order is None:
-                continue  # inconclusive at this prime
-            full = symplectic_group_order(g, p)
-            if order < full:
-                return SurjectivityVerdict(
-                    "obstructed",
-                    f"mod-{p} symplectic closure has order {order} < {full}")
+            if p == 2:
+                order = _symplectic_order_mod(_mod_p_generators(twists, g, 2), g)
+                full = symplectic_group_order(g, 2)
+                if order is not None and order < full:  # None: inconclusive at p = 2
+                    return SurjectivityVerdict(
+                        "obstructed", f"mod-2 symplectic closure has order {order} < {full}")
+                continue
+            dim = _invariant_subspace(twists, g, p)
+            if dim is not None:  # None: all of Sp(2g, p), by McLaughlin's theorem
+                return SurjectivityVerdict("obstructed", f"mod-{p} image is trivial" if dim == 0
+                                           else f"mod-{p} image preserves a proper subspace"
+                                                f" of dimension {dim}")
 
     if g >= 1 and b <= 1 and not twists:
         return SurjectivityVerdict("obstructed", "curve type nonsep is realized by no twist curve")

@@ -4,7 +4,9 @@
 breadth first; ``_perm_group_order`` is a stabilizer chain that recomputes
 every orbit on every sift; ``_symplectic_order_mod`` runs the library's
 stabilizer chain on tuples of residues at every prime, mod 2 included.  All
-three are the library's earlier implementations, unchanged.
+three are the library's earlier implementations, unchanged.  The library now
+runs a chain only mod 2, so the tuple chain is also the reference that the
+odd-prime invariant-subspace test is checked against.
 """
 
 from __future__ import annotations

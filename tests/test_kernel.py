@@ -87,6 +87,7 @@ from lefschetz.mapping import (
     evaluate,
     mcg_surjectivity_oracle,
     perm_inverse,
+    symplectic_group_order,
     twist_catalog,
     twist_matrix,
     twist_vector,
@@ -319,7 +320,7 @@ def _dense_free_results():
         for curves in (catalog, tuple(act_on_curve(conj, c) for c in catalog)):
             for removed in (0, 1):
                 out.append(mcg_surjectivity_oracle([TwistGen(c) for c in curves[removed:]], s))
-    # spans only a line mod 3, so its odd-prime chain still runs
+    # spans only a line mod 3: after the mod-2 chain, obstructed by that line
     s = SurfaceSpec(1, 1)
     out.append(mcg_surjectivity_oracle(
         [TwistGen(nonseparating_curve(s, v, "r")) for v in ((1, 0), (1, 3))], s))
@@ -332,16 +333,17 @@ def _dense_free_results():
 def test_no_library_path_builds_a_dense_twist(monkeypatch):
     want = _dense_free_results()
     _forbid(monkeypatch, mapping, "twist_matrix")
-    chains = []
-    order_mod = universality._symplectic_order_mod
+    fulls = []
+    group_order = universality._group_order
 
-    def spy(mats, g, p):
-        chains.append((g, p))
-        return order_mod(mats, g, p)
+    def spy(gens, base, act, mul, inv, full):
+        fulls.append(full)
+        return group_order(gens, base, act, mul, inv, full)
 
-    monkeypatch.setattr(universality, "_symplectic_order_mod", spy)
+    monkeypatch.setattr(universality, "_group_order", spy)
     assert _dense_free_results() == want
-    assert (1, 3) in chains
+    # chains run, and every one of them at p = 2: none runs at an odd prime
+    assert fulls and set(fulls) <= {symplectic_group_order(g, 2) for g in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("family", [u_g1(2), u_g1(3)], ids=["u_g1(2)", "u_g1(3)"])

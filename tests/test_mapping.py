@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lefschetz.mapping as mapping
@@ -299,7 +300,7 @@ def test_catalog_mod2_closure_is_full_for_genus_two():
     closed = _closure(gens, 2, 10_000)
     assert closed is not None
     assert len(closed) == symplectic_group_order(2, 2) == 720
-    assert _symplectic_order_mod(gens, 2, 2) == 720
+    assert _symplectic_order_mod(gens, 2) == 720
 
 
 CATALOG_FIXTURE = Path(__file__).parent / "data" / "twist_catalog.json"
@@ -409,12 +410,12 @@ def test_oracle_refuses_moduli_that_are_no_int_prime(modulus):
 
 
 def test_oracle_refuses_moduli_past_its_capacity():
-    # |Sp(100, 11)| has 5,259 digits, too many to format: this raised ValueError
+    # an odd prime prints no group order, so a prime whose |Sp(2g, p)| is past
+    # the int-string digit limit (5,259 digits for |Sp(100, 11)|) decides too
     s = SurfaceSpec(50, 1)
-    with pytest.raises(CapacityError, match=r"\|Sp\(100, 11\)\| has more than 4300 digits"):
-        mcg_surjectivity_oracle([], s, primes=(11,))
-    verdict = mcg_surjectivity_oracle([], s, primes=(7,))  # 4,268 digits
-    assert verdict.detail == f"mod-7 symplectic closure has order 1 < {symplectic_group_order(50, 7)}"
+    for p in (7, 11):
+        assert mcg_surjectivity_oracle([], s, primes=(p,)) == mapping.SurjectivityVerdict(
+            "obstructed", f"mod-{p} image is trivial")
     assert mcg_surjectivity_oracle([], s).obstructed  # the default primes pass at the largest genus
     largest = max(p for p in range(mapping.MAX_MODULUS - 100, mapping.MAX_MODULUS + 1)
                   if all(p % d for d in range(2, int(p ** 0.5) + 1)))
@@ -482,8 +483,14 @@ def test_mod_p_generators_match_dense_reference(seed, g, b, p, count):
     assert _mod_p_generators(twists, g, p) == list(dict.fromkeys(dense))
 
 
+def _chain_order(gens, g, p):
+    """The library's mod-2 chain at p = 2; the reference tuple chain at an odd
+    prime, where the library runs no chain."""
+    return _symplectic_order_mod(gens, g) if p == 2 else _tuple_order_mod(gens, g, p)
+
+
 def _assert_matches_closure(gens, g, p):
-    order = _symplectic_order_mod(gens, g, p)
+    order = _chain_order(gens, g, p)
     closed = _closure(gens, p, REFERENCE_CAP)
     if closed is None:
         assert order > REFERENCE_CAP
@@ -555,7 +562,7 @@ def test_packed_mod2_chain_matches_tuple_reference(case, extra):
     twists, s = case
     g = s.genus
     gens = _mod_p_generators(twists, g, 2)
-    assert _symplectic_order_mod(gens, g, 2) == _tuple_order_mod(gens, g, 2)
+    assert _symplectic_order_mod(gens, g) == _tuple_order_mod(gens, g, 2)
     with pytest.MonkeyPatch.context() as mp:
         def reference_at(bound):
             mp.setattr(universality, "ORDER_WORK_BOUND", bound)
@@ -569,9 +576,10 @@ def test_packed_mod2_chain_matches_tuple_reference(case, extra):
             lo, hi = (lo, mid) if reference_at(mid) is not None else (mid, hi)
         for bound in [lo, hi, *extra]:
             order = reference_at(bound)
-            assert _symplectic_order_mod(gens, g, 2) == order
+            assert _symplectic_order_mod(gens, g) == order
             verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
-            mp.setattr(universality, "_symplectic_order_mod", _tuple_order_mod)
+            mp.setattr(universality, "_symplectic_order_mod",
+                       lambda mats, g: _tuple_order_mod(mats, g, 2))
             assert mcg_surjectivity_oracle(twists, s, primes=(2,)) == verdict
             mp.undo()
 
@@ -582,45 +590,89 @@ def test_mod2_chain_on_conjugated_genus_four_catalog():
     conj = twist_word(TwistGen(catalog["b2"]), TwistGen(catalog["a1"]))
     moved = {label: act_on_curve(conj, c) for label, c in catalog.items()}
     full = [TwistGen(c) for c in moved.values()]
-    assert _symplectic_order_mod(_mod_p_generators(full, 4, 2), 4, 2) == (
+    assert _symplectic_order_mod(_mod_p_generators(full, 4, 2), 4) == (
         symplectic_group_order(4, 2))
     minus_b1 = [TwistGen(c) for label, c in moved.items() if label != "b1"]
-    assert _symplectic_order_mod(_mod_p_generators(minus_b1, 4, 2), 4, 2) == 348_364_800
+    assert _symplectic_order_mod(_mod_p_generators(minus_b1, 4, 2), 4) == 348_364_800
 
 
 # ---------------------------------------------------------------------------
-# odd primes: transvection-group recognition against the chain
+# odd primes: the invariant subspace against the reference chain
 # ---------------------------------------------------------------------------
 
+def _catalog_minus(label, g):
+    s = SurfaceSpec(g, 1)
+    return [TwistGen(c) for c in twist_catalog(s) if c.label != label], s
+
+
+# without c1 the catalog's centers span but split in two: few random sets do
 @settings(max_examples=40, deadline=None)
 @given(case=_mod2_twist_sets(), p=st.sampled_from((3, 5, 7)))
-def test_recognition_agrees_with_the_chain(case, p):
+@example(case=_catalog_minus("c1", 2), p=5)
+@example(case=_catalog_minus("c1", 3), p=3)
+def test_invariant_subspace_agrees_with_the_reference_chain(case, p):
     twists, s = case
     g = s.genus
     p = 3 if g == 3 else p  # the chain to |Sp(6, p)| takes seconds for p >= 5
-    # the criterion holds exactly when the group acts irreducibly, and then
-    # (McLaughlin) exactly when a completed chain reaches |Sp(2g, p)|
-    order = _symplectic_order_mod(_mod_p_generators(twists, g, p), g, p)
-    if order is not None:
-        assert universality._irreducible_mod(twists, g, p) == (
-            order == symplectic_group_order(g, p))
+    # a proper invariant subspace is found exactly when the group is proper
+    # (Sp(2g, p) is irreducible; McLaughlin for the converse), that is, when
+    # a completed chain falls short of |Sp(2g, p)|
+    order = _tuple_order_mod(_mod_p_generators(twists, g, p), g, p)
+    if order is None:
+        return
+    dim = universality._invariant_subspace(twists, g, p)
     verdict = mcg_surjectivity_oracle(twists, s, primes=(p,))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(universality, "_irreducible_mod", lambda twists, g, p: False)
-        assert mcg_surjectivity_oracle(twists, s, primes=(p,)) == verdict
+    if order == symplectic_group_order(g, p):
+        assert dim is None
+        # a full prime decides nothing: the verdict is the one without primes
+        assert verdict == mcg_surjectivity_oracle(twists, s, primes=())
+    else:
+        assert 0 <= dim < 2 * g
+        assert verdict.status == "obstructed"
 
 
-def test_reducible_sets_keep_the_chains_detail():
+def test_reducible_sets_report_their_invariant_subspace():
     torus = SurfaceSpec(1, 1)
     line = [TwistGen(nonseparating_curve(torus, v, "r")) for v in ((1, 0), (1, 3))]
-    assert not universality._irreducible_mod(line, 1, 3)  # (1, 3) = (1, 0) mod 3
+    assert _tuple_order_mod(_mod_p_generators(line, 1, 3), 1, 3) == 3  # of 24
+    assert universality._invariant_subspace(line, 1, 3) == 1  # (1, 3) = (1, 0) mod 3
     assert mcg_surjectivity_oracle(line, torus).detail == (
-        "mod-3 symplectic closure has order 3 < 24")
+        "mod-3 image preserves a proper subspace of dimension 1")
     s = SurfaceSpec(2, 1)
     basis = [TwistGen(nonseparating_curve(s, s.basis_vector(i), "e")) for i in range(4)]
-    assert not universality._irreducible_mod(basis, 2, 3)  # spans, two components
+    assert _tuple_order_mod(_mod_p_generators(basis, 2, 3), 2, 3) == 576  # of 51,840
+    assert universality._invariant_subspace(basis, 2, 3) == 2  # spans, two components
     assert mcg_surjectivity_oracle(basis, s, primes=(3,)).detail == (
-        "mod-3 symplectic closure has order 576 < 51840")
+        "mod-3 image preserves a proper subspace of dimension 2")
+    # nonzero classes whose handle parts vanish mod 3 act trivially on F_3^2
+    pants = SurfaceSpec(1, 2)
+    zero = [TwistGen(nonseparating_curve(pants, v, "z")) for v in ((3, 0, 1), (0, 3, 1))]
+    assert universality._invariant_subspace(zero, 1, 3) == 0
+    assert mcg_surjectivity_oracle(zero, pants, primes=(3,)) == mapping.SurjectivityVerdict(
+        "obstructed", "mod-3 image is trivial")
+
+
+@pytest.mark.parametrize("g, primes, dim", [
+    (4, (3,), 7), (5, (3,), 9), (8, (3, 5), 15), (50, (3, 5), 99)])
+def test_odd_primes_decide_the_catalog_minus_a1_quickly(g, primes, dim):
+    # the reference chain takes seconds at p = 3 and g = 4, and gives up after
+    # a minute at g = 5: no odd prime may run a chain
+    twists, s = _catalog_minus("a1", g)
+    start = time.perf_counter()
+    verdict = mcg_surjectivity_oracle(twists, s, primes)
+    assert time.perf_counter() - start < 1
+    assert verdict == mapping.SurjectivityVerdict(
+        "obstructed", f"mod-3 image preserves a proper subspace of dimension {dim}")
+
+
+def test_odd_primes_decide_the_largest_basis_quickly():
+    s = SurfaceSpec(50, 1)
+    basis = [TwistGen(nonseparating_curve(s, s.basis_vector(i), "e")) for i in range(100)]
+    start = time.perf_counter()
+    verdict = mcg_surjectivity_oracle(basis, s, (3, 5))
+    assert time.perf_counter() - start < 1
+    assert verdict == mapping.SurjectivityVerdict(
+        "obstructed", "mod-3 image preserves a proper subspace of dimension 2")
 
 
 def _catalog_conjugated_by_b1_a1(g):
@@ -631,8 +683,8 @@ def _catalog_conjugated_by_b1_a1(g):
 
 
 def test_recognized_odd_primes_run_no_chain(monkeypatch):
-    def no_chain(mats, g, p):
-        raise AssertionError(f"chain run at p = {p}")
+    def no_chain(mats, g):
+        raise AssertionError("chain run at an odd prime")
 
     monkeypatch.setattr(universality, "_symplectic_order_mod", no_chain)
     for g, primes in [(4, (3, 5)), (50, (3,))]:
@@ -672,27 +724,27 @@ def test_least_completing_work_bound_is_pinned(monkeypatch, g, p, drop, order, l
     twists = [TwistGen(c) for i, c in enumerate(twist_catalog(s)) if i != drop]
     gens = _mod_p_generators(twists, g, p)
     monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least - 1)
-    assert _symplectic_order_mod(gens, g, p) is None
+    assert _chain_order(gens, g, p) is None
     monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least)
-    assert _symplectic_order_mod(gens, g, p) == order
+    assert _chain_order(gens, g, p) == order
 
 
 def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
     s = SurfaceSpec(2, 1)
-    gens = _mod_p_gens(twist_catalog(s), ["right"] * 5, 2, 3)
-    full = symplectic_group_order(2, 3)
+    gens = _mod_p_gens(twist_catalog(s), ["right"] * 5, 2, 2)
+    full = symplectic_group_order(2, 2)
 
     def least_bound(target):
         """Smallest work bound at which the chain returns an order."""
         monkeypatch.setattr(universality, "symplectic_group_order", lambda g, p: target)
         for bound in range(0, 10_000, 20):
             monkeypatch.setattr(universality, "ORDER_WORK_BOUND", bound)
-            order = _symplectic_order_mod(gens, 2, 3)
+            order = _symplectic_order_mod(gens, 2)
             if order is not None:
                 assert order == full
                 return bound
         raise AssertionError("the chain did not finish")
 
     # told a larger ambient order, the chain never stops early: it completes
-    # and still finds |Sp(4, 3)|, at a cost the early exit avoids
+    # and still finds |Sp(4, 2)|, at a cost the early exit avoids
     assert least_bound(full) < least_bound(3 * full)
