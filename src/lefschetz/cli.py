@@ -29,18 +29,15 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 
 
-def _clipped(text: str) -> str:
-    """``text`` cut to 20 characters, so that a refusal stays one short line."""
-    return text if len(text) <= 20 else text[:20] + "..."
-
-
 def _integer(text: str) -> int:
     """An integer argument.  argparse's ``type=int`` would echo a refused
     value in full: thousands of bytes for one past the int-string digit limit."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_clipped(text)!r}") from None
+        from .errors import clipped
+
+        raise argparse.ArgumentTypeError(f"invalid int value: {clipped(text)!r}") from None
 
 
 def _read_fibration(path: str):
@@ -96,7 +93,7 @@ def cmd_check_universal(args) -> tuple[dict, int]:
 
 def cmd_witness(args) -> tuple[dict, int]:
     from . import serialize
-    from .errors import InputError
+    from .errors import InputError, clipped
     from .witness import WITNESS_DEPTH, substitution_witness
 
     u = _read_fibration(args.source)
@@ -108,7 +105,7 @@ def cmd_witness(args) -> tuple[dict, int]:
             depth = int(raw)
         except ValueError:
             raise InputError(
-                f"MF_DEPTH must be an integer of at most 4300 digits, got {_clipped(raw)!r}"
+                f"MF_DEPTH must be an integer of at most 4300 digits, got {clipped(raw)!r}"
             ) from None
     plan = substitution_witness(u, f, depth)
     if plan is None:
@@ -132,17 +129,17 @@ def cmd_reduce(args) -> tuple[dict, int]:
 def _parse_move(text: str, size: int) -> tuple[int, str]:
     """``INDEX:L`` or ``INDEX:R`` as (index, direction) for a fibration of
     ``size`` cycles; a refusal echoes the value clipped."""
-    from .errors import InputError
+    from .errors import InputError, clipped
 
     parts = text.split(":")
     if len(parts) != 2 or parts[1] not in ("L", "R"):
-        raise InputError(f"--move wants the form INDEX:L or INDEX:R, got {_clipped(text)!r}")
+        raise InputError(f"--move wants the form INDEX:L or INDEX:R, got {clipped(text)!r}")
     try:
         index = int(parts[0])
     except ValueError:
-        raise InputError(f"bad move index in {_clipped(text)!r}") from None
+        raise InputError(f"bad move index in {clipped(text)!r}") from None
     if not 1 <= index < size:  # hurwitz_move's refusal would echo every digit
-        raise InputError(f"move position {_clipped(str(index))} out of range 1..{size - 1}")
+        raise InputError(f"move position {clipped(index)} out of range 1..{size - 1}")
     return index, parts[1]
 
 

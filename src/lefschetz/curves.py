@@ -17,7 +17,7 @@ over the circles on one side.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, clipped
 from .homology import (
     Record,
     SurfaceSpec,
@@ -49,7 +49,7 @@ class CurveClass(Record):
             (g1, b1), (g2, b2) = sides
             if min(g1, g2) < 0 or min(b1, b2) < 1:
                 raise InputError(
-                    f"separating sides {sides}: each side needs >= 1 "
+                    f"separating sides {clipped(sides)}: each side needs >= 1 "
                     "boundary circle (else the curve is null-homologous)")
             if sides[0] > sides[1]:
                 raise InputError("separating sides must be normalized")
@@ -78,7 +78,7 @@ class CurveClass(Record):
             return
         (g1, b1), (g2, b2) = self.sides
         if g1 + g2 != surface.genus or b1 + b2 != surface.boundary:
-            raise InputError(f"sides {self.sides} do not split {surface}")
+            raise InputError(f"sides {clipped(self.sides)} do not split {clipped(surface)}")
 
     def sort_key(self) -> tuple:
         if self.kind == "nonsep":
@@ -191,7 +191,7 @@ class Curve(Record):
         else:
             subset = subset_from_class(surface, hom)
             if subset is None:
-                raise InputError(f"separating class {hom} is not a boundary-subset class")
+                raise InputError(f"separating class {clipped(hom)} is not a boundary-subset class")
             (g1, b1), (g2, b2) = cls.sides
             t = len(subset)
             if sorted((t, surface.boundary - t)) != sorted((b1, b2)):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and how a refusal echoes a value."""
 
 
 class InputError(ValueError):
@@ -15,3 +15,14 @@ class NotApplicable(RuntimeError):
 
 class Unsupported(RuntimeError):
     """The operation is outside the implemented scope (e.g. invariants over a non-disk base)."""
+
+
+def clipped(value: object) -> str:
+    """The text of ``value`` cut to 20 characters, so that a refusal that
+    echoes it stays one short line.  A value holding an int past the
+    int-string digit limit has no text, and reads as a placeholder."""
+    try:
+        text = str(value)
+    except ValueError:
+        return "(too many digits to show)"
+    return text if len(text) <= 20 else text[:20] + "..."

@@ -24,7 +24,7 @@ from __future__ import annotations
 from importlib import import_module
 
 from .curves import Curve
-from .errors import InputError, Unsupported
+from .errors import InputError, Unsupported, clipped
 from .homology import (
     Matrix,
     Record,
@@ -113,7 +113,7 @@ class LefschetzFibration(Record):
                 raise InputError("vanishing cycle on the wrong surface")
         if len(bundle) != base.free_loop_count:
             raise InputError(
-                f"base has {base.free_loop_count} free loops but "
+                f"base has {clipped(base.free_loop_count)} free loops but "
                 f"{len(bundle)} bundle generators were given")
         for bg in bundle:
             if bg.surface != fiber:

@@ -22,7 +22,7 @@ import operator
 from itertools import repeat
 from math import gcd
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, clipped
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -135,7 +135,7 @@ class SurfaceSpec(Record):
 
     def __init__(self, genus: int, boundary: int) -> None:
         if genus < 0 or boundary < 0:
-            raise InputError(f"invalid surface ({genus}, {boundary})")
+            raise InputError(f"invalid surface ({clipped(genus)}, {clipped(boundary)})")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary", boundary)
 

@@ -25,7 +25,7 @@ from importlib import import_module
 from itertools import repeat
 
 from .curves import Curve, boundary_subset_class, nonseparating_curve
-from .errors import InputError
+from .errors import InputError, clipped
 from .homology import (
     MAX_FIBER_RANK,  # noqa: F401  (re-exported)
     Matrix,
@@ -75,7 +75,7 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 def check_perm(p: Permutation, n: int) -> None:
     if len(p) != n or sorted(p) != list(range(n)):
-        raise InputError(f"{p} is not a permutation of {n} points")
+        raise InputError(f"{clipped(p)} is not a permutation of {n} points")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from .curves import Curve, CurveClass
-from .errors import InputError
+from .errors import InputError, clipped
 from .homology import MAX_FIBER_RANK, SurfaceSpec, check_fiber_rank  # noqa: F401
 
 TYPE_CHECKING = False
@@ -43,7 +43,7 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], what: str) -
     keys = set(obj)
     unknown = keys - required - optional
     if unknown:
-        raise InputError(f"{what} has unknown fields {sorted(unknown)}")
+        raise InputError(f"{what} has unknown fields {clipped(sorted(unknown))}")
     missing = required - keys
     if missing:
         raise InputError(f"{what} is missing fields {sorted(missing)}")
@@ -88,7 +88,7 @@ def curve_class_from_json(obj: object) -> CurveClass:
         return CurveClass.separating(
             (_int(g1, "side genus"), _int(b1, "side boundary")),
             (_int(g2, "side genus"), _int(b2, "side boundary")))
-    raise InputError(f"bad curve class {obj!r}")
+    raise InputError(f"bad curve class {clipped(repr(obj))}")
 
 
 def curve_to_json(c: Curve) -> dict:

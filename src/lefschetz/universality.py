@@ -23,14 +23,13 @@ from math import factorial, isqrt
 from .curves import CurveClass, enumerate_classes
 from .errors import CapacityError, InputError
 from .fibration import LefschetzFibration
-from .homology import Matrix, Record, SurfaceSpec, Vector, check_fiber_rank, mat_identity
+from .homology import Record, SurfaceSpec, Vector, check_fiber_rank
 from .mapping import (
     Permutation,
     TwistGen,
     check_perm,
     perm_compose,
     perm_inverse,
-    transvect,
     twist_catalog,
     twist_covector,
 )
@@ -173,19 +172,6 @@ def symplectic_group_order(g: int, p: int) -> int:
 MAX_MODULUS = 1_000_000
 
 
-def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
-    """The twists' actions on F_p^(2g), deduplicated in order.
-
-    Each is one transvect of the 2g x 2g identity by the twist's center and
-    covector; the identity's rows are 2g long, so only handle entries are read.
-    """
-    identity = mat_identity(2 * g)
-    return list(dict.fromkeys(
-        tuple(tuple(x % p for x in row)
-              for row in transvect(identity, t.curve.hom, twist_covector(t.curve), t.sign))
-        for t in twists))
-
-
 def _rank_mod(vectors: Iterable[Vector], p: int) -> int:
     """Dimension of the span of the vectors over F_p, by echelon reduction."""
     basis: dict[int, list[int]] = {}  # pivot -> echelon row, 1 at the pivot
@@ -240,19 +226,19 @@ def _invariant_subspace(twists: list[TwistGen], g: int, p: int) -> int | None:
     return _rank_mod(reached, p) if rest else None
 
 
-def _symplectic_order_mod(mats: Iterable[Matrix], g: int) -> int | None:
-    """Order of the group the symplectic matrices generate mod 2 (None: gave up).
+def _symplectic_order_mod(twists: list[TwistGen], g: int) -> int | None:
+    """Order of the group the twists generate on F_2^(2g) (None: gave up).
 
-    The group acts on column vectors of F_2^(2g); the standard basis is a
-    base, since a matrix fixing every basis vector is the identity.  The
-    chain runs on bit-packed vectors: a point is a 2g-bit int whose bit i
-    is entry i, and a matrix is the tuple of its column masks (bit i of
-    column j is entry (i, j)), so a matrix acts by XOR-ing the columns the
-    point's bits select.  Over F_2 the signs drop out of S^-1 = J^T S^T J,
-    so the inverse is a bit transpose: entry (x, y) is bit y^1 of column
-    x^1.  Packing is a bijection onto the tuple representation of
-    ``tests/reference_orders.py``, so the chain visits the same points in
-    the same order and does the same work.
+    The standard basis is a base: a matrix fixing it is the identity.  A
+    point is a 2g-bit int whose bit i is entry i; a matrix is the tuple of
+    its column masks and acts by XOR-ing the columns the point's bits select.
+    A twist about c packs from c's first 2g entries mod 2, deduplicated in
+    order: <c, e_j> = +-c_(j^1), so column j is bit j, XOR-ed with c when bit
+    j^1 of c is set (the hand drops out, and an even c packs to the identity).
+    Over F_2 the inverse S^-1 = J^T S^T J is a bit transpose: entry (x, y) is
+    bit y^1 of column x^1.  The packing is a bijection onto the dense
+    generators of ``tests/reference_orders.py``, so the chain visits the same
+    points in the same order, and does the same work, as the tuple chain.
     """
     n = 2 * g
 
@@ -277,8 +263,10 @@ def _symplectic_order_mod(mats: Iterable[Matrix], g: int) -> int | None:
                 col ^= low
         return tuple(out)
 
-    packed = [tuple(sum((m[i][j] & 1) << i for i in range(n)) for j in range(n))
-              for m in mats]
+    centers = dict.fromkeys(sum((x & 1) << i for i, x in enumerate(t.curve.hom[:n]))
+                            for t in twists)
+    packed = [tuple([1 << j ^ (c if c >> (j ^ 1) & 1 else 0) for j in range(n)])
+              for c in centers]
     return _group_order(packed, [1 << i for i in range(n)], act, mul, inv,
                         symplectic_group_order(g, 2))
 
@@ -388,7 +376,7 @@ def mcg_surjectivity_oracle(
     if g >= 1:
         for p in primes:
             if p == 2:
-                order = _symplectic_order_mod(_mod_p_generators(twists, g, 2), g)
+                order = _symplectic_order_mod(twists, g)
                 full = symplectic_group_order(g, 2)
                 if order is not None and order < full:  # None: inconclusive at p = 2
                     return SurjectivityVerdict(

@@ -3,10 +3,12 @@
 ``_closure`` lists every element of the group a matrix set generates mod p,
 breadth first; ``_perm_group_order`` is a stabilizer chain that recomputes
 every orbit on every sift; ``_symplectic_order_mod`` runs the library's
-stabilizer chain on tuples of residues at every prime, mod 2 included.  All
-three are the library's earlier implementations, unchanged.  The library now
-runs a chain only mod 2, so the tuple chain is also the reference that the
-odd-prime invariant-subspace test is checked against.
+stabilizer chain on tuples of residues at every prime, mod 2 included, on
+the dense generators that ``_mod_p_generators`` builds, one transvect of the
+identity per twist.  All four are the library's earlier implementations,
+unchanged.  The library now runs a chain only mod 2, on generators packed
+straight from the twists' centers, so the tuple chain is also the reference
+that the odd-prime invariant-subspace test is checked against.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from collections.abc import Iterable
 from lefschetz.homology import Matrix, SurfaceSpec, Vector, mat_identity
 from lefschetz.mapping import (
     Permutation,
+    TwistGen,
     check_perm,
     pairing_inverse,
     perm_compose,
     perm_identity,
     perm_inverse,
+    transvect,
+    twist_covector,
 )
 from lefschetz.universality import _group_order, symplectic_group_order
 
@@ -126,6 +131,19 @@ def _closure(gens: set[Matrix], p: int, cap: int) -> set[Matrix] | None:
                     nxt.append(prod)
         frontier = nxt
     return seen
+
+
+def _mod_p_generators(twists: list[TwistGen], g: int, p: int) -> list[Matrix]:
+    """The twists' actions on F_p^(2g), deduplicated in order.
+
+    Each is one transvect of the 2g x 2g identity by the twist's center and
+    covector; the identity's rows are 2g long, so only handle entries are read.
+    """
+    identity = mat_identity(2 * g)
+    return list(dict.fromkeys(
+        tuple(tuple(x % p for x in row)
+              for row in transvect(identity, t.curve.hom, twist_covector(t.curve), t.sign))
+        for t in twists))
 
 
 def _symplectic_order_mod(mats: Iterable[Matrix], g: int, p: int) -> int | None:

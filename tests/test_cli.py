@@ -502,6 +502,48 @@ def test_integer_past_the_digit_limit_refused(tmp_path, capsys):
     _assert_refused(main(["invariants", str(path)]), capsys)
 
 
+def _assert_one_short_refusal(code, capsys) -> str:
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 400
+    return err
+
+
+@pytest.mark.parametrize("keys, value, command, shown", [
+    # the base's 2G + 1 free loops are past the digit limit: a traceback, exit 1
+    (("base", "genus"), G, "invariants", " (too many digits to show) "),
+    (("base", "genus"), G, "check-universal", " (too many digits to show) "),
+    (("base", "genus"), G, "reduce", " (too many digits to show) "),
+    (("fiber", "genus"), "-" + G, "invariants", "(-9999999999999999999..., 2)"),
+    (("base", "boundary"), G, "invariants", " 99999999999999999999... "),
+    (("cycles", 2, "curve", "class", "sep", 0, 0), G, "invariants", "((1, 1), (9999999999..."),
+    (("cycles", 2, "curve", "hom", 2), G, "invariants", "(0, 0, 9999999999999..."),
+    (("bundle", 0, "perm", 0), G, "invariants", "(9999999999999999999..."),
+    (("cycles", 2, "curve", "class", "sep", 1), f"[{G}, 0]", "invariants",
+     "sides ((0, 1), (9999999999..."),
+    (("cycles", 2, "curve", "class"), f'"{G}"', "invariants", " '9999999999999999999..."),
+    (("x" * 4300,), "1", "invariants", " ['xxxxxxxxxxxxxxxxxx..."),
+], ids=["base-genus-invariants", "base-genus-check-universal", "base-genus-reduce",
+        "fiber-genus", "base-boundary", "separating-sides", "separating-class", "perm",
+        "separating-side-without-boundary", "curve-class-kind", "unknown-field"])
+def test_oversized_file_value_is_clipped(keys, value, command, shown, tmp_path, capsys):
+    # each refusal echoed a 4,300-digit value in full, or leaked a ValueError
+    # traceback as exit 1
+    doc = fibration_to_json(_annulus_fixture())
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = "@"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    assert shown in _assert_one_short_refusal(main([command, str(path)]), capsys)
+
+
+def test_census_of_an_oversized_negative_genus_is_clipped(capsys):
+    err = _assert_one_short_refusal(main(["census", "-" + G, "1"]), capsys)
+    assert err == "error: invalid surface (-9999999999999999999..., 1)\n"
+
+
 # ---------------------------------------------------------------------------
 # exit-code fuzzing on mutated fixture files
 # ---------------------------------------------------------------------------

@@ -346,6 +346,20 @@ def test_no_library_path_builds_a_dense_twist(monkeypatch):
     assert fulls and set(fulls) <= {symplectic_group_order(g, 2) for g in (1, 2, 3)}
 
 
+def test_mod2_chain_packs_each_twist_without_a_matrix(monkeypatch):
+    # the chain's generators come straight from the twists' centers: no
+    # identity matrix is built and no transvection is applied to one
+    s = SurfaceSpec(3, 1)
+    catalog = twist_catalog(s)
+    conj = twist_word(TwistGen(catalog[1]), TwistGen(catalog[0]))
+    twists = [TwistGen(act_on_curve(conj, c)) for c in catalog[1:]]
+    want = mcg_surjectivity_oracle(twists, s, primes=(2,))
+    assert want.obstructed
+    _forbid(monkeypatch, homology, "mat_identity")
+    _forbid(monkeypatch, mapping, "transvect")
+    assert mcg_surjectivity_oracle(twists, s, primes=(2,)) == want
+
+
 @pytest.mark.parametrize("family", [u_g1(2), u_g1(3)], ids=["u_g1(2)", "u_g1(3)"])
 def test_pullback_and_witness_need_no_matrix_product(monkeypatch, family):
     targets = [_conjugated_target(family, seed) for seed in range(3)]

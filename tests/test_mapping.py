@@ -45,8 +45,8 @@ from lefschetz.mapping import (
     twist_word,
 )
 from lefschetz.serialize import curve_to_json
-from lefschetz.universality import _group_order, _mod_p_generators, _symplectic_order_mod
-from reference_orders import _closure, _perm_group_order
+from lefschetz.universality import _group_order, _symplectic_order_mod
+from reference_orders import _closure, _mod_p_generators, _perm_group_order
 from reference_orders import _symplectic_order_mod as _tuple_order_mod
 
 
@@ -294,13 +294,11 @@ def test_catalog_no_invariant_quadratic_form_mod2():
 
 def test_catalog_mod2_closure_is_full_for_genus_two():
     s = SurfaceSpec(2, 1)
-    gens = {
-        _symplectic_block_mod(twist_matrix(c), 2, 2) for c in twist_catalog(s)
-    }
-    closed = _closure(gens, 2, 10_000)
+    twists = [TwistGen(c) for c in twist_catalog(s)]
+    closed = _closure(_mod_p_gens(twists, 2, 2), 2, 10_000)
     assert closed is not None
     assert len(closed) == symplectic_group_order(2, 2) == 720
-    assert _symplectic_order_mod(gens, 2) == 720
+    assert _symplectic_order_mod(twists, 2) == 720
 
 
 CATALOG_FIXTURE = Path(__file__).parent / "data" / "twist_catalog.json"
@@ -459,39 +457,26 @@ REFERENCE_CAP = 1_500
 
 def _symplectic_block_mod(m, g, p):
     """The handle block of a dense matrix mod p: applied to ``twist_matrix``,
-    the reference for ``universality._mod_p_generators``."""
+    the reference for ``reference_orders._mod_p_generators``."""
     return tuple(tuple(m[i][j] % p for j in range(2 * g)) for i in range(2 * g))
 
 
-def _mod_p_gens(curves, handedness, g, p):
-    return {
-        _symplectic_block_mod(twist_matrix(c, h), g, p)
-        for c, h in zip(curves, handedness)
-    }
+def _mod_p_gens(twists, g, p):
+    return {_symplectic_block_mod(twist_matrix(t.curve, t.handed), g, p) for t in twists}
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), g=st.integers(1, 3), b=st.integers(0, 2),
-       p=st.sampled_from((2, 3, 5)), count=st.integers(0, 6))
-def test_mod_p_generators_match_dense_reference(seed, g, b, p, count):
-    rng = random.Random(seed)
-    s = SurfaceSpec(g, b)
-    twists = [TwistGen(_random_nonsep(rng, s), rng.choice(("right", "left")))
-              for _ in range(count)]
-    twists += rng.sample(twists, rng.randint(0, count))  # repeats, to deduplicate
-    dense = [_symplectic_block_mod(twist_matrix(t.curve, t.handed), g, p) for t in twists]
-    assert _mod_p_generators(twists, g, p) == list(dict.fromkeys(dense))
+def _chain_order(twists, g, p):
+    """The library's mod-2 chain on the twists at p = 2; at an odd prime, where
+    the library runs no chain, the reference tuple chain on the dense
+    reference generators."""
+    if p == 2:
+        return _symplectic_order_mod(twists, g)
+    return _tuple_order_mod(_mod_p_generators(twists, g, p), g, p)
 
 
-def _chain_order(gens, g, p):
-    """The library's mod-2 chain at p = 2; the reference tuple chain at an odd
-    prime, where the library runs no chain."""
-    return _symplectic_order_mod(gens, g) if p == 2 else _tuple_order_mod(gens, g, p)
-
-
-def _assert_matches_closure(gens, g, p):
-    order = _chain_order(gens, g, p)
-    closed = _closure(gens, p, REFERENCE_CAP)
+def _assert_matches_closure(twists, g, p):
+    order = _chain_order(twists, g, p)
+    closed = _closure(_mod_p_gens(twists, g, p), p, REFERENCE_CAP)
     if closed is None:
         assert order > REFERENCE_CAP
     else:
@@ -504,9 +489,9 @@ def _assert_matches_closure(gens, g, p):
 def test_chain_order_matches_closure_random_twists(seed, g, p, count):
     rng = random.Random(seed)
     s = SurfaceSpec(g, 1)
-    curves = [_random_nonsep(rng, s) for _ in range(count)]
-    handedness = [rng.choice(("right", "left")) for _ in curves]
-    _assert_matches_closure(_mod_p_gens(curves, handedness, g, p), g, p)
+    twists = [TwistGen(_random_nonsep(rng, s), rng.choice(("right", "left")))
+              for _ in range(count)]
+    _assert_matches_closure(twists, g, p)
 
 
 @settings(max_examples=12, deadline=None)
@@ -518,8 +503,8 @@ def test_chain_order_matches_closure_genus_three_mod2(removed, word, left):
     catalog = twist_catalog(s)
     conj = MCWord(s, tuple(Letter(TwistGen(catalog[i]), e) for i, e in word))
     kept = [act_on_curve(conj, c) for i, c in enumerate(catalog) if i not in removed]
-    handedness = ["left" if i in left else "right" for i in range(len(kept))]
-    _assert_matches_closure(_mod_p_gens(kept, handedness, 3, 2), 3, 2)
+    twists = [TwistGen(c, "left" if i in left else "right") for i, c in enumerate(kept)]
+    _assert_matches_closure(twists, 3, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,30 +541,66 @@ def _mod2_twist_sets(draw):
             for i, c in enumerate(catalog) if i not in removed], s
 
 
+def _reference_mod2_order(twists, g):
+    """The reference tuple chain on the reference generators, mod 2."""
+    return _tuple_order_mod(_mod_p_generators(twists, g, 2), g, 2)
+
+
+def _least_reference_bounds(twists, g, mp):
+    """The least work bound at which the reference mod-2 chain completes, and
+    the bound just below it: there the library's chain must give up, at it
+    the library's chain must finish."""
+    lo, hi = -1, universality.ORDER_WORK_BOUND
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mp.setattr(universality, "ORDER_WORK_BOUND", mid)
+        lo, hi = (lo, mid) if _reference_mod2_order(twists, g) is not None else (mid, hi)
+    return [lo, hi]
+
+
+def _even_center_nonsep(rng, s):
+    """A non-separating curve whose handle part is even, so that its twist is
+    the identity mod 2; it needs b >= 2, for an odd boundary entry."""
+    while True:
+        v = (tuple(2 * rng.randint(-2, 2) for _ in range(2 * s.genus))
+             + tuple(rng.randint(-3, 3) for _ in range(s.boundary - 1)))
+        if not in_radical(s, v) and vec_gcd(v) == 1:
+            return nonseparating_curve(s, v, "e")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), g=st.integers(1, 3), b=st.integers(0, 3),
+       count=st.integers(0, 6), even=st.integers(0, 2))
+@example(seed=0, g=2, b=2, count=3, even=2)
+def test_mod2_chain_on_twists_matches_reference_generators(seed, g, b, count, even):
+    rng = random.Random(seed)
+    s = SurfaceSpec(g, b)
+    curves = [_random_nonsep(rng, s) for _ in range(count)]
+    curves += [_even_center_nonsep(rng, s) for _ in range(even if b >= 2 else 0)]
+    rng.shuffle(curves)
+    twists = [TwistGen(c, rng.choice(("right", "left"))) for c in curves]
+    twists += rng.sample(twists, rng.randint(0, len(twists)))  # repeats, to deduplicate
+    # the reference generators are the dense twists' handle blocks, in order
+    dense = [_symplectic_block_mod(twist_matrix(t.curve, t.handed), g, 2) for t in twists]
+    assert _mod_p_generators(twists, g, 2) == list(dict.fromkeys(dense))
+    with pytest.MonkeyPatch.context() as mp:
+        for bound in _least_reference_bounds(twists, g, mp):
+            mp.setattr(universality, "ORDER_WORK_BOUND", bound)
+            assert _symplectic_order_mod(twists, g) == _reference_mod2_order(twists, g)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=_mod2_twist_sets(), extra=st.lists(st.integers(0, 3_000), max_size=3))
 def test_packed_mod2_chain_matches_tuple_reference(case, extra):
     twists, s = case
     g = s.genus
-    gens = _mod_p_generators(twists, g, 2)
-    assert _symplectic_order_mod(gens, g) == _tuple_order_mod(gens, g, 2)
+    assert _symplectic_order_mod(twists, g) == _reference_mod2_order(twists, g)
     with pytest.MonkeyPatch.context() as mp:
-        def reference_at(bound):
+        for bound in [*_least_reference_bounds(twists, g, mp), *extra]:
             mp.setattr(universality, "ORDER_WORK_BOUND", bound)
-            return _tuple_order_mod(gens, g, 2)
-
-        # the least bound at which the reference completes: just below it
-        # both chains must give up, at it both must finish
-        lo, hi = -1, universality.ORDER_WORK_BOUND
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if reference_at(mid) is not None else (mid, hi)
-        for bound in [lo, hi, *extra]:
-            order = reference_at(bound)
-            assert _symplectic_order_mod(gens, g) == order
+            assert _symplectic_order_mod(twists, g) == _reference_mod2_order(twists, g)
             verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
-            mp.setattr(universality, "_symplectic_order_mod",
-                       lambda mats, g: _tuple_order_mod(mats, g, 2))
+            mp.setattr(universality, "_symplectic_order_mod", _reference_mod2_order)
             assert mcg_surjectivity_oracle(twists, s, primes=(2,)) == verdict
             mp.undo()
 
@@ -590,10 +611,9 @@ def test_mod2_chain_on_conjugated_genus_four_catalog():
     conj = twist_word(TwistGen(catalog["b2"]), TwistGen(catalog["a1"]))
     moved = {label: act_on_curve(conj, c) for label, c in catalog.items()}
     full = [TwistGen(c) for c in moved.values()]
-    assert _symplectic_order_mod(_mod_p_generators(full, 4, 2), 4) == (
-        symplectic_group_order(4, 2))
+    assert _symplectic_order_mod(full, 4) == symplectic_group_order(4, 2)
     minus_b1 = [TwistGen(c) for label, c in moved.items() if label != "b1"]
-    assert _symplectic_order_mod(_mod_p_generators(minus_b1, 4, 2), 4) == 348_364_800
+    assert _symplectic_order_mod(minus_b1, 4) == 348_364_800
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +698,7 @@ def _catalog_conjugated_by_b1_a1(g):
 
 
 def test_recognized_odd_primes_run_no_chain(monkeypatch):
-    def no_chain(mats, g):
+    def no_chain(twists, g):
         raise AssertionError("chain run at an odd prime")
 
     monkeypatch.setattr(universality, "_symplectic_order_mod", no_chain)
@@ -717,16 +737,15 @@ def test_least_completing_work_bound_is_pinned(monkeypatch, g, p, drop, order, l
     # the work spent (a full chain stops as its last orbit point is stored)
     s = SurfaceSpec(g, 1)
     twists = [TwistGen(c) for i, c in enumerate(twist_catalog(s)) if i != drop]
-    gens = _mod_p_generators(twists, g, p)
     monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least - 1)
-    assert _chain_order(gens, g, p) is None
+    assert _chain_order(twists, g, p) is None
     monkeypatch.setattr(universality, "ORDER_WORK_BOUND", least)
-    assert _chain_order(gens, g, p) == order
+    assert _chain_order(twists, g, p) == order
 
 
 def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
     s = SurfaceSpec(2, 1)
-    gens = _mod_p_gens(twist_catalog(s), ["right"] * 5, 2, 2)
+    twists = [TwistGen(c) for c in twist_catalog(s)]
     full = symplectic_group_order(2, 2)
 
     def least_bound(target):
@@ -734,7 +753,7 @@ def test_early_full_exit_only_at_the_symplectic_order(monkeypatch):
         monkeypatch.setattr(universality, "symplectic_group_order", lambda g, p: target)
         for bound in range(0, 10_000, 20):
             monkeypatch.setattr(universality, "ORDER_WORK_BOUND", bound)
-            order = _symplectic_order_mod(gens, 2)
+            order = _symplectic_order_mod(twists, 2)
             if order is not None:
                 assert order == full
                 return bound

@@ -210,6 +210,7 @@ SEP = CurveClass("sep", ((0, 1), (0, 1)))
 REFUSALS = [
     (lambda: SurfaceSpec(-1, 0), "invalid surface (-1, 0)"),
     (lambda: SurfaceSpec(0, -2), "invalid surface (0, -2)"),
+    (lambda: SurfaceSpec(-10**5000, 0), "invalid surface ((too many digits to show), 0)"),
     (lambda: CurveClass("nonsep", ((0, 1), (0, 1))), "non-separating type carries no side data"),
     (lambda: CurveClass("sep"), "separating type needs side data"),
     (lambda: CurveClass("sep", ((0, 0), (1, 2))),
@@ -241,6 +242,8 @@ REFUSALS = [
      "bundle generator must preserve the pairing form"),
     (lambda: BundleGen(S, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0)),
      "matrix moves boundary class 1 off d_2"),
+    (lambda: BundleGen(S, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0)),
+     "(0, 0) is not a permutation of 2 points"),
     (lambda: Letter(TWIST, 2), "letter power must be +-1"),
     (lambda: MCWord(TWO, (LETTER,)), "word letters live on different surfaces"),
     (lambda: PlanEntry(0, WORD, 0), "local degree must be +-1"),
