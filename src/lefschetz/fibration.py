@@ -30,6 +30,7 @@ from .homology import (
     Record,
     SurfaceSpec,
     Vector,
+    check_cycle_count,
     check_fiber_rank,
     cokernel_invariants,
     mat_from_columns,
@@ -108,6 +109,7 @@ class LefschetzFibration(Record):
                  cycles: tuple[SignedCycle, ...], bundle: tuple[BundleGen, ...] = ()) -> None:
         cycles = tuple(cycles)
         bundle = tuple(bundle)
+        check_cycle_count(len(cycles))
         for c in cycles:
             if c.curve.surface != fiber:
                 raise InputError("vanishing cycle on the wrong surface")
@@ -275,7 +277,8 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     R:  (c_i^e, c_{i+1}^d)  ->  (c_{i+1}^d, (t_{c_{i+1}}^{-d}(c_i))^e)
     L is the inverse move.  Either way the evaluated product of the signed
     twist matrices is unchanged.  The moved class is the neighbor's twist
-    applied to it directly, one transvection.
+    applied to it directly, one transvection; a twist is a homeomorphism,
+    so the moved curve and the new fibration are stored without validation.
     """
     if direction not in ("L", "R"):
         raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
@@ -290,10 +293,11 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     else:
         twist, h, moving = left, left.sign, right
     c = moving.curve
-    moved = SignedCycle(
-        Curve(c.surface, c.cls, twist_vector(c.hom, twist.curve, h), c.label), moving.sign)
+    moved = SignedCycle._trusted(
+        Curve._trusted(c.surface, c.cls, twist_vector(c.hom, twist.curve, h), c.label),
+        moving.sign)
     cyc[i - 1], cyc[i] = (right, moved) if direction == "R" else (moved, left)
-    return LefschetzFibration(f.fiber, f.base, tuple(cyc), f.bundle)
+    return LefschetzFibration._trusted(f.fiber, f.base, tuple(cyc), f.bundle)
 
 
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
@@ -303,7 +307,9 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     A word of twists moves all the cycle classes together, one transvection
     per letter, right to left; each curve keeps its type and label, as in
     :func:`act_on_curve`.  A word with a bundle letter is evaluated, so its
-    pairing is asserted, and its matrix is applied to each class.
+    pairing is asserted, and its matrix is applied to each class.  Either
+    way w is a homeomorphism, so the moved cycles and the new fibration are
+    stored without validation; each new bundle generator is validated.
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
@@ -313,13 +319,15 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
             c = let.gen.curve
             homs = transvect(homs, twist_covector(c), c.hom, let.power * let.gen.sign)
         cycles = tuple(
-            SignedCycle(Curve(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
+            SignedCycle._trusted(
+                Curve._trusted(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
             for c, hom in zip(f.cycles, homs))
     else:
         rep = evaluate(w)
-        cycles = tuple(SignedCycle(act_on_curve(rep, c.curve), c.sign) for c in f.cycles)
+        cycles = tuple(SignedCycle._trusted(act_on_curve(rep, c.curve), c.sign)
+                       for c in f.cycles)
     bundle = []
     for bg in f.bundle:
         conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())
         bundle.append(BundleGen(f.fiber, conj.matrix, conj.perm, bg.label))
-    return LefschetzFibration(f.fiber, f.base, cycles, tuple(bundle))
+    return LefschetzFibration._trusted(f.fiber, f.base, cycles, tuple(bundle))

@@ -78,6 +78,22 @@ def check_perm(p: Permutation, n: int) -> None:
         raise InputError(f"{clipped(p)} is not a permutation of {n} points")
 
 
+def _check_mapping_class(surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
+                         what: str) -> None:
+    """Refuse, with InputError, a (matrix, perm) that no mapping class of the
+    surface has: the matrix must preserve the pairing and send each boundary
+    class d_j to d_perm(j).  ``what`` names the record in the pairing refusal."""
+    if not preserves_pairing(surface, matrix):
+        raise InputError(f"{what} must preserve the pairing form")
+    b = surface.boundary
+    check_perm(perm, b)
+    for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
+        src = boundary_subset_class(surface, frozenset({j}))
+        dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
+        if mat_vec(matrix, src) != dst:
+            raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
+
+
 # ---------------------------------------------------------------------------
 # generators and words
 # ---------------------------------------------------------------------------
@@ -117,15 +133,7 @@ class BundleGen(Record):
                  label: str = "") -> None:
         matrix = tuple(tuple(r) for r in matrix)
         perm = tuple(perm)
-        if not preserves_pairing(surface, matrix):
-            raise InputError("bundle generator must preserve the pairing form")
-        b = surface.boundary
-        check_perm(perm, b)
-        for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
-            src = boundary_subset_class(surface, frozenset({j}))
-            dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
-            if mat_vec(matrix, src) != dst:
-                raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
+        _check_mapping_class(surface, matrix, perm, "bundle generator")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "perm", perm)
@@ -240,11 +248,19 @@ def twist_word(*twists: TwistGen) -> MCWord:
 
 
 class HomPermRep(Record):
-    """Evaluated mapping class: pairing-preserving matrix and boundary permutation."""
+    """Evaluated mapping class: pairing-preserving matrix and boundary permutation.
+
+    The constructor refuses, as ``BundleGen``'s does, a matrix that does not
+    preserve the pairing or does not send each d_j to d_perm(j), so every
+    rep moves valid curves to valid curves.
+    """
 
     __slots__ = ("surface", "matrix", "perm")
 
     def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation) -> None:
+        matrix = tuple(tuple(r) for r in matrix)
+        perm = tuple(perm)
+        _check_mapping_class(surface, matrix, perm, "mapping class")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "perm", perm)
@@ -252,7 +268,7 @@ class HomPermRep(Record):
     def compose(self, other: "HomPermRep") -> "HomPermRep":
         if self.surface != other.surface:
             raise InputError("cannot compose over different surfaces")
-        return HomPermRep(
+        return HomPermRep._trusted(
             self.surface,
             mat_mul(self.matrix, other.matrix),
             perm_compose(self.perm, other.perm),
@@ -308,40 +324,44 @@ def evaluate(w: MCWord) -> HomPermRep:
     """Evaluate a word; the empty word is the identity.
 
     Twist letters are rank-1 updates; bundle letters multiply in their dense
-    matrix.  The result always preserves the pairing form (asserted), and
-    twist-only words have identity boundary permutation because twists fix
-    the boundary pointwise.
+    matrix.  The result preserves the pairing form: by construction for a
+    word of twists, each transvection being symplectic, and asserted for a
+    word with a bundle letter.  Twist-only words have identity boundary
+    permutation because twists fix the boundary pointwise.
     """
     surface = w.surface
     matrix = mat_identity(surface.rank)
     perm = perm_identity(surface.boundary)
+    bundled = False
     for letter in w.letters:
         gen = letter.gen
         if isinstance(gen, TwistGen):
             matrix = twist_right(matrix, gen.curve, letter.power * gen.sign)
             continue
+        bundled = True
         if letter.power == -1:
             gen = gen.inverse()
         matrix = mat_mul(matrix, gen.matrix)
         perm = perm_compose(perm, gen.perm)
-    if not preserves_pairing(surface, matrix):
+    if bundled and not preserves_pairing(surface, matrix):
         raise AssertionError("evaluated word does not preserve the pairing form")
-    return HomPermRep(surface, matrix, perm)
+    return HomPermRep._trusted(surface, matrix, perm)
 
 
 def act_on_curve(w: MCWord | HomPermRep, c: Curve) -> Curve:
     """Transport a curve by a mapping class.
 
-    The homeomorphism type is invariant, so only the homology class moves.
-    The label rides along unchanged: it names the curve the result is the
-    image of, and keeping it path-independent makes move round trips
-    byte-stable under serialization.
+    The homeomorphism type is invariant, so only the homology class moves,
+    and the moved curve is stored without validation: every word and every
+    ``HomPermRep`` is a mapping class, which takes a valid curve to a valid
+    curve of the same type.  The label rides along unchanged: it names the
+    curve the result is the image of, and keeping it path-independent makes
+    move round trips byte-stable under serialization.
     """
     rep = evaluate(w) if isinstance(w, MCWord) else w
     if rep.surface != c.surface:
         raise InputError("word and curve live on different surfaces")
-    new_hom = mat_vec(rep.matrix, c.hom)
-    return Curve(c.surface, c.cls, new_hom, c.label)
+    return Curve._trusted(c.surface, c.cls, mat_vec(rep.matrix, c.hom), c.label)
 
 
 # ---------------------------------------------------------------------------

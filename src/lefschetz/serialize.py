@@ -8,8 +8,10 @@ constructors.
 Boundary-circle permutations are written 1-based ("perm": [2, 1] swaps the
 two circles); in memory they are 0-based tuples.
 
-A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK`` (defined
-in :mod:`lefschetz.homology`) is refused with CapacityError.
+A fibration file whose fiber has H1 rank above ``MAX_FIBER_RANK``, or that
+lists more than ``MAX_CYCLES`` cycles (both defined in
+:mod:`lefschetz.homology`), is refused with CapacityError before any curve
+is built.
 
 Only the surface and curve-class writers run at every import; each function
 that builds or reads a fibration, a bundle generator, a report or a plan
@@ -23,7 +25,12 @@ import json
 
 from .curves import Curve, CurveClass
 from .errors import InputError, clipped
-from .homology import MAX_FIBER_RANK, SurfaceSpec, check_fiber_rank  # noqa: F401
+from .homology import (  # noqa: F401  (MAX_FIBER_RANK re-exported)
+    MAX_FIBER_RANK,
+    SurfaceSpec,
+    check_cycle_count,
+    check_fiber_rank,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the classes named only in annotations
@@ -167,6 +174,7 @@ def fibration_from_json(obj: object) -> LefschetzFibration:
     base = surface_from_json(obj["base"], "base", BaseSurface)
     if not isinstance(obj["cycles"], list) or not isinstance(obj["bundle"], list):
         raise InputError("cycles and bundle must be lists")
+    check_cycle_count(len(obj["cycles"]))
     cycles = []
     for entry in obj["cycles"]:
         _expect_keys(entry, {"sign", "curve"}, set(), "cycle")

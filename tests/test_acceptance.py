@@ -150,9 +150,13 @@ def _random_curve(rng, s):
     return separating_curve(s, subset, (g_in, s.genus - g_in), "r")
 
 
-def test_ac7_move_invariance():
+def move_trials(count):
+    """AC-7's seeded trials, the first ``count`` of them: each yields a random
+    fibration after 1-20 random Hurwitz moves and one-letter conjugations,
+    its twist product conjugated by each word, and its report before the
+    moves."""
     rng = random.Random(170_000)
-    for _ in range(1000):
+    for _ in range(count):
         while True:
             s = SurfaceSpec(rng.randint(0, 3), rng.randint(0, 4))
             if 1 <= s.rank <= 8 and (s.genus >= 1 or s.boundary >= 2):
@@ -175,6 +179,11 @@ def test_ac7_move_invariance():
                 wm = evaluate(w).matrix
                 wi = evaluate(w.inverse()).matrix
                 expected = mat_mul(wm, mat_mul(expected, wi))
+        yield f, expected, report0
+
+
+def test_ac7_move_invariance():
+    for f, expected, report0 in move_trials(1000):
         assert twist_product(f) == expected
         assert total_space_invariants(f) == report0
     _passed("AC-7 PASS: 1000 move/conjugation trials preserve report and product")

@@ -34,7 +34,7 @@ from lefschetz.fibration import (
     u_11,
     u_g1,
 )
-from lefschetz.homology import SurfaceSpec
+from lefschetz.homology import MAX_CYCLES, SurfaceSpec
 from lefschetz.mapping import Letter, MCWord, TwistGen, boundary_permutation_gen
 from lefschetz.serialize import (
     dumps,
@@ -381,6 +381,36 @@ def test_oversized_fiber_refused(tmp_path, capsys):
     for command in ("invariants", "check-universal"):
         _assert_refused(main([command, str(path)]), capsys)
     with pytest.raises(CapacityError):
+        fibration_loads(json.dumps(doc))
+
+
+def _torus_cycles(count):
+    t = SurfaceSpec(1, 1)
+    a, b = nonseparating_curve(t, (1, 0), "a"), nonseparating_curve(t, (0, 1), "b")
+    return t, tuple(SignedCycle((a, b)[k % 2], 1) for k in range(count))
+
+
+def test_cycle_count_bound(tmp_path, capsys):
+    # invariants on F(50, 1) with 1,000 cycles took 33 s in the Smith form
+    t, cycles = _torus_cycles(MAX_CYCLES)
+    f = LefschetzFibration(t, DISK, cycles)
+    assert fibration_loads(fibration_dumps(f)) == f
+    assert main(["invariants", _write(tmp_path, "at.json", f)]) == 0
+    capsys.readouterr()
+    t, cycles = _torus_cycles(MAX_CYCLES + 1)
+    message = f"^{MAX_CYCLES + 1} vanishing cycles exceed the desk-scale bound {MAX_CYCLES}$"
+    with pytest.raises(CapacityError, match=message):
+        LefschetzFibration(t, DISK, cycles)
+    doc = fibration_to_json(f)
+    doc["cycles"].append(doc["cycles"][0])
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CapacityError, match=message):
+        fibration_loads(path.read_text())
+    _assert_refused(main(["invariants", str(path)]), capsys)
+    # the reader counts before it builds a curve
+    doc["cycles"] = [{}] * (MAX_CYCLES + 1)
+    with pytest.raises(CapacityError, match=message):
         fibration_loads(json.dumps(doc))
 
 
