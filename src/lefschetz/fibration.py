@@ -306,10 +306,10 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
 
     A word of twists moves all the cycle classes together, one transvection
     per letter, right to left; each curve keeps its type and label, as in
-    :func:`act_on_curve`.  A word with a bundle letter is evaluated, so its
-    pairing is asserted, and its matrix is applied to each class.  Either
-    way w is a homeomorphism, so the moved cycles and the new fibration are
-    stored without validation; each new bundle generator is validated.
+    :func:`act_on_curve`.  A word with a bundle letter is evaluated, and its
+    matrix is applied to each class.  Either way w is a homeomorphism, so
+    the moved cycles, the conjugated bundle generators and the new
+    fibration are stored without validation.
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
@@ -329,5 +329,5 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     bundle = []
     for bg in f.bundle:
         conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())
-        bundle.append(BundleGen(f.fiber, conj.matrix, conj.perm, bg.label))
+        bundle.append(BundleGen._trusted(f.fiber, conj.matrix, conj.perm, bg.label))
     return LefschetzFibration._trusted(f.fiber, f.base, cycles, tuple(bundle))

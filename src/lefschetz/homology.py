@@ -87,8 +87,9 @@ class Record:
 
     Records are validated where they enter: the public constructors and the
     file reader.  ``_trusted`` stores fields without that check, for a
-    record the library has just moved by a mapping class; a homeomorphism
-    takes a valid curve, cycle or fibration to a valid one of the same type.
+    record the library derives from validated ones: a homeomorphism takes a
+    valid curve, cycle or fibration to a valid one of the same type, and a
+    product, inverse or conjugate of mapping classes is a mapping class.
     """
 
     __slots__ = ()
@@ -201,11 +202,8 @@ class SurfaceSpec(Record):
 def check_fiber_rank(surface: SurfaceSpec) -> None:
     """Refuse a surface of H1 rank above MAX_FIBER_RANK with CapacityError."""
     if surface.rank > MAX_FIBER_RANK:
-        try:
-            rank = str(surface.rank)
-        except ValueError:  # past the int-string digit limit
-            rank = "of more than 4300 digits"
-        raise CapacityError(f"fiber rank {rank} exceeds the desk-scale bound {MAX_FIBER_RANK}")
+        raise CapacityError(
+            f"fiber rank {clipped(surface.rank)} exceeds the desk-scale bound {MAX_FIBER_RANK}")
 
 
 # Most vanishing cycles a fibration may have.  The total-space invariants

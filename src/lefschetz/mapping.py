@@ -78,22 +78,6 @@ def check_perm(p: Permutation, n: int) -> None:
         raise InputError(f"{clipped(p)} is not a permutation of {n} points")
 
 
-def _check_mapping_class(surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
-                         what: str) -> None:
-    """Refuse, with InputError, a (matrix, perm) that no mapping class of the
-    surface has: the matrix must preserve the pairing and send each boundary
-    class d_j to d_perm(j).  ``what`` names the record in the pairing refusal."""
-    if not preserves_pairing(surface, matrix):
-        raise InputError(f"{what} must preserve the pairing form")
-    b = surface.boundary
-    check_perm(perm, b)
-    for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
-        src = boundary_subset_class(surface, frozenset({j}))
-        dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
-        if mat_vec(matrix, src) != dst:
-            raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
-
-
 # ---------------------------------------------------------------------------
 # generators and words
 # ---------------------------------------------------------------------------
@@ -119,32 +103,73 @@ class TwistGen(Record):
         return 1 if self.handed == "right" else -1
 
 
-class BundleGen(Record):
-    """Monodromy of a fiber-bundle loop: matrix plus boundary permutation.
+class HomPermRep(Record):
+    """Mapping class at homology resolution: a matrix preserving the pairing
+    and a permutation of the boundary circles.
 
-    The matrix must preserve the pairing and act on the boundary classes
-    d_1, ..., d_b compatibly with the permutation.
+    The constructor is the library's one mapping-class check.  It refuses,
+    with InputError, a matrix that does not preserve the pairing or does not
+    send each boundary class d_j to d_perm(j), so every rep moves valid
+    curves to valid curves.  Products, inverses and conjugates of checked
+    reps are mapping classes by algebra, so the library stores them through
+    ``Record._trusted`` without this check.
     """
 
-    __slots__ = ("surface", "matrix", "perm", "label")
-    _compare = ("surface", "matrix", "perm")
+    __slots__ = ("surface", "matrix", "perm")
+    _kind = "mapping class"  # names the record in the pairing refusal
 
-    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
-                 label: str = "") -> None:
+    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation) -> None:
         matrix = tuple(tuple(r) for r in matrix)
         perm = tuple(perm)
-        _check_mapping_class(surface, matrix, perm, "bundle generator")
+        if not preserves_pairing(surface, matrix):
+            raise InputError(f"{self._kind} must preserve the pairing form")
+        b = surface.boundary
+        check_perm(perm, b)
+        for j in range(1, b + 1) if b > 1 else ():  # on b = 1, d_1 = 0
+            src = boundary_subset_class(surface, frozenset({j}))
+            dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
+            if mat_vec(matrix, src) != dst:
+                raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "perm", perm)
+
+    def compose(self, other: "HomPermRep") -> "HomPermRep":
+        if self.surface != other.surface:
+            raise InputError("cannot compose over different surfaces")
+        return HomPermRep._trusted(
+            self.surface,
+            mat_mul(self.matrix, other.matrix),
+            perm_compose(self.perm, other.perm),
+        )
+
+    @property
+    def is_identity(self) -> bool:
+        return self.matrix == mat_identity(self.surface.rank) and (
+            self.perm == perm_identity(self.surface.boundary))
+
+
+class BundleGen(HomPermRep):
+    """Monodromy of a fiber-bundle loop: a mapping class with a label.
+
+    The constructor makes ``HomPermRep``'s check.  The label is not compared.
+    """
+
+    __slots__ = ("label",)
+    _compare = ("surface", "matrix", "perm")
+    _kind = "bundle generator"
+
+    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
+                 label: str = "") -> None:
+        super().__init__(surface, matrix, perm)
         object.__setattr__(self, "label", label)
 
     def inverse(self) -> "BundleGen":
-        return BundleGen(
+        return BundleGen._trusted(
             self.surface,
             pairing_inverse(self.surface, self.matrix, self.perm),
             perm_inverse(self.perm),
-            label=f"{self.label}^-1" if self.label else "",
+            f"{self.label}^-1" if self.label else "",
         )
 
 
@@ -158,9 +183,8 @@ def pairing_inverse(surface: SurfaceSpec, m: Matrix, perm: Permutation) -> Matri
 
     where S^-1 = J^T S^T J has entry (x, y) equal to +-S[y^1][x^1] (+ when x
     and y have the same parity) and P^-1 is the action of perm^-1.  Every
-    BundleGen and every evaluated word has this form.  This is the one
-    inverse formula, called by ``BundleGen.inverse``; no stabilizer chain
-    calls it, as the mod-2 chain inverts by a bit transpose.
+    HomPermRep has this form.  This is the one inverse formula, called by
+    ``BundleGen.inverse``.
     """
     n = 2 * surface.genus
     sign = (1, -1) * surface.genus
@@ -184,8 +208,10 @@ def boundary_permutation_gen(
     """Bundle generator permuting boundary circles and fixing the handles.
 
     Sends d_j to d_{perm(j)} and each a_i, b_i to itself; any permutation of
-    the boundary is realized by some homeomorphism, so this is always legal.
+    the boundary is realized by some homeomorphism, so once ``perm`` is
+    checked the generator is stored without the mapping-class check.
     """
+    perm = tuple(perm)
     check_perm(perm, surface.boundary)
     g, b = surface.genus, surface.boundary
     cols: list[Vector] = []
@@ -194,7 +220,7 @@ def boundary_permutation_gen(
     for j in range(1, b):
         cols.append(boundary_subset_class(surface, frozenset({perm[j - 1] + 1})))
     matrix = tuple(tuple(col[i] for col in cols) for i in range(surface.rank))
-    return BundleGen(surface, matrix, perm, label)
+    return BundleGen._trusted(surface, matrix, perm, label)
 
 
 class Letter(Record):
@@ -213,7 +239,7 @@ class Letter(Record):
         return self.gen.surface
 
     def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.power)
+        return Letter._trusted(self.gen, -self.power)
 
 
 class MCWord(Record):
@@ -232,10 +258,11 @@ class MCWord(Record):
     def __mul__(self, other: "MCWord") -> "MCWord":
         if self.surface != other.surface:
             raise InputError("cannot concatenate words on different surfaces")
-        return MCWord(self.surface, self.letters + other.letters)
+        return MCWord._trusted(self.surface, self.letters + other.letters)
 
     def inverse(self) -> "MCWord":
-        return MCWord(self.surface, tuple(l.inverse() for l in reversed(self.letters)))
+        return MCWord._trusted(
+            self.surface, tuple(l.inverse() for l in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -245,39 +272,6 @@ def twist_word(*twists: TwistGen) -> MCWord:
     if not twists:
         raise InputError("empty twist list; build MCWord(surface) directly")
     return MCWord(twists[0].surface, tuple(Letter(t) for t in twists))
-
-
-class HomPermRep(Record):
-    """Evaluated mapping class: pairing-preserving matrix and boundary permutation.
-
-    The constructor refuses, as ``BundleGen``'s does, a matrix that does not
-    preserve the pairing or does not send each d_j to d_perm(j), so every
-    rep moves valid curves to valid curves.
-    """
-
-    __slots__ = ("surface", "matrix", "perm")
-
-    def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation) -> None:
-        matrix = tuple(tuple(r) for r in matrix)
-        perm = tuple(perm)
-        _check_mapping_class(surface, matrix, perm, "mapping class")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "perm", perm)
-
-    def compose(self, other: "HomPermRep") -> "HomPermRep":
-        if self.surface != other.surface:
-            raise InputError("cannot compose over different surfaces")
-        return HomPermRep._trusted(
-            self.surface,
-            mat_mul(self.matrix, other.matrix),
-            perm_compose(self.perm, other.perm),
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == mat_identity(self.surface.rank) and (
-            self.perm == perm_identity(self.surface.boundary))
 
 
 def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
@@ -324,27 +318,23 @@ def evaluate(w: MCWord) -> HomPermRep:
     """Evaluate a word; the empty word is the identity.
 
     Twist letters are rank-1 updates; bundle letters multiply in their dense
-    matrix.  The result preserves the pairing form: by construction for a
-    word of twists, each transvection being symplectic, and asserted for a
-    word with a bundle letter.  Twist-only words have identity boundary
-    permutation because twists fix the boundary pointwise.
+    matrix.  Every factor is a mapping class (a transvection, or a bundle
+    generator checked where it entered, or its inverse), so the product is
+    one and is stored without the check.  Twist-only words have identity
+    boundary permutation because twists fix the boundary pointwise.
     """
     surface = w.surface
     matrix = mat_identity(surface.rank)
     perm = perm_identity(surface.boundary)
-    bundled = False
     for letter in w.letters:
         gen = letter.gen
         if isinstance(gen, TwistGen):
             matrix = twist_right(matrix, gen.curve, letter.power * gen.sign)
             continue
-        bundled = True
         if letter.power == -1:
             gen = gen.inverse()
         matrix = mat_mul(matrix, gen.matrix)
         perm = perm_compose(perm, gen.perm)
-    if bundled and not preserves_pairing(surface, matrix):
-        raise AssertionError("evaluated word does not preserve the pairing form")
     return HomPermRep._trusted(surface, matrix, perm)
 
 

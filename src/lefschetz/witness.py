@@ -81,12 +81,13 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
     factors through the source at the implemented resolution: with rep the
     conjugator, the twist about each transported curve satisfies
     T_{rep(c)} rep == rep T_c.  Since T_{rep(c)} rep x - rep T_c x is
-    (<rep(c), rep(x)> - <c, x>) rep(c), and rep preserves the pairing (by
-    construction for a word of twists, asserted by :func:`evaluate` for a
-    word with a bundle letter), it suffices to check that the transported
-    class equals rep applied to the source class, one matrix times vector
-    per entry.  (The twist identity alone would also accept
-    the negative of that class.)  Each distinct conjugator object is
+    (<rep(c), rep(x)> - <c, x>) rep(c), and rep preserves the pairing (a
+    product of transvections and of bundle generators checked where they
+    entered), it suffices to check that the transported class equals rep
+    applied to the source class, one matrix times vector per entry.  (The
+    twist identity alone would also accept the negative of that class.)
+    The check stays: it catches a transport that disagrees with the
+    evaluated conjugator.  Each distinct conjugator object is
     evaluated once per call, so entries that share one word object, as
     :func:`substitution_witness`'s plans do, share its evaluation.
     """

@@ -444,10 +444,14 @@ G, H = "9" * 4300, "9" * 2200
     ["census", G, "1", "--enumerate"],     # so has the fiber rank 2G
     ["build", "u_g1", "--g", G],           # these two built lists of 2G + 1 signs
     ["build", "p_g", "--g", G],
-], ids=["census", "census-enumerate", "build-u_g1", "build-p_g"])
+    ["census", H, "1", "--enumerate"],     # these three echoed all 2,201 digits of 2H
+    ["build", "u_g1", "--g", H],
+    ["build", "p_g", "--g", H],
+], ids=["census", "census-enumerate", "build-u_g1", "build-p_g", "census-enumerate-rank",
+        "build-u_g1-rank", "build-p_g-rank"])
 def test_oversized_integer_argument_refused(argv, capsys):
-    # each used to leak a ValueError or OverflowError traceback as exit 1
-    _assert_refused(main(argv), capsys)
+    # the G calls used to leak a ValueError or OverflowError traceback as exit 1
+    _assert_one_short_refusal(main(argv), capsys)
 
 
 @pytest.mark.parametrize("builder", [u_g1, p_g])
@@ -545,6 +549,7 @@ def _assert_one_short_refusal(code, capsys) -> str:
     (("base", "genus"), G, "check-universal", " (too many digits to show) "),
     (("base", "genus"), G, "reduce", " (too many digits to show) "),
     (("fiber", "genus"), "-" + G, "invariants", "(-9999999999999999999..., 2)"),
+    (("fiber", "genus"), H, "invariants", "fiber rank 19999999999999999999... exceeds"),
     (("base", "boundary"), G, "invariants", " 99999999999999999999... "),
     (("cycles", 2, "curve", "class", "sep", 0, 0), G, "invariants", "((1, 1), (9999999999..."),
     (("cycles", 2, "curve", "hom", 2), G, "invariants", "(0, 0, 9999999999999..."),
@@ -554,8 +559,8 @@ def _assert_one_short_refusal(code, capsys) -> str:
     (("cycles", 2, "curve", "class"), f'"{G}"', "invariants", " '9999999999999999999..."),
     (("x" * 4300,), "1", "invariants", " ['xxxxxxxxxxxxxxxxxx..."),
 ], ids=["base-genus-invariants", "base-genus-check-universal", "base-genus-reduce",
-        "fiber-genus", "base-boundary", "separating-sides", "separating-class", "perm",
-        "separating-side-without-boundary", "curve-class-kind", "unknown-field"])
+        "fiber-genus", "fiber-rank", "base-boundary", "separating-sides", "separating-class",
+        "perm", "separating-side-without-boundary", "curve-class-kind", "unknown-field"])
 def test_oversized_file_value_is_clipped(keys, value, command, shown, tmp_path, capsys):
     # each refusal echoed a 4,300-digit value in full, or leaked a ValueError
     # traceback as exit 1

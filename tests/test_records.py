@@ -164,6 +164,9 @@ def test_equality_needs_the_same_class():
     assert len({SurfaceSpec(1, 1), BaseSurface(1, 1), MeridianPlan(entries),
                 ImmersionWitness(entries)}) == 4
     assert SurfaceSpec(1, 1) != (1, 1) and CurveClass("nonsep") != "nonsep"
+    # a bundle generator is a labelled mapping class, but not equal to the bare one
+    assert isinstance(SWAP, HomPermRep)
+    assert BundleGen(S, SWAP.matrix, SWAP.perm) != HomPermRep(S, SWAP.matrix, SWAP.perm)
 
 
 def test_defaults():

@@ -1,16 +1,22 @@
-"""Records moved by a mapping class are stored without validation.
+"""Records derived from checked ones are stored without validation.
 
 A homeomorphism takes a valid curve, cycle or fibration to a valid one of the
-same type, so ``hurwitz_move``, ``global_conjugate``, ``act_on_curve``,
-``evaluate`` and ``HomPermRep.compose`` build their results with
-``Record._trusted``, and ``evaluate`` asserts the pairing only for a word
-with a bundle letter.  These tests rerun the move trials, the reference
-differentials and the golden CLI calls with ``_trusted`` routed through the
-validating constructors, and require the same results; check that a twist
-word's matrix preserves the pairing, which is what the skipped assertion
-checked; spy that the fast path builds nothing through a constructor; and
-pin the refusals of the ``HomPermRep`` constructor, which is what keeps
-``act_on_curve`` sound for a rep it is given.
+same type, so ``hurwitz_move``, ``global_conjugate`` and ``act_on_curve``
+build their moved records with ``Record._trusted``.  The one mapping-class
+check is ``HomPermRep``'s constructor, which ``BundleGen`` inherits; a
+product, inverse or conjugate of checked mapping classes is one by algebra,
+so ``evaluate``, ``HomPermRep.compose``, ``BundleGen.inverse``,
+``boundary_permutation_gen``, the conjugated generators of
+``global_conjugate`` and the words of ``Letter.inverse``, ``MCWord.inverse``
+and ``MCWord.__mul__`` are stored unchecked too.  These tests rerun the move
+trials, the reference differentials and the golden CLI calls with
+``_trusted`` routed through the validating constructors, and require the
+same results; check that every derived mapping class passes the public
+check and preserves the pairing, which is what the skipped checks checked;
+spy that the fast path builds nothing through a constructor and checks the
+pairing only in the public constructors; and pin the refusals of the
+``HomPermRep`` constructor, which is what keeps ``act_on_curve`` sound for a
+rep it is given.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from lefschetz.cli import main
 from lefschetz.curves import Curve, nonseparating_curve, separating_curve
 from lefschetz.errors import InputError
 from lefschetz.fibration import (
+    ANNULUS,
     DISK,
+    BaseSurface,
     LefschetzFibration,
     SignedCycle,
     global_conjugate,
@@ -40,6 +48,7 @@ from lefschetz.fibration import (
 )
 from lefschetz.homology import Record, SurfaceSpec
 from lefschetz.mapping import (
+    BundleGen,
     HomPermRep,
     Letter,
     MCWord,
@@ -144,6 +153,43 @@ def test_twist_words_preserve_the_pairing(seed, length):
     assert rep.perm == tuple(range(s.boundary))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(0, 8))
+def test_derived_mapping_classes_pass_the_public_check(seed, length):
+    # the proof obligation for storing products, inverses and conjugates of
+    # checked mapping classes without the check
+    rng = random.Random(seed)
+    while True:
+        s = SurfaceSpec(rng.randint(0, 5), rng.randint(2, 4))
+        if s.rank <= 12:
+            break
+
+    def shuffle():
+        perm = list(range(s.boundary))
+        rng.shuffle(perm)
+        return boundary_permutation_gen(s, perm, "p")
+
+    def twist():
+        curve = test_kernel._random_curve(rng, s)
+        return Letter(TwistGen(curve, rng.choice(("right", "left"))), rng.choice((1, -1)))
+
+    cycle = SignedCycle(test_kernel._random_curve(rng, s), 1)
+    f = LefschetzFibration(s, BaseSurface(0, 3), (cycle,), (shuffle(), shuffle()))
+    conjugator = MCWord(s, (twist(), Letter(shuffle(), rng.choice((1, -1))), twist()))
+    gens = f.bundle + global_conjugate(f, conjugator).bundle
+    for gen in gens + tuple(g.inverse() for g in gens):
+        assert BundleGen(s, gen.matrix, gen.perm, gen.label) == gen
+        assert ref.preserves_pairing(s, gen.matrix)
+    w = MCWord(s, tuple(
+        Letter(rng.choice(gens), rng.choice((1, -1))) if rng.random() < 0.4 else twist()
+        for _ in range(length)))
+    for word in (w, w.inverse(), w * conjugator):
+        rep = evaluate(word)
+        assert HomPermRep(s, rep.matrix, rep.perm) == rep
+        assert ref.preserves_pairing(s, rep.matrix)
+    assert evaluate(w * w.inverse()).is_identity
+
+
 # ---------------------------------------------------------------------------
 # the fast path builds nothing through a validating constructor
 # ---------------------------------------------------------------------------
@@ -155,10 +201,10 @@ def test_moves_run_no_validation(monkeypatch):
     rep = HomPermRep(f.fiber, evaluate(word).matrix, (0,))
     s = SurfaceSpec(1, 2)
     swap = boundary_permutation_gen(s, (1, 0))
-    g = LefschetzFibration(s, DISK, (
-        SignedCycle(nonseparating_curve(s, (1, 0, 0), "a"), 1),
-        SignedCycle(separating_curve(s, {1}, (0, 1), "d"), -1)))
-    bundled = MCWord(s, (Letter(swap), Letter(TwistGen(g.cycles[0].curve), -1)))
+    a = nonseparating_curve(s, (1, 0, 0), "a")
+    g = LefschetzFibration(s, ANNULUS, (
+        SignedCycle(a, 1), SignedCycle(separating_curve(s, {1}, (0, 1), "d"), -1)), (swap,))
+    bundled = MCWord(s, (Letter(swap), Letter(TwistGen(a), -1)))
     calls = _spy(monkeypatch)
     hurwitz_move(f, 2, "R")
     hurwitz_move(f, 2, "L")
@@ -166,11 +212,16 @@ def test_moves_run_no_validation(monkeypatch):
     act_on_curve(word, b2)
     act_on_curve(rep, b2)
     evaluate(word).compose(rep)
-    assert not calls
     global_conjugate(g, bundled)
-    assert calls == {"preserves_pairing": 1}  # evaluate asserts it on a bundle word
-    calls.clear()
     evaluate(bundled)
+    swap.inverse()
+    boundary_permutation_gen(s, (1, 0))
+    bundled.inverse() * bundled
+    assert not calls
+    BundleGen(s, swap.matrix, swap.perm)
+    assert calls == {"preserves_pairing": 1}
+    calls.clear()
+    HomPermRep(s, swap.matrix, swap.perm)
     assert calls == {"preserves_pairing": 1}
 
 
