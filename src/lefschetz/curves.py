@@ -55,8 +55,7 @@ class CurveClass(Record):
                 raise InputError("separating sides must be normalized")
         else:
             raise InputError(f"unknown curve kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sides", sides)
+        self._store(kind, sides)
 
     @staticmethod
     def nonseparating() -> "CurveClass":
@@ -196,10 +195,7 @@ class Curve(Record):
             t = len(subset)
             if sorted((t, surface.boundary - t)) != sorted((b1, b2)):
                 raise InputError(f"subset size {t} inconsistent with sides {cls.sides}")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "label", label)
+        self._store(surface, cls, hom, label)
 
     def boundary_subset(self) -> frozenset[int] | None:
         """For separating curves, the circles on the side the class sums over."""

@@ -77,8 +77,7 @@ class BaseSurface(Record):
             raise InputError("base genus must be >= 0")
         if boundary < 1:
             raise InputError("base surfaces must have nonempty boundary")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
+        self._store(genus, boundary)
 
     @property
     def free_loop_count(self) -> int:
@@ -98,8 +97,7 @@ class SignedCycle(Record):
     def __init__(self, curve: Curve, sign: int) -> None:
         if sign not in (1, -1):
             raise InputError("cycle sign must be +-1")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "sign", sign)
+        self._store(curve, sign)
 
 
 class LefschetzFibration(Record):
@@ -120,10 +118,7 @@ class LefschetzFibration(Record):
         for bg in bundle:
             if bg.surface != fiber:
                 raise InputError("bundle generator on the wrong surface")
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "bundle", bundle)
+        self._store(fiber, base, cycles, bundle)
 
     @property
     def size(self) -> int:
@@ -229,18 +224,11 @@ def build(name: str, g: int | None = None) -> LefschetzFibration:
 class InvariantReport(Record):
     """Algebraic invariants of the total space of a fibration over the disk."""
 
-    __slots__ = ("euler", "h1_free_rank", "h1_torsion", "h2_rank", "positive", "negative",
-                 "allowable")
+    __slots__ = ("euler", "h1_free_rank", "h1_torsion", "h2_rank", "positive", "negative")
 
     def __init__(self, euler: int, h1_free_rank: int, h1_torsion: tuple[int, ...],
-                 h2_rank: int, positive: int, negative: int, allowable: bool = True) -> None:
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "h1_free_rank", h1_free_rank)
-        object.__setattr__(self, "h1_torsion", h1_torsion)
-        object.__setattr__(self, "h2_rank", h2_rank)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "negative", negative)
-        object.__setattr__(self, "allowable", allowable)
+                 h2_rank: int, positive: int, negative: int) -> None:
+        self._store(euler, h1_free_rank, h1_torsion, h2_rank, positive, negative)
 
 
 def total_space_invariants(f: LefschetzFibration) -> InvariantReport:

@@ -76,20 +76,20 @@ def vec_gcd(x: Vector) -> int:
 class Record:
     """Base of the library's immutable value types.
 
-    A record lists its fields in ``__slots__`` and stores them in its own
-    ``__init__`` through ``object.__setattr__``, after any validation; that
-    ``__init__`` takes the fields in slot order.  Two records are equal when
-    they have the same class and equal compared fields, and a record hashes
-    as the tuple of its compared fields, as a frozen dataclass does.  The
-    compared fields are all fields, in order, unless the class names them in
-    ``_compare``.  Pickling and copying go through the constructor, so a
-    copy is validated again.
+    A record lists its fields in ``__slots__``.  Its ``__init__`` takes the
+    fields in slot order and, after any validation, hands them to
+    ``_store``.  Two records are equal when they have the same class and
+    equal compared fields, and a record hashes as the tuple of its compared
+    fields, as a frozen dataclass does.  The compared fields are all fields,
+    in order, unless the class names them in ``_compare``.  Pickling and
+    copying go through the constructor, so a copy is validated again.
 
     Records are validated where they enter: the public constructors and the
-    file reader.  ``_trusted`` stores fields without that check, for a
-    record the library derives from validated ones: a homeomorphism takes a
-    valid curve, cycle or fibration to a valid one of the same type, and a
-    product, inverse or conjugate of mapping classes is a mapping class.
+    file reader.  ``_trusted`` stores fields through ``_store`` without that
+    check, for a record the library derives from validated ones: a
+    homeomorphism takes a valid curve, cycle or fibration to a valid one of
+    the same type, and a product, inverse or conjugate of mapping classes is
+    a mapping class.
     """
 
     __slots__ = ()
@@ -106,9 +106,13 @@ class Record:
     def _trusted(cls, *fields: object) -> "Record":
         """A record holding ``fields``, all of them in slot order, unvalidated."""
         self = object.__new__(cls)
-        for store, value in zip(cls._setters, fields):
-            store(self, value)
+        self._store(*fields)
         return self
+
+    def _store(self, *fields: object) -> None:
+        """Set the first ``len(fields)`` slots, in slot order, to ``fields``."""
+        for store, value in zip(self._setters, fields):
+            store(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -151,8 +155,7 @@ class SurfaceSpec(Record):
     def __init__(self, genus: int, boundary: int) -> None:
         if genus < 0 or boundary < 0:
             raise InputError(f"invalid surface ({clipped(genus)}, {clipped(boundary)})")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
+        self._store(genus, boundary)
 
     @property
     def rank(self) -> int:

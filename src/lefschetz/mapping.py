@@ -90,8 +90,7 @@ class TwistGen(Record):
     def __init__(self, curve: Curve, handed: str = "right") -> None:
         if handed not in ("right", "left"):
             raise InputError(f"bad handedness {handed!r}")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "handed", handed)
+        self._store(curve, handed)
 
     @property
     def surface(self) -> SurfaceSpec:
@@ -130,9 +129,7 @@ class HomPermRep(Record):
             dst = boundary_subset_class(surface, frozenset({perm[j - 1] + 1}))
             if mat_vec(matrix, src) != dst:
                 raise InputError(f"matrix moves boundary class {j} off d_{perm[j - 1] + 1}")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "perm", perm)
+        self._store(surface, matrix, perm)
 
     def compose(self, other: "HomPermRep") -> "HomPermRep":
         if self.surface != other.surface:
@@ -224,15 +221,16 @@ def boundary_permutation_gen(
 
 
 class Letter(Record):
-    """One word letter: a generator or its formal inverse (power -1)."""
+    """One word letter: a twist or bundle generator, or its inverse (power -1)."""
 
     __slots__ = ("gen", "power")
 
     def __init__(self, gen: TwistGen | BundleGen, power: int = 1) -> None:
+        if not isinstance(gen, (TwistGen, BundleGen)):
+            raise InputError("letter generator must be a TwistGen or a BundleGen")
         if power not in (1, -1):
             raise InputError("letter power must be +-1")
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "power", power)
+        self._store(gen, power)
 
     @property
     def surface(self) -> SurfaceSpec:
@@ -252,8 +250,7 @@ class MCWord(Record):
         for let in letters:
             if let.surface != surface:
                 raise InputError("word letters live on different surfaces")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "letters", letters)
+        self._store(surface, letters)
 
     def __mul__(self, other: "MCWord") -> "MCWord":
         if self.surface != other.surface:

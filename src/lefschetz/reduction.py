@@ -352,11 +352,7 @@ class ReduceResult(Record):
 
     def __init__(self, fibration: LefschetzFibration, steps: int, exhausted: bool,
                  explored: int = 0, states: int = 1) -> None:
-        object.__setattr__(self, "fibration", fibration)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "exhausted", exhausted)
-        object.__setattr__(self, "explored", explored)
-        object.__setattr__(self, "states", states)
+        self._store(fibration, steps, exhausted, explored, states)
 
 
 def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:

@@ -207,7 +207,7 @@ def invariant_report_to_json(r: InvariantReport) -> dict:
         "h1_torsion": list(r.h1_torsion),
         "h2_rank": r.h2_rank,
         "signs": {"positive": r.positive, "negative": r.negative},
-        "allowable": r.allowable,
+        "allowable": True,  # only allowable fibrations are representable
     }
 
 

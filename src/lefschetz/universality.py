@@ -281,8 +281,7 @@ class SurjectivityVerdict(Record):
     __slots__ = ("status", "detail")
 
     def __init__(self, status: str, detail: str = "") -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
+        self._store(status, detail)
 
     @property
     def certified(self) -> bool:
@@ -406,12 +405,7 @@ class UniversalityReport(Record):
 
     def __init__(self, cond_perm: bool, cond_lef: SurjectivityVerdict, cond2: bool,
                  cond2strong: bool, universal: str, strongly_universal: str) -> None:
-        object.__setattr__(self, "cond_perm", cond_perm)
-        object.__setattr__(self, "cond_lef", cond_lef)
-        object.__setattr__(self, "cond2", cond2)
-        object.__setattr__(self, "cond2strong", cond2strong)
-        object.__setattr__(self, "universal", universal)
-        object.__setattr__(self, "strongly_universal", strongly_universal)
+        self._store(cond_perm, cond_lef, cond2, cond2strong, universal, strongly_universal)
 
 
 def _verdict(cond_perm: bool, lef: SurjectivityVerdict, cond_cls: bool) -> str:

@@ -39,9 +39,7 @@ class PlanEntry(Record):
     def __init__(self, source: int, conjugator: MCWord, local_degree: int = 1) -> None:
         if local_degree not in (1, -1):
             raise InputError("local degree must be +-1")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "conjugator", conjugator)
-        object.__setattr__(self, "local_degree", local_degree)
+        self._store(source, conjugator, local_degree)
 
 
 class MeridianPlan(Record):
@@ -50,7 +48,7 @@ class MeridianPlan(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[PlanEntry, ...]) -> None:
-        object.__setattr__(self, "entries", tuple(entries))
+        self._store(tuple(entries))
 
     @property
     def is_immersion(self) -> bool:

@@ -55,18 +55,7 @@ from fractions import Fraction
 
 from lefschetz.curves import Curve, CurveClass
 from lefschetz.errors import CapacityError, InputError, NotApplicable
-from lefschetz.fibration import (
-    DISK,
-    WITNESS_WORD_BOUND,
-    ImmersionWitness,
-    LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
-    ReduceResult,
-    SignedCycle,
-    pullback,
-    require_disk,
-)
+from lefschetz.fibration import DISK, LefschetzFibration, SignedCycle, require_disk
 from lefschetz.homology import (
     Matrix,
     SurfaceSpec,
@@ -91,7 +80,15 @@ from lefschetz.mapping import (
     perm_identity,
     perm_inverse,
 )
-from lefschetz.witness import _alphabet
+from lefschetz.reduction import ReduceResult
+from lefschetz.witness import (
+    WITNESS_WORD_BOUND,
+    ImmersionWitness,
+    MeridianPlan,
+    PlanEntry,
+    _alphabet,
+    pullback,
+)
 
 
 # ---------------------------------------------------------------------------

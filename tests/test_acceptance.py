@@ -17,23 +17,16 @@ from lefschetz.curves import (
 from lefschetz.fibration import (
     ANNULUS,
     DISK,
-    ImmersionWitness,
     LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
     SignedCycle,
     global_conjugate,
     hurwitz_move,
     p_g,
-    pullback,
-    reduce,
-    substitution_witness,
     total_space_invariants,
     twist_product,
     u_10,
     u_11,
     u_g1,
-    universality_report,
 )
 from lefschetz.homology import (
     SurfaceSpec,
@@ -49,9 +42,17 @@ from lefschetz.mapping import (
     TwistGen,
     boundary_permutation_gen,
     evaluate,
-    mcg_surjectivity_oracle,
     twist_catalog,
     twist_matrix,
+)
+from lefschetz.reduction import reduce
+from lefschetz.universality import mcg_surjectivity_oracle, universality_report
+from lefschetz.witness import (
+    ImmersionWitness,
+    MeridianPlan,
+    PlanEntry,
+    pullback,
+    substitution_witness,
 )
 from reference_kernel import mat_det
 from reference_kernel import smith_normal_form as reference_snf

@@ -21,21 +21,10 @@ from lefschetz import cli
 from lefschetz.cli import main
 from lefschetz.curves import nonseparating_curve, separating_curve
 from lefschetz.errors import CapacityError, InputError
-from lefschetz.fibration import (
-    ANNULUS,
-    DISK,
-    LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
-    SignedCycle,
-    identity_plan,
-    p_g,
-    reduce,
-    u_11,
-    u_g1,
-)
+from lefschetz.fibration import ANNULUS, DISK, LefschetzFibration, SignedCycle, p_g, u_11, u_g1
 from lefschetz.homology import MAX_CYCLES, SurfaceSpec
 from lefschetz.mapping import Letter, MCWord, TwistGen, boundary_permutation_gen
+from lefschetz.reduction import reduce
 from lefschetz.serialize import (
     dumps,
     fibration_dumps,
@@ -44,6 +33,7 @@ from lefschetz.serialize import (
     plan_from_json,
     plan_to_json,
 )
+from lefschetz.witness import MeridianPlan, PlanEntry, identity_plan
 
 
 def _write(tmp_path, name, fibration):

@@ -13,31 +13,20 @@ from lefschetz.curves import (
 )
 from lefschetz.errors import CapacityError, InputError, NotApplicable, Unsupported
 from lefschetz.fibration import (
-    WITNESS_WORD_BOUND,
     ANNULUS,
     DISK,
     BaseSurface,
-    ImmersionWitness,
     LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
     SignedCycle,
     build,
-    destabilize,
     global_conjugate,
     hurwitz_move,
-    identity_plan,
     p_g,
-    pullback,
-    reduce,
-    stabilize,
-    substitution_witness,
     total_space_invariants,
     twist_product,
     u_10,
     u_11,
     u_g1,
-    universality_report,
 )
 from lefschetz.homology import SurfaceSpec, in_radical, mat_mul, vec_gcd
 from lefschetz.mapping import (
@@ -47,7 +36,18 @@ from lefschetz.mapping import (
     boundary_permutation_gen,
     evaluate,
 )
+from lefschetz.reduction import destabilize, reduce, stabilize
 from lefschetz.serialize import plan_from_json, plan_to_json
+from lefschetz.universality import universality_report
+from lefschetz.witness import (
+    WITNESS_WORD_BOUND,
+    ImmersionWitness,
+    MeridianPlan,
+    PlanEntry,
+    identity_plan,
+    pullback,
+    substitution_witness,
+)
 
 
 def _random_curve(rng, s):

@@ -23,13 +23,13 @@ from lefschetz.fibration import (
     SignedCycle,
     global_conjugate,
     p_g,
-    stabilize,
     u_10,
     u_11,
     u_g1,
 )
 from lefschetz.homology import SurfaceSpec
 from lefschetz.mapping import TwistGen, boundary_permutation_gen, twist_catalog, twist_word
+from lefschetz.reduction import stabilize
 from lefschetz.serialize import fibration_dumps
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -50,23 +50,14 @@ from lefschetz.fibration import (
     DISK,
     BaseSurface,
     LefschetzFibration,
-    MeridianPlan,
-    PlanEntry,
     SignedCycle,
     build,
-    destabilize,
     global_conjugate,
     hurwitz_move,
-    identity_plan,
     p_g,
-    pullback,
-    reduce,
-    stabilize,
-    substitution_witness,
     twist_product,
     u_10,
     u_g1,
-    universality_report,
 )
 from lefschetz.homology import (
     SurfaceSpec,
@@ -85,17 +76,30 @@ from lefschetz.mapping import (
     act_on_curve,
     boundary_permutation_gen,
     evaluate,
-    mcg_surjectivity_oracle,
     perm_inverse,
-    symplectic_group_order,
     twist_catalog,
     twist_matrix,
     twist_vector,
     twist_word,
 )
-from lefschetz.reduction import _forced_split
+from lefschetz.reduction import _forced_split, destabilize, reduce, stabilize
 from lefschetz.serialize import fibration_to_json, plan_to_json
-from lefschetz.witness import _alphabet, _half_words, _walk_level, _walk_steps
+from lefschetz.universality import (
+    mcg_surjectivity_oracle,
+    symplectic_group_order,
+    universality_report,
+)
+from lefschetz.witness import (
+    MeridianPlan,
+    PlanEntry,
+    _alphabet,
+    _half_words,
+    _walk_level,
+    _walk_steps,
+    identity_plan,
+    pullback,
+    substitution_witness,
+)
 
 
 def _random_surface(rng):

@@ -35,17 +35,20 @@ from lefschetz.mapping import (
     act_on_curve,
     boundary_permutation_gen,
     evaluate,
-    mcg_surjectivity_oracle,
     perm_compose,
-    perm_group_surjective,
     perm_inverse,
-    symplectic_group_order,
     twist_catalog,
     twist_matrix,
     twist_word,
 )
 from lefschetz.serialize import curve_to_json
-from lefschetz.universality import _group_order, _symplectic_order_mod
+from lefschetz.universality import (
+    _group_order,
+    _symplectic_order_mod,
+    mcg_surjectivity_oracle,
+    perm_group_surjective,
+    symplectic_group_order,
+)
 from reference_orders import _closure, _mod_p_generators, _perm_group_order
 from reference_orders import _symplectic_order_mod as _tuple_order_mod
 
@@ -412,10 +415,10 @@ def test_oracle_refuses_moduli_past_its_capacity():
     # the int-string digit limit (5,259 digits for |Sp(100, 11)|) decides too
     s = SurfaceSpec(50, 1)
     for p in (7, 11):
-        assert mcg_surjectivity_oracle([], s, primes=(p,)) == mapping.SurjectivityVerdict(
+        assert mcg_surjectivity_oracle([], s, primes=(p,)) == universality.SurjectivityVerdict(
             "obstructed", f"mod-{p} image is trivial")
     assert mcg_surjectivity_oracle([], s).obstructed  # the default primes pass at the largest genus
-    largest = max(p for p in range(mapping.MAX_MODULUS - 100, mapping.MAX_MODULUS + 1)
+    largest = max(p for p in range(universality.MAX_MODULUS - 100, universality.MAX_MODULUS + 1)
                   if all(p % d for d in range(2, int(p ** 0.5) + 1)))
     assert mcg_surjectivity_oracle([], SurfaceSpec(1, 1), primes=(largest,)).obstructed
     for p in (1_000_003, 2 ** 61 - 1, 10 ** 30):  # primes, but primality is not checked this far
@@ -668,7 +671,7 @@ def test_reducible_sets_report_their_invariant_subspace():
     pants = SurfaceSpec(1, 2)
     zero = [TwistGen(nonseparating_curve(pants, v, "z")) for v in ((3, 0, 1), (0, 3, 1))]
     assert universality._invariant_subspace(zero, 1, 3) == 0
-    assert mcg_surjectivity_oracle(zero, pants, primes=(3,)) == mapping.SurjectivityVerdict(
+    assert mcg_surjectivity_oracle(zero, pants, primes=(3,)) == universality.SurjectivityVerdict(
         "obstructed", "mod-3 image is trivial")
 
 
@@ -686,7 +689,7 @@ def test_odd_primes_decide_reducible_sets_quickly(drop, g, primes, dim):
     start = time.perf_counter()
     verdict = mcg_surjectivity_oracle(twists, s, primes)
     assert time.perf_counter() - start < 1
-    assert verdict == mapping.SurjectivityVerdict(
+    assert verdict == universality.SurjectivityVerdict(
         "obstructed", f"mod-3 image preserves a proper subspace of dimension {dim}")
 
 
@@ -721,7 +724,7 @@ def test_work_bound_makes_a_prime_inconclusive_never_obstructed(monkeypatch):
         monkeypatch.setattr(universality, "ORDER_WORK_BOUND", bound)
         verdict = mcg_surjectivity_oracle(twists, s, primes=(2,))
         # a chain cut short gives up; only a completed one obstructs
-        assert verdict in (exact, mapping.SurjectivityVerdict(
+        assert verdict in (exact, universality.SurjectivityVerdict(
             "unknown", "no certificate and no finite obstruction"))
         verdicts.add(verdict.status)
     assert verdicts == {"unknown", "obstructed"}

@@ -20,7 +20,7 @@ from lefschetz.curves import Curve, CurveClass
 from lefschetz.errors import InputError
 from lefschetz.fibration import DISK, BaseSurface, InvariantReport, LefschetzFibration, SignedCycle
 from lefschetz.homology import SurfaceSpec
-from lefschetz.mapping import BundleGen, HomPermRep, Letter, MCWord, TwistGen
+from lefschetz.mapping import BundleGen, HomPermRep, Letter, MCWord, TwistGen, evaluate
 from lefschetz.reduction import ReduceResult
 from lefschetz.universality import SurjectivityVerdict, UniversalityReport
 from lefschetz.witness import ImmersionWitness, MeridianPlan, PlanEntry
@@ -62,11 +62,11 @@ RECORDS = [
     (BaseSurface(1, 2), "BaseSurface(genus=1, boundary=2)", [("genus", 1), ("boundary", 2)]),
     (CYCLE, CYCLE_REPR, [("curve", A1), ("sign", -1)]),
     (FIB, FIB_REPR, [("fiber", S), ("base", DISK), ("cycles", (CYCLE,)), ("bundle", ())]),
-    (InvariantReport(5, 0, (2,), 1, 3, 1, False),
+    (InvariantReport(5, 0, (2,), 1, 3, 1),
      "InvariantReport(euler=5, h1_free_rank=0, h1_torsion=(2,), h2_rank=1, positive=3, "
-     "negative=1, allowable=False)",
+     "negative=1)",
      [("euler", 5), ("h1_free_rank", 0), ("h1_torsion", (2,)), ("h2_rank", 1),
-      ("positive", 3), ("negative", 1), ("allowable", False)]),
+      ("positive", 3), ("negative", 1)]),
     (TWIST, TWIST_REPR, [("curve", A1), ("handed", "left")]),
     (SWAP, SWAP_REPR, [("surface", S), ("matrix", ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
                        ("perm", (1, 0)), "|", ("label", "swap")]),
@@ -117,6 +117,8 @@ def test_repr_fields_equality_and_hash(record, text, spec):
     again = type(record)(*(value for _, value in fields))
     assert again == record and not again != record
     assert hash(record) == hash(again) == hash(tuple(value for _, value in compared))
+    trusted = type(record)._trusted(*(value for _, value in fields))
+    assert trusted == record and repr(trusted) == text
 
 
 @pytest.mark.parametrize("record, text, spec", RECORDS, ids=IDS)
@@ -173,8 +175,6 @@ def test_defaults():
     assert CurveClass("nonsep").sides is None
     assert Curve(S, NONSEP, (1, 0, 0)).label == ""
     assert LefschetzFibration(S, DISK, ()).bundle == ()
-    assert InvariantReport(euler=1, h1_free_rank=0, h1_torsion=(), h2_rank=0, positive=0,
-                           negative=0).allowable is True
     assert TwistGen(A1).handed == "right"
     assert Letter(TWIST).power == 1
     assert MCWord(S).letters == ()
@@ -248,6 +248,12 @@ REFUSALS = [
     (lambda: BundleGen(S, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0)),
      "(0, 0) is not a permutation of 2 points"),
     (lambda: Letter(TWIST, 2), "letter power must be +-1"),
+    # a mapping class that is no bundle generator, at each power, and a string
+    (lambda: evaluate(MCWord(S, (Letter(HomPermRep(S, IDENTITY, (0, 1))),))),
+     "letter generator must be a TwistGen or a BundleGen"),
+    (lambda: evaluate(MCWord(S, (Letter(HomPermRep(S, IDENTITY, (0, 1)), -1),))),
+     "letter generator must be a TwistGen or a BundleGen"),
+    (lambda: MCWord(S, (Letter("a1"),)), "letter generator must be a TwistGen or a BundleGen"),
     (lambda: MCWord(TWO, (LETTER,)), "word letters live on different surfaces"),
     (lambda: PlanEntry(0, WORD, 0), "local degree must be +-1"),
     (lambda: ImmersionWitness((ENTRY,)), "an immersion witness needs all local degrees +1"),
@@ -259,3 +265,4 @@ def test_validation_messages(make, message):
     with pytest.raises(InputError) as info:
         make()
     assert str(info.value) == message
+
