@@ -95,6 +95,8 @@ class SignedCycle(Record):
     __slots__ = ("curve", "sign")
 
     def __init__(self, curve: Curve, sign: int) -> None:
+        if not isinstance(curve, Curve):
+            raise InputError("cycle curve must be a Curve")
         if sign not in (1, -1):
             raise InputError("cycle sign must be +-1")
         self._store(curve, sign)
@@ -109,6 +111,8 @@ class LefschetzFibration(Record):
         bundle = tuple(bundle)
         check_cycle_count(len(cycles))
         for c in cycles:
+            if not isinstance(c, SignedCycle):
+                raise InputError("vanishing cycle must be a SignedCycle")
             if c.curve.surface != fiber:
                 raise InputError("vanishing cycle on the wrong surface")
         if len(bundle) != base.free_loop_count:
@@ -116,6 +120,8 @@ class LefschetzFibration(Record):
                 f"base has {clipped(base.free_loop_count)} free loops but "
                 f"{len(bundle)} bundle generators were given")
         for bg in bundle:
+            if not isinstance(bg, BundleGen):
+                raise InputError("bundle entry must be a BundleGen")
             if bg.surface != fiber:
                 raise InputError("bundle generator on the wrong surface")
         self._store(fiber, base, cycles, bundle)

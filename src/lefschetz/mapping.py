@@ -248,6 +248,8 @@ class MCWord(Record):
     def __init__(self, surface: SurfaceSpec, letters: tuple[Letter, ...] = ()) -> None:
         letters = tuple(letters)
         for let in letters:
+            if not isinstance(let, Letter):
+                raise InputError("word letter must be a Letter")
             if let.surface != surface:
                 raise InputError("word letters live on different surfaces")
         self._store(surface, letters)

@@ -11,7 +11,8 @@ breadth-first for a fibration of least fiber rank.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from bisect import bisect_left
+from collections.abc import Callable, Iterator
 
 from .curves import Curve, CurveClass, subset_from_class
 from .errors import InputError, NotApplicable
@@ -158,17 +159,21 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
     Raises NotApplicable when the criterion fails, when the fiber is closed
     (no destabilizing arc exists), or when a surviving cycle cannot be
     transported; the last names the first such cycle by its label, or by
-    its class when it has none.
+    its class when it has none.  A generator index that is not an int (a
+    bool included) is refused with InputError before any other check.
     """
+    if type(generator_index) is not int:
+        raise InputError("generator index must be an int")
     require_disk(f, "destabilize")
-    rank = f.fiber.rank
-    if not 0 <= generator_index < rank:
-        raise InputError(f"generator index {generator_index} out of range 0..{rank - 1}")
-    removed = _lone_unit(tuple(c.curve.hom[generator_index] for c in f.cycles))
-    if removed is None:
+    if not 0 <= generator_index < f.fiber.rank:
+        raise InputError(f"generator index {generator_index} out of range 0..{f.fiber.rank - 1}")
+    col = [c.curve.hom[generator_index] for c in f.cycles]
+    crossing = [k for k, x in enumerate(col) if x]
+    if len(crossing) != 1 or col[crossing[0]] not in (1, -1):
         raise NotApplicable(
             f"generator {generator_index} is not crossed exactly once by "
             "exactly one cycle")
+    removed = crossing[0]
     move = _destabilizing_map(f.fiber, generator_index)
     if move is None:
         raise NotApplicable("a closed fiber admits no destabilizing arc")
@@ -177,13 +182,6 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
         SignedCycle(_transport_curve(c.curve, new_surface, remap(c.curve.hom)), c.sign)
         for c in f.cycles[:removed] + f.cycles[removed + 1:])
     return LefschetzFibration(new_surface, DISK, cycles)
-
-
-def _lone_unit(col: tuple[int, ...]) -> int | None:
-    """The position of the one nonzero entry of col when it is +-1, else None."""
-    if col.count(0) != len(col) - 1:
-        return None
-    return col.index(1) if 1 in col else col.index(-1) if -1 in col else None
 
 
 def _destabilizing_map(surface: SurfaceSpec, generator_index: int,
@@ -218,18 +216,19 @@ class _ClassTable:
     """The cycle classes :func:`reduce` has met, as bare records.
 
     A record is (fiber, type, class) with no label and no ``Curve`` around
-    it: ``intern`` gives each distinct record an id, and with it ``nonzero``
-    and ``units``, bitmasks of the generators its class crosses and crosses
-    with coefficient +-1, and ``away``, :func:`_away` of a separating class.
-    ``moves`` memoises :func:`_destabilizing_map` per (genus, boundary,
-    generator), with a row that maps a class id to its child's id and the
-    set of class ids whose transport :func:`_transported_class` refuses;
-    underneath, ``transports`` memoises that class rule on all it reads.
+    it, so its id fixes its fiber.  ``intern`` gives each distinct record an
+    id, and with it ``nonzero`` and ``units``, bitmasks of the generators
+    its class crosses and crosses with coefficient +-1, ``away``,
+    :func:`_away` of a separating class, and ``refused``, a bitmask, set as
+    refusals are met, of the generators whose move refuses its transport.
+    ``moves`` memoises :func:`_destabilizing_map` per fiber and generator,
+    with a row that maps a class id to its child's id; underneath,
+    ``transports`` memoises :func:`_transported_class` on all it reads.
     Every entry is a pure function of its key and no id is ever ordered, so
     one table serves any number of calls: nothing in it reads a sign, a
-    label, a budget or another cycle.  Move rows and refused sets hold ids,
-    so a table is only ever dropped whole, never cleared in part.  Every
-    record that ``intern`` is given satisfies ``Curve``'s checks: the
+    label, a budget or another cycle.  Rows hold ids and masks are indexed
+    by them, so a table is only ever dropped whole, never cleared in part.
+    Every record that ``intern`` is given satisfies ``Curve``'s checks: the
     input's records come from curves, and a transport keeps a nonzero,
     primitive class off the boundary lattice or a boundary-subset class
     whose sides it sets.  So ``Curve``s are built, and checked, only for the
@@ -238,7 +237,7 @@ class _ClassTable:
 
     def __init__(self) -> None:
         self.records, self.ids, self.moves, self.transports = [], {}, {}, {}
-        self.nonzero, self.units, self.away = [], [], []
+        self.nonzero, self.units, self.refused, self.away = [], [], [], []
 
     def intern(self, surface: SurfaceSpec, cls: CurveClass, hom: Vector) -> int:
         key = (surface.genus, surface.boundary, cls.sides, hom)
@@ -254,79 +253,69 @@ class _ClassTable:
                         units |= 1 << i
             self.nonzero.append(nonzero)
             self.units.append(units)
+            self.refused.append(0)
             self.away.append(cls.is_separating and _away(hom, surface.genus))
         return cid
 
-    def crossings(self, ids: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(generator, position) for each generator that exactly one of the
-        cycles ``ids`` crosses, with coefficient +-1, in generator order."""
-        once = twice = units = 0
+    def destabilizations(self, surface: SurfaceSpec, ids: tuple[int, ...]) -> Iterator[tuple]:
+        """(generator, removed position, new fiber, surviving ids) for each
+        destabilization of a state that applies, in generator order.  Tried
+        are the generators that one cycle alone crosses, with coefficient
+        +-1, and no cycle's refused mask holds: a refused class has
+        coefficient 0 there, so it survives every state that offers the move."""
+        nonzero, units, refused = self.nonzero, self.units, self.refused
+        once = twice = unit = blocked = 0
         for cid in ids:
-            nz = self.nonzero[cid]
+            nz = nonzero[cid]
             twice |= once & nz
             once |= nz
-            units |= self.units[cid]
-        lone = once & ~twice & units
-        out = []
-        for k, cid in enumerate(ids):
-            bits = self.nonzero[cid] & lone
-            while bits:
-                low = bits & -bits
-                out.append((low.bit_length() - 1, k))
-                bits ^= low
-        out.sort()
-        return out
+            unit |= units[cid]
+            blocked |= refused[cid]
+        lone = once & ~twice & unit & ~blocked
+        moves = self.moves.get((surface.genus, surface.boundary))
+        if moves is None:  # every generator's move, made on the fiber's first visit
+            moves = self.moves[surface.genus, surface.boundary] = [
+                move and (*move, {})
+                for move in (_destabilizing_map(surface, gi) for gi in range(surface.rank))]
+        while lone:
+            low = lone & -lone
+            lone ^= low
+            gi = low.bit_length() - 1
+            if moves[gi] is not None:
+                for removed, cid in enumerate(ids):
+                    if nonzero[cid] & low:
+                        break
+                child = self._child(moves[gi], ids[:removed] + ids[removed + 1:], low)
+                if child is not None:
+                    yield gi, removed, moves[gi][0], child
 
-    def destabilized(self, surface: SurfaceSpec, ids: tuple[int, ...], generator_index: int,
-                     removed: int) -> tuple[SurfaceSpec, tuple[int, ...]] | None:
-        """:func:`destabilize` on a state: the new fiber and the surviving
-        class ids, given the one cycle crossing the generator, or None when
-        the fiber is closed or a survivor's transport is refused.
-
-        A refused id was a survivor of this move before, so it has
-        coefficient 0 on the generator and is never the removed cycle: a
-        state holding one is refused by one set test."""
-        key = (surface.genus, surface.boundary, generator_index)
-        if key not in self.moves:
-            move = _destabilizing_map(surface, generator_index)
-            self.moves[key] = None if move is None else (*move, {}, set())
-        move = self.moves[key]
-        if move is None:
-            return None
-        new_surface, remap, row, refused = move
-        if not refused.isdisjoint(ids):
-            return None
-        kept = ids[:removed] + ids[removed + 1:]
+    def _child(self, move: tuple, kept: tuple[int, ...], bit: int) -> tuple[int, ...] | None:
+        """The class ids of the cycles ``kept`` after ``move``, or None when
+        one's transport is refused, which sets ``bit`` in its refused mask."""
+        new_surface, remap, row = move
         children = tuple(map(row.get, kept))
-        if None in children:  # first visits: transport in order up to a refusal
-            for cid, child in zip(kept, children):
+        if None not in children:
+            return children
+        for cid in kept:  # first visits: transport in order up to a refusal
+            if cid not in row:
+                _, cls, hom = self.records[cid]
+                new_hom = remap(hom)
+                # keyed on all the class rule reads: new fiber and class, old type, away
+                key = (new_surface.genus, new_surface.boundary, cls.sides, self.away[cid], new_hom)
+                child = self.transports.get(key)
                 if child is None:
-                    child = self._transport(cid, new_surface, remap)
-                    if child == -1:
-                        refused.add(cid)
-                        return None
-                    row[cid] = child
-            children = tuple(map(row.__getitem__, kept))
-        return new_surface, children
-
-    def _transport(self, cid: int, new_surface: SurfaceSpec,
-                   remap: Callable[[Vector], Vector]) -> int:
-        """The id of class ``cid``'s child on ``new_surface``, or -1 when the
-        class rule refuses it."""
-        _, cls, hom = self.records[cid]
-        new_hom = remap(hom)
-        # keyed on all the class rule reads: new fiber and class, old type, away
-        key = (new_surface.genus, new_surface.boundary, cls.sides, self.away[cid], new_hom)
-        child = self.transports.get(key)
-        if child is None:
-            try:
-                new_cls = _transported_class(cls, self.away[cid], new_surface, new_hom, hom)
-            except NotApplicable:
-                child = -1
-            else:
-                child = self.intern(new_surface, new_cls, new_hom)
-            self.transports[key] = child
-        return child
+                    try:
+                        new_cls = _transported_class(cls, self.away[cid], new_surface, new_hom, hom)
+                    except NotApplicable:
+                        child = -1
+                    else:
+                        child = self.intern(new_surface, new_cls, new_hom)
+                    self.transports[key] = child
+                if child == -1:
+                    self.refused[cid] |= bit
+                    return None
+                row[cid] = child
+        return tuple(map(row.__getitem__, kept))
 
 
 # Most records the class table keeps across reduce calls: at about 1 KiB a
@@ -368,20 +357,23 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     destabilizations explored; if it runs out the best state found so far
     is returned flagged ``exhausted``.
 
-    A state is its fiber, its cycles' record ids (see :class:`_ClassTable`),
-    their signs and each cycle's input position, which fixes its label; two
-    states are the same when (genus, boundary, ids, signs) are.  A state's
-    applicable generators come from the records' bitmasks, each transport
-    is computed once while the module's table is kept (across calls, up to
-    REDUCE_TABLE_RECORDS records), and a refused destabilization is skipped,
-    by one set test once one of its surviving classes has been refused.
-    These are exact: the states, their order, ``explored``, ``states`` and
-    the result are those of calling :func:`destabilize` on every generator
-    of every state.  The budget is checked as if at every generator, so
-    ``exhausted`` is set when the budget is spent while a generator of a
-    positive-rank state is still unvisited.  A negative budget is refused
-    with InputError before any other check.
+    A state is its fiber, its cycles' record ids (see :class:`_ClassTable`)
+    and their signs, and links to the state it was found from and the
+    position it removed, which fix each cycle's input position and label;
+    two states are the same when (genus, boundary, ids, signs) are.  A
+    state's applicable generators come from the records' bitmasks, less the
+    refused moves met so far, and each transport is computed once while the
+    module's table is kept (across calls, up to REDUCE_TABLE_RECORDS
+    records).  These are exact: the states, their order, ``explored``,
+    ``states`` and the result are those of calling :func:`destabilize` on
+    every generator of every state.  The budget is checked as if at every
+    generator, so ``exhausted`` is set when the budget is spent while a
+    generator of a positive-rank state is still unvisited.  A budget that
+    is not an int (a bool included) or is negative is refused with
+    InputError before any other check.
     """
+    if type(budget) is not int:
+        raise InputError("budget must be an int")
     if budget < 0:
         raise InputError("budget must be >= 0")
     if f.fiber.rank > 0 and budget > 0:
@@ -393,26 +385,22 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
         table, _table = _table or _ClassTable(), None
         ids = tuple(table.intern(c.curve.surface, c.curve.cls, c.curve.hom) for c in f.cycles)
         seen = {(f.fiber.genus, f.fiber.boundary, ids, f.signs())}
-        queue = [(f.fiber, ids, tuple(range(f.size)), f.signs())]
+        # (fiber, ids, signs, index of the parent state, position it removed)
+        queue = [(f.fiber, ids, f.signs(), 0, 0)]
         edges, exhausted = 0, False
-        for surface, ids, origins, signs in queue:  # the queue grows while it is walked
+        for index, (surface, ids, signs, _, _) in enumerate(queue):  # the queue grows
             if edges >= budget:
                 if surface.rank:  # a generator is left unvisited
                     exhausted = True
                     break
                 continue
-            for gi, removed in table.crossings(ids):
-                move = table.destabilized(surface, ids, gi, removed)
-                if move is None:
-                    continue
-                new_surface, child = move
+            for gi, removed, new_surface, child in table.destabilizations(surface, ids):
                 edges += 1
                 child_signs = signs[:removed] + signs[removed + 1:]
                 key = (new_surface.genus, new_surface.boundary, child, child_signs)
                 if key not in seen:
                     seen.add(key)
-                    queue.append((new_surface, child, origins[:removed] + origins[removed + 1:],
-                                  child_signs))
+                    queue.append((new_surface, child, child_signs, index, removed))
                 if edges >= budget:
                     exhausted = gi < surface.rank - 1
                     break
@@ -421,11 +409,15 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
         if len(table.records) <= REDUCE_TABLE_RECORDS:
             _table = table
     # records are only ever appended, so those read below stay put
-    # depth is the rank lost and never falls along the queue: the last is deepest
-    deepest = queue[-1][0].rank
-    surface, ids, origins, _ = next(state for state in queue if state[0].rank == deepest)
+    # depth is the rank lost and never falls along the queue: bisect for the first deepest
+    index = bisect_left(queue, -queue[-1][0].rank, key=lambda state: -state[0].rank)
+    surface, ids = queue[index][:2]
     steps = f.fiber.rank - surface.rank
     if steps:  # each cycle takes the sign and label of its input position
+        origins = list(range(len(ids)))
+        while index:  # up the links to the input, the one state at index 0
+            index, removed = queue[index][3:]
+            origins = [o + (o >= removed) for o in origins]
         f = LefschetzFibration(surface, DISK, tuple(
             SignedCycle(Curve(*table.records[cid], f.cycles[o].curve.label), f.cycles[o].sign)
             for cid, o in zip(ids, origins)))

@@ -387,6 +387,22 @@ def test_reduce_budget_flag():
         reduce(u_g1(4), budget=-1)
 
 
+@pytest.mark.parametrize("value", ["5", None, 2.5, 1.0, True, False], ids=repr)
+def test_reduce_and_destabilize_refuse_a_value_that_is_not_an_int(value):
+    # refused before any other check: over an annulus too, where the base
+    # would be refused next
+    f = u_11()
+    over_annulus = LefschetzFibration(
+        f.fiber, ANNULUS, f.cycles, (boundary_permutation_gen(f.fiber, (0,)),))
+    for g in (f, over_annulus):
+        with pytest.raises(InputError) as info:
+            reduce(g, value)
+        assert str(info.value) == "budget must be an int"
+        with pytest.raises(InputError) as info:
+            destabilize(g, value)
+        assert str(info.value) == "generator index must be an int"
+
+
 def test_reduce_reports_work_done():
     # u_11: one destabilization on each of a1, b1, then each F(0,2) state
     # reaches the same empty F(0,1) state

@@ -780,8 +780,8 @@ def test_reduce_table_kept_across_calls_matches_reference(monkeypatch):
             for i in order:
                 assert _reduce_outcome(reduce(*calls[i])) == want[i]
             kept = reduction._table
-            assert (len(kept.records) == len(kept.ids) == len(kept.nonzero)
-                    <= reduction.REDUCE_TABLE_RECORDS)
+            assert (len(kept.records) == len(kept.ids) == len(kept.nonzero) == len(kept.units)
+                    == len(kept.refused) == len(kept.away) <= reduction.REDUCE_TABLE_RECORDS)
         # a warm call adds nothing to the table
         n = len(kept.records)
         reduce(p_g(6), 10**6)
@@ -804,6 +804,74 @@ def test_reduce_table_past_its_bound_is_replaced(monkeypatch):
     kept = reduction._table
     reduce(p_g(2), 0)
     assert reduction._table is kept
+
+
+def test_refused_masks_hold_only_refused_transports(monkeypatch):
+    # each bit of a record's refused mask names one move, from the record's
+    # fiber along the generator, that the class rule refuses to transport
+    # it by, on a generator its class does not cross
+    _fresh_reduce_table(monkeypatch)
+    for f, budget in _shared_table_calls():
+        reduce(f, budget)
+    kept = reduction._table
+    refusals = 0
+    for cid, mask in enumerate(kept.refused):
+        surface, cls, hom = kept.records[cid]
+        assert not mask & kept.nonzero[cid] and mask >> surface.rank == 0
+        for gi in range(surface.rank):
+            if mask >> gi & 1:
+                refusals += 1
+                new_surface, remap = reduction._destabilizing_map(surface, gi)
+                with pytest.raises(NotApplicable):
+                    reduction._transported_class(
+                        cls, kept.away[cid], new_surface, remap(hom), hom)
+    assert refusals > 50
+
+
+_REFERENCE_REDUCE = {}  # (fibration, budget) -> the reference outcome
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_refused_masks_in_any_call_order_match_reference(data):
+    # the refused masks a call leaves skip moves for every later call on the
+    # same table, whatever the inputs, their order and the budgets
+    inputs = [f for f, budget in _shared_table_calls() if budget == 0]
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(inputs),
+        st.one_of(st.integers(0, 60), st.sampled_from([200, 10**6]))), min_size=1, max_size=12))
+    kept, reduction._table = reduction._table, None
+    try:
+        for call in calls:
+            if call not in _REFERENCE_REDUCE:
+                _REFERENCE_REDUCE[call] = _reduce_outcome(ref.reduce(*call))
+            assert _reduce_outcome(reduce(*call)) == _REFERENCE_REDUCE[call]
+    finally:
+        reduction._table = kept
+
+
+def test_reduce_tries_a_refused_move_until_it_is_refused(monkeypatch):
+    # Cold, a child state is built for each edge and for each first refusal
+    # of a move, which sets a new bit in a refused mask.  Warm, the masks
+    # leave out every refused move, so a child is built for the edges only;
+    # trying each generator crossed once made 7,330 attempts for these edges.
+    _fresh_reduce_table(monkeypatch)
+    built = []
+    child = reduction._ClassTable._child
+
+    def spy(self, *args):
+        built.append(args)
+        return child(self, *args)
+
+    monkeypatch.setattr(reduction._ClassTable, "_child", spy)
+    cold = reduce(u_g1(10), 10**6)
+    kept = reduction._table
+    assert len(built) == cold.explored + sum(bin(mask).count("1") for mask in kept.refused)
+    built.clear()
+    warm = reduce(u_g1(10), 10**6)
+    assert reduction._table is kept
+    assert len(built) == warm.explored == 1258
+    assert _reduce_outcome(warm) == _reduce_outcome(cold)
 
 
 @pytest.mark.parametrize("bound", [None, 40], ids=["kept", "replaced"])

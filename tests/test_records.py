@@ -235,11 +235,18 @@ REFUSALS = [
     (lambda: BaseSurface(-1, 1), "base genus must be >= 0"),
     (lambda: BaseSurface(0, 0), "base surfaces must have nonempty boundary"),
     (lambda: SignedCycle(A1, 0), "cycle sign must be +-1"),
+    (lambda: SignedCycle("c", 1), "cycle curve must be a Curve"),
+    (lambda: LefschetzFibration(S, DISK, ("c",)), "vanishing cycle must be a SignedCycle"),
     (lambda: LefschetzFibration(TWO, DISK, (CYCLE,)), "vanishing cycle on the wrong surface"),
     (lambda: LefschetzFibration(S, BaseSurface(0, 2), ()),
      "base has 1 free loops but 0 bundle generators were given"),
     (lambda: LefschetzFibration(TWO, BaseSurface(0, 2), (), (SWAP,)),
      "bundle generator on the wrong surface"),
+    (lambda: LefschetzFibration(S, BaseSurface(0, 2), (), ("swap",)),
+     "bundle entry must be a BundleGen"),
+    # a mapping class that is no bundle generator
+    (lambda: LefschetzFibration(S, BaseSurface(0, 2), (), (HomPermRep(S, IDENTITY, (0, 1)),)),
+     "bundle entry must be a BundleGen"),
     (lambda: TwistGen(A1, "up"), "bad handedness 'up'"),
     (lambda: BundleGen(S, ((2, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1)),
      "bundle generator must preserve the pairing form"),
@@ -255,6 +262,8 @@ REFUSALS = [
      "letter generator must be a TwistGen or a BundleGen"),
     (lambda: MCWord(S, (Letter("a1"),)), "letter generator must be a TwistGen or a BundleGen"),
     (lambda: MCWord(TWO, (LETTER,)), "word letters live on different surfaces"),
+    (lambda: MCWord(S, ("a1",)), "word letter must be a Letter"),
+    (lambda: MCWord(S, (TWIST,)), "word letter must be a Letter"),
     (lambda: PlanEntry(0, WORD, 0), "local degree must be +-1"),
     (lambda: ImmersionWitness((ENTRY,)), "an immersion witness needs all local degrees +1"),
 ]
