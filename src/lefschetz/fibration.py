@@ -32,6 +32,7 @@ from .homology import (
     Vector,
     check_cycle_count,
     check_fiber_rank,
+    check_unit,
     cokernel_invariants,
     mat_from_columns,
     mat_identity,
@@ -97,8 +98,7 @@ class SignedCycle(Record):
     def __init__(self, curve: Curve, sign: int) -> None:
         if not isinstance(curve, Curve):
             raise InputError("cycle curve must be a Curve")
-        if sign not in (1, -1):
-            raise InputError("cycle sign must be +-1")
+        check_unit(sign, "cycle sign")
         self._store(curve, sign)
 
 

@@ -223,6 +223,16 @@ def check_cycle_count(count: int) -> None:
             f"{count} vanishing cycles exceed the desk-scale bound {MAX_CYCLES}")
 
 
+def check_unit(value: int, what: str) -> None:
+    """Refuse with InputError a ``value`` that is not the int 1 or -1: a sign,
+    a power or a local degree.  A bool is not an int here, since a file
+    written with a bool sign could not be read back."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int")
+    if value not in (1, -1):
+        raise InputError(f"{what} must be +-1")
+
+
 def pairing_matrix(surface: SurfaceSpec) -> Matrix:
     """Skew form J with <a_i, b_i> = +1 and the boundary block zero."""
     r = surface.rank

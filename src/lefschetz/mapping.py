@@ -32,6 +32,7 @@ from .homology import (
     Record,
     SurfaceSpec,
     Vector,
+    check_unit,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -228,8 +229,7 @@ class Letter(Record):
     def __init__(self, gen: TwistGen | BundleGen, power: int = 1) -> None:
         if not isinstance(gen, (TwistGen, BundleGen)):
             raise InputError("letter generator must be a TwistGen or a BundleGen")
-        if power not in (1, -1):
-            raise InputError("letter power must be +-1")
+        check_unit(power, "letter power")
         self._store(gen, power)
 
     @property

@@ -12,9 +12,10 @@ from __future__ import annotations
 import operator
 import threading
 
+from .curves import Curve, CurveClass
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Matrix, Record, Vector, mat_vec
+from .homology import Matrix, Record, Vector, check_unit, mat_vec
 from .mapping import (
     HomPermRep,
     Letter,
@@ -37,8 +38,7 @@ class PlanEntry(Record):
     __slots__ = ("source", "conjugator", "local_degree")
 
     def __init__(self, source: int, conjugator: MCWord, local_degree: int = 1) -> None:
-        if local_degree not in (1, -1):
-            raise InputError("local degree must be +-1")
+        check_unit(local_degree, "local degree")
         self._store(source, conjugator, local_degree)
 
 
@@ -152,11 +152,19 @@ def _cached(key: tuple, build, pairs):
     return entry
 
 
+def _twists(u: LefschetzFibration) -> list[tuple[Curve, str]]:
+    """(curve, hand) per twist letter over the source's distinct cycle
+    curves, keyed by type and class, right then left; curves equal up to
+    their label share the letters of the first."""
+    firsts: dict[tuple, Curve] = {}
+    for c in u.cycles:
+        firsts.setdefault((c.curve.cls, c.curve.hom), c.curve)
+    return [(c, hand) for c in firsts.values() for hand in ("right", "left")]
+
+
 def _alphabet(u: LefschetzFibration) -> list[Letter]:
-    """Twist letters over the source's distinct cycle curves, right then left;
-    curves equal up to their label share letters named after the first."""
-    return [Letter(TwistGen(c, hand))
-            for c in dict.fromkeys(c.curve for c in u.cycles) for hand in ("right", "left")]
+    """The twist letters of :func:`_twists`, as records."""
+    return [Letter(TwistGen(c, hand)) for c, hand in _twists(u)]
 
 
 def substitution_witness(
@@ -182,22 +190,31 @@ def substitution_witness(
     w1 w2 with |w2| = L // 2, and w^-1 t = u_j exactly when
     w1^-1 t = w2 u_j.  So :func:`_half_words` tables the lex-least w2 per
     vector w2 u_j and source class u_j, once per half length reached, and
-    the walk visits only the first halves, carrying w1^-1 t for each target
-    class t (:func:`_walk_level`); one lookup per open target at each w1
-    gives its candidates.  Lex order on words of one length is lex order on (w1, w2),
-    so the first w1 with a hit, joined to its least tabled w2, is the first
-    word of length L with that hit, per target and tier.  Each half skips
-    the words that :func:`_walk_steps` shows equal to an earlier word; both
-    halves of such an unskipped word are unskipped, and the first match of
-    a full enumeration is never skipped, so the plans are those of the full
-    enumeration.
+    the walk visits only the first halves (:func:`_walk_level`).  Each
+    length's walk carries w1^-1 t only for the open targets t, those with
+    no tier-0 hit yet (a tier-1 hit stays open, since a tier-0 hit may
+    replace it), so a walk step costs one rank-1 update per open target;
+    one lookup per open target at each w1 gives its candidates, in a table
+    of sources built once per distinct type and sign of the targets from
+    the sources grouped by type.  Lex order on words of one length is lex
+    order on (w1, w2), so the first w1 with a hit, joined to its least
+    tabled w2, is the first word of length L with that hit, per target and
+    tier.  Each half skips the words that :func:`_walk_steps` shows equal to
+    an earlier word; both halves of such an unskipped word are unskipped,
+    and the first match of a full enumeration is never skipped, so the plans
+    are those of the full enumeration.
 
     The walk steps and half tables are kept across calls in the walk cache,
     bounded by WITNESS_CACHE_PAIRS, so further searches from a source with
     the same fiber, letter classes and hands, and source classes build
-    neither again.  The plan holds one word object per distinct conjugator,
-    which the round trip evaluates once.
+    neither again.  The letters travel as (curve, hand) pairs; records are
+    made only for the walk steps on a cache miss and for the plan's words.
+    The plan holds one word object per distinct conjugator, which the round
+    trip evaluates once.  A depth that is not an int (a bool included) is
+    refused with InputError before any other check.
     """
+    if type(depth) is not int:
+        raise InputError("depth must be an int")
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
     require_disk(u, "substitution_witness")
@@ -205,36 +222,44 @@ def substitution_witness(
     if depth < 0:
         raise InputError("depth must be >= 0")
 
-    letters = _alphabet(u)
+    twists = _twists(u)
     words, level = 0, 1
     for _ in range(depth + 1):
         words += level
         if words > WITNESS_WORD_BOUND:
             shown = depth if depth <= WITNESS_WORD_BOUND else f"above {WITNESS_WORD_BOUND}"
             raise CapacityError(
-                f"witness search over {len(letters)} letters to depth {shown} "
+                f"witness search over {len(twists)} letters to depth {shown} "
                 f"exceeds the bound of {WITNESS_WORD_BOUND} words")
-        level *= len(letters)
+        level *= len(twists)
         if not level:
             break  # an empty alphabet has only the empty word
-    key = (u.fiber, tuple((l.gen.curve.hom, l.gen.sign) for l in letters))
-    steps = _cached(key, lambda: _walk_steps(letters), len)
-    # Per target: source hom -> (tier, j), sign-matching sources (tier 0)
-    # before opposite-sign ones (tier 1), the first j winning within a tier.
+    key = (u.fiber, tuple((c.hom, hand) for c, hand in twists))
+    steps = _cached(key, lambda: _walk_steps(_alphabet(u)), len)
+    # Per distinct target (type, sign): source class -> (tier, j),
+    # sign-matching sources (tier 0) before opposite-sign ones (tier 1), the
+    # first j winning within a tier.
+    by_type: dict[CurveClass, list[tuple[int, SignedCycle]]] = {}
+    for j, s in enumerate(u.cycles):
+        by_type.setdefault(s.curve.cls, []).append((j, s))
+    by_type_sign: dict[tuple[CurveClass, int], dict[Vector, tuple[int, int]]] = {}
     tables = []
     for t in f.cycles:
-        table: dict[Vector, tuple[int, int]] = {}
-        for tier in (0, 1):
-            for j, s in enumerate(u.cycles):
-                if s.curve.cls == t.curve.cls and (s.sign == t.sign) == (tier == 0):
-                    table.setdefault(s.curve.hom, (tier, j))
+        table = by_type_sign.get((t.curve.cls, t.sign))
+        if table is None:
+            table = by_type_sign[t.curve.cls, t.sign] = {}
+            for tier in (0, 1):
+                for j, s in by_type.get(t.curve.cls, ()):
+                    if (s.sign == t.sign) == (tier == 0):
+                        table.setdefault(s.curve.hom, (tier, j))
         tables.append(table)
     found: list[tuple[int, tuple[int, ...], int] | None] = [None] * len(tables)
     sources = tuple(dict.fromkeys(c.curve.hom for c in u.cycles))
 
     def visit(word: tuple[int, ...], preimages: Matrix) -> bool:
-        # a tier-1 hit is kept until a tier-0 one replaces it
-        for i, p in enumerate(preimages):
+        # preimage k is that of target opened[k]; a tier-1 hit is kept until
+        # a tier-0 one replaces it
+        for i, p in zip(opened, preimages):
             if found[i] is not None and found[i][0] == 0:
                 continue
             for second, v in half.get(p, ()):  # ascending in the second half
@@ -243,21 +268,26 @@ def substitution_witness(
                     found[i] = (hit[0], word + second, hit[1])
                     if hit[0] == 0:
                         break
-        return all(x is not None and x[0] == 0 for x in found)
+        return all(found[i] is not None and found[i][0] == 0 for i in opened)
 
     # Length-lexicographic: all words of length L before any of length L+1.
-    start = tuple(c.curve.hom for c in f.cycles)
-    for length in range(depth + 1 if letters else 1):
+    # Each length walks only the targets with no tier-0 hit yet.
+    for length in range(depth + 1 if twists else 1):
         if length % 2 == 0:  # the second half grows by one letter
             m = length // 2
             half = _cached(key + (sources, m), lambda: _half_words(steps, sources, m),
                            lambda table: sum(map(len, table.values())))
+        opened = [i for i, x in enumerate(found) if x is None or x[0] != 0]
+        start = tuple(f.cycles[i].curve.hom for i in opened)
         if _walk_level((), start, length - length // 2, range(len(steps)), steps, visit):
             break
 
     if None in found:
         return None
-    # one word object per distinct word, so the round trip evaluates each once
+    # one letter record per letter used and one word object per distinct
+    # word, so the round trip evaluates each once
+    letters = {li: Letter(TwistGen(*twists[li]))
+               for li in {li for _, word, _ in found for li in word}}
     conjugators = {word: MCWord(u.fiber, tuple(letters[li] for li in word))
                    for word in dict.fromkeys(word for _, word, _ in found)}
     entries = [PlanEntry(j, conjugators[word], -1 if tier else 1) for tier, word, j in found]
@@ -293,8 +323,9 @@ def _walk_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[
 def _walk_level(word, preimages, remaining, allowed, steps, visit) -> bool:
     """Visit the words of exactly ``remaining`` more letters drawn from
     ``allowed`` and then each letter's followers, in lex order, carrying
-    w^-1 t for each target class t: appending letter l applies T_l^-1, one
-    rank-1 update.  True once ``visit`` reports every target matched."""
+    w^-1 t for each class t in ``preimages`` (the open targets): appending
+    letter l applies T_l^-1, one rank-1 update per class.  True once
+    ``visit`` reports every target matched."""
     if remaining == 0:
         return visit(word, preimages)
     for li in allowed:

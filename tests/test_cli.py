@@ -280,6 +280,7 @@ def test_reduce_command(tmp_path, capsys):
     assert doc["fiber"] == {"boundary": 3, "genus": 0}
     assert sorted(c["sign"] for c in doc["cycles"]) == [-1, -1, 1]
     _assert_refused(main(["reduce", path, "--budget", "-3"]), capsys)
+    _assert_refused(main(["reduce", path, "--budget", str(10**6 + 1)]), capsys)
 
 
 def test_reduce_exhausted_names_budget_and_counts(tmp_path, capsys):

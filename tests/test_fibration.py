@@ -36,7 +36,7 @@ from lefschetz.mapping import (
     boundary_permutation_gen,
     evaluate,
 )
-from lefschetz.reduction import destabilize, reduce, stabilize
+from lefschetz.reduction import REDUCE_BUDGET_BOUND, destabilize, reduce, stabilize
 from lefschetz.serialize import plan_from_json, plan_to_json
 from lefschetz.universality import universality_report
 from lefschetz.witness import (
@@ -403,6 +403,20 @@ def test_reduce_and_destabilize_refuse_a_value_that_is_not_an_int(value):
         assert str(info.value) == "generator index must be an int"
 
 
+def test_reduce_refuses_a_budget_past_its_bound():
+    # before any search, over an annulus too: reduce(u_g1(17), 10**9) ran
+    # past 90 s; the bound itself is accepted
+    f = u_11()
+    over_annulus = LefschetzFibration(
+        f.fiber, ANNULUS, f.cycles, (boundary_permutation_gen(f.fiber, (0,)),))
+    for g in (u_g1(17), over_annulus):
+        for budget in (REDUCE_BUDGET_BOUND + 1, 10**9, 10**5000):
+            with pytest.raises(CapacityError) as info:
+                reduce(g, budget)
+            assert str(info.value).endswith(f"exceeds the bound of {REDUCE_BUDGET_BOUND}")
+    assert not reduce(f, REDUCE_BUDGET_BOUND).exhausted
+
+
 def test_reduce_reports_work_done():
     # u_11: one destabilization on each of a1, b1, then each F(0,2) state
     # reaches the same empty F(0,1) state
@@ -598,6 +612,15 @@ def test_witness_unknown_when_unreachable():
 def test_witness_fiber_mismatch():
     with pytest.raises(InputError):
         substitution_witness(u_11(), u_g1(2), 2)
+
+
+@pytest.mark.parametrize("depth", [2.5, "3", None, True], ids=repr)
+def test_witness_refuses_a_depth_that_is_not_an_int(depth):
+    # before any other check: the fibers differ here too; True ran as depth 1
+    for u, f in ((u_g1(2), u_g1(2)), (u_11(), u_g1(2))):
+        with pytest.raises(InputError) as info:
+            substitution_witness(u, f, depth)
+        assert str(info.value) == "depth must be an int"
 
 
 def test_witness_word_bound():

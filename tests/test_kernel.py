@@ -1106,6 +1106,27 @@ def test_half_words_table_the_lex_least_second_half(genus, most):
         assert _half_words(steps, sources, m) == want
 
 
+def test_walk_carries_only_the_open_targets(monkeypatch):
+    # u_g1(3) against a target that differs from it in one far cycle: the
+    # other six match at length 0, so on a warm search each walk step moves
+    # one vector, where a walk over every target moved all seven
+    _fresh_walk_cache(monkeypatch)
+    u = u_g1(3)
+    far = SignedCycle(nonseparating_curve(u.fiber, (3 ** 4 + 1, 1, 0, 0, 0, 0), "far"), 1)
+    target = LefschetzFibration(u.fiber, DISK, u.cycles[:4] + (far,) + u.cycles[5:])
+    assert _same_whole_word_plan(u, target, 4) is None  # builds the tables
+    moved = []
+    transvect = witness.transvect
+
+    def spy(rows, a, b, h):
+        moved.append(len(rows))
+        return transvect(rows, a, b, h)
+
+    monkeypatch.setattr(witness, "transvect", spy)
+    assert substitution_witness(u, target, 4) is None
+    assert moved and set(moved) == {1}
+
+
 # ---------------------------------------------------------------------------
 # the walk cache and the round trip
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from lefschetz.errors import InputError
 from lefschetz.fibration import DISK, BaseSurface, InvariantReport, LefschetzFibration, SignedCycle
 from lefschetz.homology import SurfaceSpec
 from lefschetz.mapping import BundleGen, HomPermRep, Letter, MCWord, TwistGen, evaluate
-from lefschetz.reduction import ReduceResult
+from lefschetz.reduction import ReduceResult, stabilize
 from lefschetz.universality import SurjectivityVerdict, UniversalityReport
 from lefschetz.witness import ImmersionWitness, MeridianPlan, PlanEntry
 
@@ -235,6 +235,9 @@ REFUSALS = [
     (lambda: BaseSurface(-1, 1), "base genus must be >= 0"),
     (lambda: BaseSurface(0, 0), "base surfaces must have nonempty boundary"),
     (lambda: SignedCycle(A1, 0), "cycle sign must be +-1"),
+    # a bool sign was stored, and written as a JSON boolean the reader refuses
+    (lambda: SignedCycle(A1, True), "cycle sign must be an int"),
+    (lambda: stabilize(FIB, "boundary_up", True), "sign must be an int"),
     (lambda: SignedCycle("c", 1), "cycle curve must be a Curve"),
     (lambda: LefschetzFibration(S, DISK, ("c",)), "vanishing cycle must be a SignedCycle"),
     (lambda: LefschetzFibration(TWO, DISK, (CYCLE,)), "vanishing cycle on the wrong surface"),
@@ -255,6 +258,7 @@ REFUSALS = [
     (lambda: BundleGen(S, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0)),
      "(0, 0) is not a permutation of 2 points"),
     (lambda: Letter(TWIST, 2), "letter power must be +-1"),
+    (lambda: Letter(TWIST, True), "letter power must be an int"),
     # a mapping class that is no bundle generator, at each power, and a string
     (lambda: evaluate(MCWord(S, (Letter(HomPermRep(S, IDENTITY, (0, 1))),))),
      "letter generator must be a TwistGen or a BundleGen"),
@@ -265,6 +269,7 @@ REFUSALS = [
     (lambda: MCWord(S, ("a1",)), "word letter must be a Letter"),
     (lambda: MCWord(S, (TWIST,)), "word letter must be a Letter"),
     (lambda: PlanEntry(0, WORD, 0), "local degree must be +-1"),
+    (lambda: PlanEntry(0, WORD, True), "local degree must be an int"),
     (lambda: ImmersionWitness((ENTRY,)), "an immersion witness needs all local degrees +1"),
 ]
 
