@@ -42,13 +42,11 @@ from .mapping import (
     Letter,
     MCWord,
     TwistGen,
-    act_on_curve,
     evaluate,
-    transvect,
     twist_catalog,
-    twist_covector,
     twist_right,
     twist_vector,
+    word_action,
 )
 
 # public names that this module used to define -> the module that defines them
@@ -298,28 +296,18 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
     """Transport every cycle by w and replace each bundle generator g by the
     evaluation of the word w g w^-1 (there are none over the disk).
 
-    A word of twists moves all the cycle classes together, one transvection
-    per letter, right to left; each curve keeps its type and label, as in
-    :func:`act_on_curve`.  A word with a bundle letter is evaluated, and its
-    matrix is applied to each class.  Either way w is a homeomorphism, so
-    the moved cycles, the conjugated bundle generators and the new
-    fibration are stored without validation.
+    The cycle classes move together through :func:`word_action`; each curve
+    keeps its type and label, as in :func:`act_on_curve`.  w is a
+    homeomorphism, so the moved cycles, the conjugated bundle generators and
+    the new fibration are stored without validation.
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
-    if all(isinstance(let.gen, TwistGen) for let in w.letters):
-        homs = tuple(c.curve.hom for c in f.cycles)
-        for let in reversed(w.letters):
-            c = let.gen.curve
-            homs = transvect(homs, twist_covector(c), c.hom, let.power * let.gen.sign)
-        cycles = tuple(
-            SignedCycle._trusted(
-                Curve._trusted(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
-            for c, hom in zip(f.cycles, homs))
-    else:
-        rep = evaluate(w)
-        cycles = tuple(SignedCycle._trusted(act_on_curve(rep, c.curve), c.sign)
-                       for c in f.cycles)
+    homs = word_action(w, tuple(c.curve.hom for c in f.cycles))
+    cycles = tuple(
+        SignedCycle._trusted(
+            Curve._trusted(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
+        for c, hom in zip(f.cycles, homs))
     bundle = []
     for bg in f.bundle:
         conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())

@@ -337,6 +337,24 @@ def evaluate(w: MCWord) -> HomPermRep:
     return HomPermRep._trusted(surface, matrix, perm)
 
 
+def word_action(w: MCWord, homs: Matrix) -> Matrix:
+    """Move each class in ``homs`` by the word, right to left, without
+    evaluating it: the library's one letter-by-letter mover of classes.
+
+    A twist letter is one rank-1 update of all the classes; a bundle letter
+    is its matrix (its inverse at power -1) times each class.
+    """
+    for letter in reversed(w.letters):
+        gen = letter.gen
+        if isinstance(gen, TwistGen):
+            c = gen.curve
+            homs = transvect(homs, twist_covector(c), c.hom, letter.power * gen.sign)
+        else:
+            m = (gen.inverse() if letter.power == -1 else gen).matrix
+            homs = tuple(mat_vec(m, x) for x in homs)
+    return homs
+
+
 def act_on_curve(w: MCWord | HomPermRep, c: Curve) -> Curve:
     """Transport a curve by a mapping class.
 
@@ -347,10 +365,13 @@ def act_on_curve(w: MCWord | HomPermRep, c: Curve) -> Curve:
     curve the result is the image of, and keeping it path-independent makes
     move round trips byte-stable under serialization.
     """
-    rep = evaluate(w) if isinstance(w, MCWord) else w
-    if rep.surface != c.surface:
+    if w.surface != c.surface:
         raise InputError("word and curve live on different surfaces")
-    return Curve._trusted(c.surface, c.cls, mat_vec(rep.matrix, c.hom), c.label)
+    if isinstance(w, MCWord):
+        hom = word_action(w, (c.hom,))[0]
+    else:
+        hom = mat_vec(w.matrix, c.hom)
+    return Curve._trusted(c.surface, c.cls, hom, c.label)
 
 
 # ---------------------------------------------------------------------------

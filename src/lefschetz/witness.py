@@ -15,17 +15,8 @@ import threading
 from .curves import Curve, CurveClass
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Matrix, Record, Vector, check_unit, mat_vec
-from .mapping import (
-    HomPermRep,
-    Letter,
-    MCWord,
-    TwistGen,
-    act_on_curve,
-    evaluate,
-    transvect,
-    twist_covector,
-)
+from .homology import Matrix, Record, Vector, check_cycle_count, check_unit
+from .mapping import Letter, MCWord, TwistGen, transvect, twist_covector, word_action
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +29,10 @@ class PlanEntry(Record):
     __slots__ = ("source", "conjugator", "local_degree")
 
     def __init__(self, source: int, conjugator: MCWord, local_degree: int = 1) -> None:
+        if type(source) is not int:
+            raise InputError("plan source must be an int")
+        if not isinstance(conjugator, MCWord):
+            raise InputError("plan conjugator must be an MCWord")
         check_unit(local_degree, "local degree")
         self._store(source, conjugator, local_degree)
 
@@ -48,7 +43,11 @@ class MeridianPlan(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[PlanEntry, ...]) -> None:
-        self._store(tuple(entries))
+        entries = tuple(entries)
+        for e in entries:
+            if not isinstance(e, PlanEntry):
+                raise InputError("plan entry must be a PlanEntry")
+        self._store(entries)
 
     @property
     def is_immersion(self) -> bool:
@@ -74,38 +73,26 @@ def identity_plan(u: LefschetzFibration) -> ImmersionWitness:
 def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
     """Pull back along the map encoded by the plan.
 
-    Target cycle i is the source cycle plan[i].source transported by the
-    conjugator, with sign multiplied by the local degree.  The monodromy
-    factors through the source at the implemented resolution: with rep the
-    conjugator, the twist about each transported curve satisfies
-    T_{rep(c)} rep == rep T_c.  Since T_{rep(c)} rep x - rep T_c x is
-    (<rep(c), rep(x)> - <c, x>) rep(c), and rep preserves the pairing (a
-    product of transvections and of bundle generators checked where they
-    entered), it suffices to check that the transported class equals rep
-    applied to the source class, one matrix times vector per entry.  (The
-    twist identity alone would also accept the negative of that class.)
-    The check stays: it catches a transport that disagrees with the
-    evaluated conjugator.  Each distinct conjugator object is
-    evaluated once per call, so entries that share one word object, as
-    :func:`substitution_witness`'s plans do, share its evaluation.
+    Target cycle i is the source cycle plan[i].source moved by the
+    conjugator through :func:`word_action`, with sign multiplied by the
+    local degree.  A conjugator is a homeomorphism, so the moved cycles and
+    the result are stored without validation.  A plan of more than
+    MAX_CYCLES entries is refused with CapacityError before any move.
     """
     require_disk(u, "pullback")
+    check_cycle_count(len(plan.entries))
     cycles = []
-    reps: dict[int, HomPermRep] = {}  # by the conjugator's identity: no record is hashed
     for e in plan.entries:
         if not 0 <= e.source < u.size:
             raise InputError(f"plan source {e.source} out of range")
-        rep = reps.get(id(e.conjugator))
-        if rep is None:
-            if e.conjugator.surface != u.fiber:
-                raise InputError("plan conjugator on the wrong surface")
-            rep = reps[id(e.conjugator)] = evaluate(e.conjugator)
+        if e.conjugator.surface != u.fiber:
+            raise InputError("plan conjugator on the wrong surface")
         src = u.cycles[e.source]
-        moved = act_on_curve(rep, src.curve)
-        if moved.hom != mat_vec(rep.matrix, src.curve.hom):
-            raise AssertionError("monodromy does not factor through the source")
-        cycles.append(SignedCycle(moved, e.local_degree * src.sign))
-    return LefschetzFibration(u.fiber, DISK, tuple(cycles))
+        c = src.curve
+        hom = word_action(e.conjugator, (c.hom,))[0]
+        cycles.append(SignedCycle._trusted(
+            Curve._trusted(c.surface, c.cls, hom, c.label), e.local_degree * src.sign))
+    return LefschetzFibration._trusted(u.fiber, DISK, tuple(cycles), ())
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +171,28 @@ def substitution_witness(
     is an ImmersionWitness when every local degree is +1.  Returns None when
     some cycle stays unmatched within the depth bound.  Before any search,
     CapacityError is raised when the unpruned word count passes
-    WITNESS_WORD_BOUND.
+    WITNESS_WORD_BOUND, and InputError when the depth is not an int (a bool
+    included).
 
     The search meets in the middle.  A word w of length L splits as
     w1 w2 with |w2| = L // 2, and w^-1 t = u_j exactly when
     w1^-1 t = w2 u_j.  So :func:`_half_words` tables the lex-least w2 per
     vector w2 u_j and source class u_j, once per half length reached, and
-    the walk visits only the first halves (:func:`_walk_level`).  Each
-    length's walk carries w1^-1 t only for the open targets t, those with
-    no tier-0 hit yet (a tier-1 hit stays open, since a tier-0 hit may
-    replace it), so a walk step costs one rank-1 update per open target;
-    one lookup per open target at each w1 gives its candidates, in a table
-    of sources built once per distinct type and sign of the targets from
-    the sources grouped by type.  Lex order on words of one length is lex
-    order on (w1, w2), so the first w1 with a hit, joined to its least
-    tabled w2, is the first word of length L with that hit, per target and
-    tier.  Each half skips the words that :func:`_walk_steps` shows equal to
-    an earlier word; both halves of such an unskipped word are unskipped,
-    and the first match of a full enumeration is never skipped, so the plans
-    are those of the full enumeration.
+    the walk visits only the first halves (:func:`_walk_level`), carrying
+    w1^-1 t only for the open targets t: those with no tier-0 hit yet.  One
+    lookup per open target at each w1, in a table of sources built once per
+    distinct type and sign of the targets, gives its candidates.  Lex order
+    on words of one length is lex order on (w1, w2), so the first w1 with a
+    hit, joined to its least tabled w2, is the first word of length L with
+    that hit, per target and tier.  Each half skips the words that
+    :func:`_walk_steps` shows equal to an earlier word; both halves of an
+    unskipped word are unskipped, and the first match of a full enumeration
+    is never skipped, so the plans are those of the full enumeration.
 
     The walk steps and half tables are kept across calls in the walk cache,
     bounded by WITNESS_CACHE_PAIRS, so further searches from a source with
     the same fiber, letter classes and hands, and source classes build
-    neither again.  The letters travel as (curve, hand) pairs; records are
-    made only for the walk steps on a cache miss and for the plan's words.
-    The plan holds one word object per distinct conjugator, which the round
-    trip evaluates once.  A depth that is not an int (a bool included) is
-    refused with InputError before any other check.
+    neither again.
     """
     if type(depth) is not int:
         raise InputError("depth must be an int")
@@ -284,13 +265,10 @@ def substitution_witness(
 
     if None in found:
         return None
-    # one letter record per letter used and one word object per distinct
-    # word, so the round trip evaluates each once
     letters = {li: Letter(TwistGen(*twists[li]))
                for li in {li for _, word, _ in found for li in word}}
-    conjugators = {word: MCWord(u.fiber, tuple(letters[li] for li in word))
-                   for word in dict.fromkeys(word for _, word, _ in found)}
-    entries = [PlanEntry(j, conjugators[word], -1 if tier else 1) for tier, word, j in found]
+    entries = [PlanEntry(j, MCWord(u.fiber, tuple(letters[li] for li in word)), -1 if tier else 1)
+               for tier, word, j in found]
     plan_cls = ImmersionWitness if all(e.local_degree == 1 for e in entries) else MeridianPlan
     plan = plan_cls(tuple(entries))
 

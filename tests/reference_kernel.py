@@ -39,6 +39,12 @@ class t and skipping the words ``_whole_word_steps`` shows equal to earlier
 ones.  The library now meets in the middle, walking first halves against a
 table of second halves; its plans are compared with this walk's.
 
+``pullback`` evaluates each distinct conjugator to a matrix, moves each
+source class by it, checks the moved class against the matrix times the
+source class and builds the result through the validating constructors; the
+library moves the classes letter by letter with ``word_action``.  The
+reference witness searches run their round trips through it.
+
 ``mat_mul``, ``mat_vec`` and ``transvect`` are the integer kernel as it was
 written with generator expressions over ``zip``; the library now takes its
 inner products with ``sum(map(operator.mul, ...))``.  Every reference here
@@ -87,7 +93,6 @@ from lefschetz.witness import (
     MeridianPlan,
     PlanEntry,
     _alphabet,
-    pullback,
 )
 
 
@@ -426,6 +431,33 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
         moved = SignedCycle(act_on_curve(rep, right.curve), right.sign)
         cyc[i - 1], cyc[i] = moved, left
     return LefschetzFibration(f.fiber, f.base, tuple(cyc), f.bundle)
+
+
+def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
+    """Pull back along the map encoded by the plan.
+
+    Target cycle i is the source cycle plan[i].source transported by the
+    evaluated conjugator, with sign multiplied by the local degree.  The
+    transported class is checked against the conjugator's matrix times the
+    source class.  Each distinct conjugator object is evaluated once.
+    """
+    require_disk(u, "pullback")
+    cycles = []
+    reps: dict[int, HomPermRep] = {}  # by the conjugator's identity: no record is hashed
+    for e in plan.entries:
+        if not 0 <= e.source < u.size:
+            raise InputError(f"plan source {e.source} out of range")
+        rep = reps.get(id(e.conjugator))
+        if rep is None:
+            if e.conjugator.surface != u.fiber:
+                raise InputError("plan conjugator on the wrong surface")
+            rep = reps[id(e.conjugator)] = evaluate(e.conjugator)
+        src = u.cycles[e.source]
+        moved = act_on_curve(rep, src.curve)
+        if moved.hom != mat_vec(rep.matrix, src.curve.hom):
+            raise AssertionError("monodromy does not factor through the source")
+        cycles.append(SignedCycle(moved, e.local_degree * src.sign))
+    return LefschetzFibration(u.fiber, DISK, tuple(cycles))
 
 
 def substitution_witness(

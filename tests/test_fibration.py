@@ -28,7 +28,7 @@ from lefschetz.fibration import (
     u_11,
     u_g1,
 )
-from lefschetz.homology import SurfaceSpec, in_radical, mat_mul, vec_gcd
+from lefschetz.homology import MAX_CYCLES, SurfaceSpec, in_radical, mat_mul, vec_gcd
 from lefschetz.mapping import (
     Letter,
     MCWord,
@@ -492,11 +492,28 @@ def test_pullback_matches_global_conjugate():
 
 def test_pullback_validation():
     u = u_11()
+    empty = MCWord(u.fiber)
     with pytest.raises(InputError):
-        pullback(u, MeridianPlan((PlanEntry(5, MCWord(u.fiber), 1),)))
+        pullback(u, MeridianPlan((PlanEntry(5, empty, 1),)))
     wrong = MCWord(SurfaceSpec(2, 1))
     with pytest.raises(InputError):
         pullback(u, MeridianPlan((PlanEntry(0, wrong, 1),)))
+    # a bool source was pulled back as source 1; the others raised
+    # TypeError or AttributeError
+    for make, message in (
+        (lambda: PlanEntry(True, empty), "plan source must be an int"),
+        (lambda: PlanEntry("x", empty), "plan source must be an int"),
+        (lambda: PlanEntry(0, "w"), "plan conjugator must be an MCWord"),
+        (lambda: MeridianPlan(("x",)), "plan entry must be a PlanEntry"),
+    ):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make()
+    # refused before any move, as the validating constructor refused it
+    plan = MeridianPlan((PlanEntry(0, empty),) * (MAX_CYCLES + 1))
+    with pytest.raises(CapacityError, match=f"^{MAX_CYCLES + 1} vanishing cycles exceed "
+                                            f"the desk-scale bound {MAX_CYCLES}$"):
+        pullback(u, plan)
+    assert pullback(u, MeridianPlan(plan.entries[:MAX_CYCLES])).size == MAX_CYCLES
 
 
 def test_plan_from_json_refuses_malformed_entries():

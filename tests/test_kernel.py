@@ -7,14 +7,14 @@ bitmasks, memoises transports by what they read and reads its result off
 the fiber rank; the curve census is generated in sorted order; the witness
 search meets in the middle, skips words equal to earlier ones and keeps its
 walk tables across calls; the integer kernel takes its inner products with
-``map``, and ``global_conjugate`` moves cycles through a twist word one
-transvection per letter.  These tests
+``map``, and ``word_action`` moves classes by a word letter by letter for
+``global_conjugate``, ``act_on_curve`` and ``pullback``.  These tests
 require the results to equal, exactly, those of the code kept in
-``reference_kernel``: matrix products and transvections, word evaluation,
-bundle inverses, twist products, Hurwitz moves, global conjugation, the
-pairing check, the census, boundary subsets, stabilization,
-destabilization, reduction, the dense witness walk and the whole-word vector
-walk.
+``reference_kernel`` (or, for ``word_action``, of the evaluated word):
+matrix products and transvections, word evaluation, bundle inverses, twist
+products, Hurwitz moves, global conjugation, pullbacks, the pairing check,
+the census, boundary subsets, stabilization, destabilization, reduction,
+the dense witness walk and the whole-word vector walk.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from lefschetz.mapping import (
     twist_matrix,
     twist_vector,
     twist_word,
+    word_action,
 )
 from lefschetz.reduction import _forced_split, destabilize, reduce, stabilize
 from lefschetz.serialize import fibration_to_json, plan_to_json
@@ -229,6 +230,23 @@ def test_evaluate_matches_dense_reference(seed, length):
         assert (got.matrix, got.perm) == (want.matrix, want.perm)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.integers(0, 8))
+def test_word_action_matches_the_evaluated_word(seed, length):
+    # twist and bundle letters of both powers, on fibers whose bundle
+    # letters permute at least two boundary circles
+    rng = random.Random(seed)
+    while True:
+        s = SurfaceSpec(rng.randint(0, 3), rng.randint(2, 4))
+        if s.rank <= 8:
+            break
+    w = _random_word(rng, s, length)
+    xs = tuple(tuple(rng.randint(-5, 5) for _ in range(s.rank))
+               for _ in range(rng.randint(0, 4)))
+    matrix = evaluate(w).matrix
+    assert word_action(w, xs) == tuple(mat_vec(matrix, x) for x in xs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_bundle_inverse_matches_gauss_jordan(seed):
@@ -369,6 +387,7 @@ def test_pullback_and_witness_need_no_matrix_product(monkeypatch, family):
     targets = [_conjugated_target(family, seed) for seed in range(3)]
     _forbid(monkeypatch, mapping, "twist_matrix")
     _forbid(monkeypatch, homology, "mat_mul")
+    _forbid(monkeypatch, mapping, "evaluate")
     assert pullback(family, identity_plan(family)) == family
     for target in targets:
         plan = substitution_witness(family, target, 2)
@@ -376,18 +395,19 @@ def test_pullback_and_witness_need_no_matrix_product(monkeypatch, family):
         assert pullback(family, plan).cycles == target.cycles
 
 
-def test_pullback_check_catches_a_wrong_transport(monkeypatch):
+def test_round_trip_catches_a_wrong_transport(monkeypatch):
+    # a mover that adds one twist about a1 to every class it moves: the
+    # plan's pullback then differs from the target, and the round trip says so
     u = u_g1(2)
     a1 = u.cycles[2].curve  # pairs to +-1 with b1, the first cycle
-    transport = witness.act_on_curve
+    action = witness.word_action
 
-    def one_twist_too_many(rep, c):
-        moved = transport(rep, c)
-        return Curve(moved.surface, moved.cls, twist_vector(moved.hom, a1, 1), moved.label)
+    def one_twist_too_many(w, homs):
+        return tuple(twist_vector(x, a1, 1) for x in action(w, homs))
 
-    monkeypatch.setattr(witness, "act_on_curve", one_twist_too_many)
-    with pytest.raises(AssertionError, match="^monodromy does not factor through the source$"):
-        pullback(u, identity_plan(u))
+    monkeypatch.setattr(witness, "word_action", one_twist_too_many)
+    with pytest.raises(AssertionError, match="^witness failed the pullback round trip$"):
+        substitution_witness(u, u, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +948,8 @@ def _same_plan(u, target, depth):
     assert type(got) is type(want)
     if want is not None:
         assert plan_to_json(got) == plan_to_json(want)
+        back, ref_back = pullback(u, got), ref.pullback(u, got)
+        assert back == ref_back and _cycle_data(back) == _cycle_data(ref_back)
     return got
 
 
@@ -1191,7 +1213,7 @@ def test_walk_cache_builds_the_shared_work_once(monkeypatch):
 
         monkeypatch.setattr(witness, name, recorded)
 
-    for name in ("_half_words", "_walk_steps", "evaluate"):
+    for name in ("_half_words", "_walk_steps"):
         spy(name)
     u = u_g1(3)
     rng = random.Random(21)
@@ -1201,14 +1223,10 @@ def test_walk_cache_builds_the_shared_work_once(monkeypatch):
         for attempt in ("cold", "warm"):
             calls.clear()
             plan = substitution_witness(u, target, 4)
-            tables = [c for c in calls if c[0] != "evaluate"]
             if attempt == "warm":  # an identical search builds nothing
-                assert tables == []
-            built += tables
-            # the round trip evaluates each distinct conjugator once
-            distinct = {e.conjugator for e in plan.entries}
-            assert len(calls) - len(tables) == len(distinct)
-            shared += len(plan.entries) - len(distinct)
+                assert calls == []
+            built += calls
+            shared += len(plan.entries) - len({e.conjugator for e in plan.entries})
             assert plan_to_json(plan) == plan_to_json(ref.whole_word_witness(u, target, 4))
     # one source: its steps once, and each half length reached once
     assert built.count(("_walk_steps", None)) == 1
