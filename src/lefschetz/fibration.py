@@ -32,6 +32,7 @@ from .homology import (
     Vector,
     check_cycle_count,
     check_fiber_rank,
+    check_int,
     check_unit,
     cokernel_invariants,
     mat_from_columns,
@@ -39,13 +40,11 @@ from .homology import (
 )
 from .mapping import (
     BundleGen,
-    Letter,
     MCWord,
     TwistGen,
     evaluate,
     twist_catalog,
-    twist_right,
-    twist_vector,
+    twist_classes,
     word_action,
 )
 
@@ -72,6 +71,8 @@ class BaseSurface(Record):
     __slots__ = ("genus", "boundary")
 
     def __init__(self, genus: int, boundary: int) -> None:
+        check_int(genus, "base genus")
+        check_int(boundary, "base boundary")
         if genus < 0:
             raise InputError("base genus must be >= 0")
         if boundary < 1:
@@ -145,11 +146,12 @@ def require_disk(f: LefschetzFibration, what: str) -> None:
 
 
 def twist_product(f: LefschetzFibration) -> Matrix:
-    """Ordered product of the signed twist matrices of the cycles."""
-    acc = mat_identity(f.fiber.rank)
-    for c in f.cycles:
-        acc = twist_right(acc, c.curve, c.sign)
-    return acc
+    """Ordered product of the signed twist matrices of the cycles: the basis
+    moved by the last cycle's twist first, transposed."""
+    columns = mat_identity(f.fiber.rank)
+    for c in reversed(f.cycles):
+        columns = twist_classes(columns, c.curve, c.sign)
+    return tuple(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +273,11 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     twist matrices is unchanged.  The moved class is the neighbor's twist
     applied to it directly, one transvection; a twist is a homeomorphism,
     so the moved curve and the new fibration are stored without validation.
+    A position that is not an int (a bool included) raises InputError.
     """
     if direction not in ("L", "R"):
         raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
+    check_int(i, "move position")
     n = f.size
     if not 1 <= i < n:
         raise InputError(f"move position {i} out of range 1..{n - 1}")
@@ -285,21 +289,22 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     else:
         twist, h, moving = left, left.sign, right
     c = moving.curve
-    moved = SignedCycle._trusted(
-        Curve._trusted(c.surface, c.cls, twist_vector(c.hom, twist.curve, h), c.label),
-        moving.sign)
+    (hom,) = twist_classes((c.hom,), twist.curve, h)
+    moved = SignedCycle._trusted(Curve._trusted(c.surface, c.cls, hom, c.label), moving.sign)
     cyc[i - 1], cyc[i] = (right, moved) if direction == "R" else (moved, left)
     return LefschetzFibration._trusted(f.fiber, f.base, tuple(cyc), f.bundle)
 
 
 def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
-    """Transport every cycle by w and replace each bundle generator g by the
-    evaluation of the word w g w^-1 (there are none over the disk).
+    """Transport every cycle by w and replace each bundle generator g by
+    w g w^-1 (there are none over the disk).
 
     The cycle classes move together through :func:`word_action`; each curve
-    keeps its type and label, as in :func:`act_on_curve`.  w is a
-    homeomorphism, so the moved cycles, the conjugated bundle generators and
-    the new fibration are stored without validation.
+    keeps its type and label, as in :func:`act_on_curve`.  When there are
+    bundle generators, w and its inverse are evaluated once and each
+    generator is composed between them.  w is a homeomorphism, so the moved
+    cycles, the conjugated bundle generators and the new fibration are
+    stored without validation.
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
@@ -309,7 +314,9 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
             Curve._trusted(c.curve.surface, c.curve.cls, hom, c.curve.label), c.sign)
         for c, hom in zip(f.cycles, homs))
     bundle = []
-    for bg in f.bundle:
-        conj = evaluate(w * MCWord(f.fiber, (Letter(bg),)) * w.inverse())
-        bundle.append(BundleGen._trusted(f.fiber, conj.matrix, conj.perm, bg.label))
+    if f.bundle:
+        rep, inv = evaluate(w), evaluate(w.inverse())
+        for bg in f.bundle:
+            conj = rep.compose(bg).compose(inv)
+            bundle.append(BundleGen._trusted(f.fiber, conj.matrix, conj.perm, bg.label))
     return LefschetzFibration._trusted(f.fiber, f.base, cycles, tuple(bundle))

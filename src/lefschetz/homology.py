@@ -153,6 +153,8 @@ class SurfaceSpec(Record):
     __slots__ = ("genus", "boundary")
 
     def __init__(self, genus: int, boundary: int) -> None:
+        check_int(genus, "surface genus")
+        check_int(boundary, "surface boundary")
         if genus < 0 or boundary < 0:
             raise InputError(f"invalid surface ({clipped(genus)}, {clipped(boundary)})")
         self._store(genus, boundary)
@@ -223,12 +225,17 @@ def check_cycle_count(count: int) -> None:
             f"{count} vanishing cycles exceed the desk-scale bound {MAX_CYCLES}")
 
 
-def check_unit(value: int, what: str) -> None:
-    """Refuse with InputError a ``value`` that is not the int 1 or -1: a sign,
-    a power or a local degree.  A bool is not an int here, since a file
-    written with a bool sign could not be read back."""
+def check_int(value: int, what: str) -> None:
+    """Refuse with InputError a ``value`` that is not an int.  A bool is not
+    an int here, since a file written with a bool could not be read back."""
     if type(value) is not int:
         raise InputError(f"{what} must be an int")
+
+
+def check_unit(value: int, what: str) -> None:
+    """Refuse with InputError a ``value`` that is not the int 1 or -1: a sign,
+    a power or a local degree."""
+    check_int(value, what)
     if value not in (1, -1):
         raise InputError(f"{what} must be +-1")
 

@@ -276,9 +276,8 @@ def twist_word(*twists: TwistGen) -> MCWord:
 def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
     """Send each row x to x + h (x . a) b, O(r) per row: the one twist kernel.
 
-    For the twist T about c with covector w (w . x = <c, x>), m T is the
-    rank-1 right update ``transvect(m, c, w, h)`` = m + h (m c) w^T, and
-    T x is ``transvect((x,), w, c, h)[0]``.
+    For the twist T about c with covector w (w . x = <c, x>), T x is
+    ``transvect((x,), w, c, h)[0]``; :func:`twist_classes` applies it.
     """
     add, mul = operator.add, operator.mul
     out = []
@@ -297,58 +296,48 @@ def twist_covector(c: Curve) -> Vector:
     return tuple(w)
 
 
-def twist_right(m: Matrix, c: Curve, h: int) -> Matrix:
-    """m T for the twist T about c with hand h, by one rank-1 update."""
-    return transvect(m, c.hom, twist_covector(c), h)
-
-
-def twist_vector(x: Vector, c: Curve, h: int) -> Vector:
-    """T x = x + h <c, x> c for the twist T about c with hand h, in O(r)."""
-    return transvect((x,), twist_covector(c), c.hom, h)[0]
+def twist_classes(homs: Matrix, c: Curve, h: int) -> Matrix:
+    """T x = x + h <c, x> c for each class x, T the twist about c with hand h."""
+    return transvect(homs, twist_covector(c), c.hom, h)
 
 
 def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
     """Homology transvection of the twist about c, as a dense matrix: a view
-    for callers, since every library path twists through :func:`transvect`."""
-    return twist_right(mat_identity(c.surface.rank), c, TwistGen(c, handed).sign)
+    for callers, since every library path twists classes."""
+    return evaluate(twist_word(TwistGen(c, handed))).matrix
 
 
 def evaluate(w: MCWord) -> HomPermRep:
     """Evaluate a word; the empty word is the identity.
 
-    Twist letters are rank-1 updates; bundle letters multiply in their dense
-    matrix.  Every factor is a mapping class (a transvection, or a bundle
-    generator checked where it entered, or its inverse), so the product is
-    one and is stored without the check.  Twist-only words have identity
-    boundary permutation because twists fix the boundary pointwise.
+    The matrix is the basis moved by :func:`word_action`, transposed, and
+    the permutation the product of the bundle letters' (inverted at power
+    -1).  Every letter is a mapping class (a twist, or a bundle generator
+    checked where it entered, or its inverse), so the product is one and is
+    stored without the check.  Twist-only words have identity boundary
+    permutation because twists fix the boundary pointwise.
     """
     surface = w.surface
-    matrix = mat_identity(surface.rank)
     perm = perm_identity(surface.boundary)
     for letter in w.letters:
         gen = letter.gen
-        if isinstance(gen, TwistGen):
-            matrix = twist_right(matrix, gen.curve, letter.power * gen.sign)
-            continue
-        if letter.power == -1:
-            gen = gen.inverse()
-        matrix = mat_mul(matrix, gen.matrix)
-        perm = perm_compose(perm, gen.perm)
-    return HomPermRep._trusted(surface, matrix, perm)
+        if isinstance(gen, BundleGen):
+            perm = perm_compose(perm, gen.perm if letter.power == 1 else perm_inverse(gen.perm))
+    columns = word_action(w, mat_identity(surface.rank))
+    return HomPermRep._trusted(surface, tuple(zip(*columns)), perm)
 
 
 def word_action(w: MCWord, homs: Matrix) -> Matrix:
-    """Move each class in ``homs`` by the word, right to left, without
-    evaluating it: the library's one letter-by-letter mover of classes.
+    """Move each class in ``homs`` by the word, right to left: the one place
+    where a letter acts on homology.
 
-    A twist letter is one rank-1 update of all the classes; a bundle letter
-    is its matrix (its inverse at power -1) times each class.
+    A twist letter is :func:`twist_classes` over all the classes; a bundle
+    letter is its matrix (its inverse at power -1) times each class.
     """
     for letter in reversed(w.letters):
         gen = letter.gen
         if isinstance(gen, TwistGen):
-            c = gen.curve
-            homs = transvect(homs, twist_covector(c), c.hom, letter.power * gen.sign)
+            homs = twist_classes(homs, gen.curve, letter.power * gen.sign)
         else:
             m = (gen.inverse() if letter.power == -1 else gen).matrix
             homs = tuple(mat_vec(m, x) for x in homs)

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterator
 from .curves import Curve, CurveClass, subset_from_class
 from .errors import CapacityError, InputError, NotApplicable, clipped
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Record, SurfaceSpec, Vector, check_unit, in_radical, vec_gcd
+from .homology import Record, SurfaceSpec, Vector, check_int, check_unit, in_radical, vec_gcd
 
 
 def _away(hom: Vector, genus: int) -> int:
@@ -161,8 +161,7 @@ def destabilize(f: LefschetzFibration, generator_index: int) -> LefschetzFibrati
     its class when it has none.  A generator index that is not an int (a
     bool included) is refused with InputError before any other check.
     """
-    if type(generator_index) is not int:
-        raise InputError("generator index must be an int")
+    check_int(generator_index, "generator index")
     require_disk(f, "destabilize")
     if not 0 <= generator_index < f.fiber.rank:
         raise InputError(f"generator index {generator_index} out of range 0..{f.fiber.rank - 1}")
@@ -377,8 +376,7 @@ def reduce(f: LefschetzFibration, budget: int = 200) -> ReduceResult:
     InputError before any other check, and one above REDUCE_BUDGET_BOUND
     with CapacityError before any search.
     """
-    if type(budget) is not int:
-        raise InputError("budget must be an int")
+    check_int(budget, "budget")
     if budget < 0:
         raise InputError("budget must be >= 0")
     if budget > REDUCE_BUDGET_BOUND:

@@ -15,7 +15,7 @@ import threading
 from .curves import Curve, CurveClass
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Matrix, Record, Vector, check_cycle_count, check_unit
+from .homology import Matrix, Record, Vector, check_cycle_count, check_int, check_unit
 from .mapping import Letter, MCWord, TwistGen, transvect, twist_covector, word_action
 
 
@@ -29,8 +29,7 @@ class PlanEntry(Record):
     __slots__ = ("source", "conjugator", "local_degree")
 
     def __init__(self, source: int, conjugator: MCWord, local_degree: int = 1) -> None:
-        if type(source) is not int:
-            raise InputError("plan source must be an int")
+        check_int(source, "plan source")
         if not isinstance(conjugator, MCWord):
             raise InputError("plan conjugator must be an MCWord")
         check_unit(local_degree, "local degree")
@@ -149,11 +148,6 @@ def _twists(u: LefschetzFibration) -> list[tuple[Curve, str]]:
     return [(c, hand) for c in firsts.values() for hand in ("right", "left")]
 
 
-def _alphabet(u: LefschetzFibration) -> list[Letter]:
-    """The twist letters of :func:`_twists`, as records."""
-    return [Letter(TwistGen(c, hand)) for c, hand in _twists(u)]
-
-
 def substitution_witness(
     u: LefschetzFibration,
     f: LefschetzFibration,
@@ -194,8 +188,7 @@ def substitution_witness(
     the same fiber, letter classes and hands, and source classes build
     neither again.
     """
-    if type(depth) is not int:
-        raise InputError("depth must be an int")
+    check_int(depth, "depth")
     if u.fiber != f.fiber:
         raise InputError("witness search needs a common fiber")
     require_disk(u, "substitution_witness")
@@ -216,7 +209,7 @@ def substitution_witness(
         if not level:
             break  # an empty alphabet has only the empty word
     key = (u.fiber, tuple((c.hom, hand) for c, hand in twists))
-    steps = _cached(key, lambda: _walk_steps(_alphabet(u)), len)
+    steps = _cached(key, lambda: _walk_steps(twists), len)
     # Per distinct target (type, sign): source class -> (tier, j),
     # sign-matching sources (tier 0) before opposite-sign ones (tier 1), the
     # first j winning within a tier.
@@ -277,9 +270,10 @@ def substitution_witness(
     return plan
 
 
-def _walk_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[int, ...]]]:
-    """Per twist letter: its step (class, covector, hand) and the letters the
-    walk may put after it.
+def _walk_steps(twists: list[tuple[Curve, str]],
+                ) -> list[tuple[Vector, Vector, int, tuple[int, ...]]]:
+    """Per (curve, hand) of :func:`_twists`: its step (class, covector,
+    h = +1 right or -1 left) and the letters the walk may put after it.
 
     Letter l is not put after p when it undoes p (the same class with the
     other hand), or when l < p and the two classes pair to 0: such
@@ -287,7 +281,7 @@ def _walk_steps(letters: list[Letter]) -> list[tuple[Vector, Vector, int, tuple[
     the same matrix.  Either way the word equals one that comes earlier in
     length-then-lex order.
     """
-    base = [(l.gen.curve.hom, twist_covector(l.gen.curve), l.gen.sign) for l in letters]
+    base = [(c.hom, twist_covector(c), 1 if hand == "right" else -1) for c, hand in twists]
     steps = []
     for p, (cp, wp, hp) in enumerate(base):
         after = tuple(

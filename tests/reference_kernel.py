@@ -37,7 +37,9 @@ seen; the library reads both off the fiber rank.
 vector walk over every word of each length, carrying w^-1 t for each target
 class t and skipping the words ``_whole_word_steps`` shows equal to earlier
 ones.  The library now meets in the middle, walking first halves against a
-table of second halves; its plans are compared with this walk's.
+table of second halves; its plans are compared with this walk's.  Both
+reference searches draw their letters from ``_alphabet``, written apart from
+the library's ``_twists``, so the plans' letter order is checked, not shared.
 
 ``pullback`` evaluates each distinct conjugator to a matrix, moves each
 source class by it, checks the moved class against the matrix times the
@@ -92,7 +94,6 @@ from lefschetz.witness import (
     ImmersionWitness,
     MeridianPlan,
     PlanEntry,
-    _alphabet,
 )
 
 
@@ -458,6 +459,17 @@ def pullback(u: LefschetzFibration, plan: MeridianPlan) -> LefschetzFibration:
             raise AssertionError("monodromy does not factor through the source")
         cycles.append(SignedCycle(moved, e.local_degree * src.sign))
     return LefschetzFibration(u.fiber, DISK, tuple(cycles))
+
+
+def _alphabet(u: LefschetzFibration) -> list[Letter]:
+    """The twist letters of a witness search from u: the first curve of each
+    distinct (type, class) among its cycles, in cycle order, right hand
+    before left."""
+    curves: list[Curve] = []
+    for c in u.cycles:
+        if all((d.cls, d.hom) != (c.curve.cls, c.curve.hom) for d in curves):
+            curves.append(c.curve)
+    return [Letter(TwistGen(c, hand)) for c in curves for hand in ("right", "left")]
 
 
 def substitution_witness(

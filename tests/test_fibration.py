@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from lefschetz import fibration
 from lefschetz.curves import (
     CurveClass,
     nonseparating_curve,
@@ -266,6 +267,30 @@ def test_global_conjugate_bundle():
     g = global_conjugate(f, w)
     assert g.bundle[0].perm == (1, 0)
     assert global_conjugate(g, w.inverse()) == f
+
+
+def test_global_conjugate_evaluates_the_word_once(monkeypatch):
+    # three bundle generators are each conjugated by one evaluation of w and
+    # one of w^-1, not by an evaluation of w g w^-1 apiece
+    fib = SurfaceSpec(1, 4)
+    a = nonseparating_curve(fib, (1, 0, 0, 0, 0), "a")
+    c = nonseparating_curve(fib, (0, 1, 1, 0, 0), "c")
+    gens = tuple(boundary_permutation_gen(fib, perm, f"g{k}") for k, perm in
+                 enumerate(((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))))
+    f = LefschetzFibration(fib, BaseSurface(0, 4), (SignedCycle(a, 1),), gens)
+    w = MCWord(fib, (Letter(TwistGen(a)), Letter(TwistGen(c), -1)))
+    want = [evaluate(w * MCWord(fib, (Letter(bg),)) * w.inverse()) for bg in gens]
+    calls = []
+
+    def spy(word):
+        calls.append(word)
+        return evaluate(word)
+
+    monkeypatch.setattr(fibration, "evaluate", spy)
+    g = global_conjugate(f, w)
+    assert len(calls) <= 2
+    assert [(bg.matrix, bg.perm, bg.label) for bg in g.bundle] == [
+        (rep.matrix, rep.perm, bg.label) for rep, bg in zip(want, gens)]
 
 
 # ---------------------------------------------------------------------------

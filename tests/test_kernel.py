@@ -8,9 +8,9 @@ the fiber rank; the curve census is generated in sorted order; the witness
 search meets in the middle, skips words equal to earlier ones and keeps its
 walk tables across calls; the integer kernel takes its inner products with
 ``map``, and ``word_action`` moves classes by a word letter by letter for
-``global_conjugate``, ``act_on_curve`` and ``pullback``.  These tests
-require the results to equal, exactly, those of the code kept in
-``reference_kernel`` (or, for ``word_action``, of the evaluated word):
+``evaluate``, ``global_conjugate``, ``act_on_curve`` and ``pullback``.
+These tests require the results to equal, exactly, those of the code kept
+in ``reference_kernel`` (for ``word_action``, of its evaluated word):
 matrix products and transvections, word evaluation, bundle inverses, twist
 products, Hurwitz moves, global conjugation, pullbacks, the pairing check,
 the census, boundary subsets, stabilization, destabilization, reduction,
@@ -78,8 +78,8 @@ from lefschetz.mapping import (
     evaluate,
     perm_inverse,
     twist_catalog,
+    twist_classes,
     twist_matrix,
-    twist_vector,
     twist_word,
     word_action,
 )
@@ -93,8 +93,8 @@ from lefschetz.universality import (
 from lefschetz.witness import (
     MeridianPlan,
     PlanEntry,
-    _alphabet,
     _half_words,
+    _twists,
     _walk_level,
     _walk_steps,
     identity_plan,
@@ -243,8 +243,8 @@ def test_word_action_matches_the_evaluated_word(seed, length):
     w = _random_word(rng, s, length)
     xs = tuple(tuple(rng.randint(-5, 5) for _ in range(s.rank))
                for _ in range(rng.randint(0, 4)))
-    matrix = evaluate(w).matrix
-    assert word_action(w, xs) == tuple(mat_vec(matrix, x) for x in xs)
+    matrix = ref.evaluate(w).matrix
+    assert word_action(w, xs) == tuple(ref.mat_vec(matrix, x) for x in xs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,8 +284,8 @@ def test_twist_matrix_and_vector_match_dense_reference(seed):
     for handed, h in (("right", 1), ("left", -1)):
         dense = ref.twist_matrix(c, handed)
         assert twist_matrix(c, handed) == dense
-        assert twist_vector(x, c, h) == tuple(
-            sum(a * b for a, b in zip(row, x)) for row in dense)
+        assert twist_classes((x,), c, h) == (tuple(
+            sum(a * b for a, b in zip(row, x)) for row in dense),)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,7 +403,7 @@ def test_round_trip_catches_a_wrong_transport(monkeypatch):
     action = witness.word_action
 
     def one_twist_too_many(w, homs):
-        return tuple(twist_vector(x, a1, 1) for x in action(w, homs))
+        return twist_classes(action(w, homs), a1, 1)
 
     monkeypatch.setattr(witness, "word_action", one_twist_too_many)
     with pytest.raises(AssertionError, match="^witness failed the pullback round trip$"):
@@ -1025,7 +1025,7 @@ def test_walk_skips_words_equal_to_earlier_ones():
     # which the walk visits those with no letter after its inverse and no
     # commuting pair out of order
     u = u_g1(2)
-    steps = _walk_steps(_alphabet(u))
+    steps = _walk_steps(_twists(u))
     words = []
 
     def visit(word, matrix):
@@ -1109,8 +1109,9 @@ def test_half_words_table_the_lex_least_second_half(genus, most):
     # per vector x, each source class u with the least word w, |w| = m,
     # that sends u to x, sorted by w
     u = u_g1(genus)
-    letters = _alphabet(u)
-    steps = _walk_steps(letters)
+    twists = _twists(u)
+    letters = [Letter(TwistGen(c, hand)) for c, hand in twists]
+    steps = _walk_steps(twists)
     sources = tuple(dict.fromkeys(c.curve.hom for c in u.cycles))
     for m in range(most + 1):
         words = []

@@ -18,7 +18,17 @@ import pytest
 
 from lefschetz.curves import Curve, CurveClass
 from lefschetz.errors import InputError
-from lefschetz.fibration import DISK, BaseSurface, InvariantReport, LefschetzFibration, SignedCycle
+from lefschetz.fibration import (
+    DISK,
+    BaseSurface,
+    InvariantReport,
+    LefschetzFibration,
+    SignedCycle,
+    build,
+    hurwitz_move,
+    p_g,
+    u_g1,
+)
 from lefschetz.homology import SurfaceSpec
 from lefschetz.mapping import BundleGen, HomPermRep, Letter, MCWord, TwistGen, evaluate
 from lefschetz.reduction import ReduceResult, stabilize
@@ -214,6 +224,13 @@ REFUSALS = [
     (lambda: SurfaceSpec(-1, 0), "invalid surface (-1, 0)"),
     (lambda: SurfaceSpec(0, -2), "invalid surface (0, -2)"),
     (lambda: SurfaceSpec(-10**5000, 0), "invalid surface ((too many digits to show), 0)"),
+    # a bool genus was written as a JSON boolean the reader refuses; a float
+    # gave a float rank, and a string a TypeError
+    (lambda: p_g(True), "surface genus must be an int"),
+    (lambda: SurfaceSpec(1.5, 1), "surface genus must be an int"),
+    (lambda: SurfaceSpec("2", 1), "surface genus must be an int"),
+    (lambda: build("u_g1", 2.0), "surface genus must be an int"),
+    (lambda: SurfaceSpec(1, True), "surface boundary must be an int"),
     (lambda: CurveClass("nonsep", ((0, 1), (0, 1))), "non-separating type carries no side data"),
     (lambda: CurveClass("sep"), "separating type needs side data"),
     (lambda: CurveClass("sep", ((0, 0), (1, 2))),
@@ -234,6 +251,12 @@ REFUSALS = [
      "subset size 2 inconsistent with sides ((0, 1), (0, 3))"),
     (lambda: BaseSurface(-1, 1), "base genus must be >= 0"),
     (lambda: BaseSurface(0, 0), "base surfaces must have nonempty boundary"),
+    (lambda: BaseSurface(0, True), "base boundary must be an int"),
+    (lambda: BaseSurface(1.0, 1), "base genus must be an int"),
+    # a bool position ran as position 1; a float or a string raised TypeError
+    (lambda: hurwitz_move(u_g1(2), True, "R"), "move position must be an int"),
+    (lambda: hurwitz_move(u_g1(2), 1.0, "R"), "move position must be an int"),
+    (lambda: hurwitz_move(u_g1(2), "1", "R"), "move position must be an int"),
     (lambda: SignedCycle(A1, 0), "cycle sign must be +-1"),
     # a bool sign was stored, and written as a JSON boolean the reader refuses
     (lambda: SignedCycle(A1, True), "cycle sign must be an int"),
