@@ -126,9 +126,10 @@ def cmd_reduce(args) -> tuple[dict, int]:
     return serialize.fibration_to_json(result.fibration), EXIT_OK
 
 
-def _parse_move(text: str, size: int) -> tuple[int, str]:
-    """``INDEX:L`` or ``INDEX:R`` as (index, direction) for a fibration of
-    ``size`` cycles; a refusal echoes the value clipped."""
+def _parse_move(text: str) -> tuple[int, str]:
+    """``INDEX:L`` or ``INDEX:R`` as (index, direction); a refusal echoes the
+    value clipped.  ``hurwitz_move`` refuses an index out of range, and
+    clips it too."""
     from .errors import InputError, clipped
 
     parts = text.split(":")
@@ -138,8 +139,6 @@ def _parse_move(text: str, size: int) -> tuple[int, str]:
         index = int(parts[0])
     except ValueError:
         raise InputError(f"bad move index in {clipped(text)!r}") from None
-    if not 1 <= index < size:  # hurwitz_move's refusal would echo every digit
-        raise InputError(f"move position {clipped(index)} out of range 1..{size - 1}")
     return index, parts[1]
 
 
@@ -149,7 +148,7 @@ def cmd_hurwitz(args) -> tuple[dict, int]:
 
     f = _read_fibration(args.file)
     for spec in args.move:
-        index, direction = _parse_move(spec, f.size)
+        index, direction = _parse_move(spec)
         f = hurwitz_move(f, index, direction)
     return serialize.fibration_to_json(f), EXIT_OK
 

@@ -23,6 +23,8 @@ from .homology import (
     SurfaceSpec,
     Vector,
     check_fiber_rank,
+    check_ints,
+    check_str,
     in_radical,
     is_essential,
     vec_gcd,
@@ -47,6 +49,8 @@ class CurveClass(Record):
             if sides is None:
                 raise InputError("separating type needs side data")
             (g1, b1), (g2, b2) = sides
+            check_ints((g1, b1, g2, b2), "separating side entry")
+            sides = ((g1, b1), (g2, b2))
             if min(g1, g2) < 0 or min(b1, b2) < 1:
                 raise InputError(
                     f"separating sides {clipped(sides)}: each side needs >= 1 "
@@ -54,7 +58,7 @@ class CurveClass(Record):
             if sides[0] > sides[1]:
                 raise InputError("separating sides must be normalized")
         else:
-            raise InputError(f"unknown curve kind {kind!r}")
+            raise InputError(f"unknown curve kind {clipped(repr(kind))}")
         self._store(kind, sides)
 
     @staticmethod
@@ -63,6 +67,7 @@ class CurveClass(Record):
 
     @staticmethod
     def separating(side_a: tuple[int, int], side_b: tuple[int, int]) -> "CurveClass":
+        check_ints((*side_a, *side_b), "separating side entry")  # before sorting them
         lo, hi = sorted((tuple(side_a), tuple(side_b)))
         return CurveClass("sep", (lo, hi))
 
@@ -175,6 +180,7 @@ class Curve(Record):
     def __init__(self, surface: SurfaceSpec, cls: CurveClass, hom: Vector,
                  label: str = "") -> None:
         hom = tuple(hom)
+        check_ints(hom, "curve class entry")
         if len(hom) != surface.rank:
             raise InputError(
                 f"class of length {len(hom)} on {surface} (rank {surface.rank})")
@@ -195,7 +201,7 @@ class Curve(Record):
             t = len(subset)
             if sorted((t, surface.boundary - t)) != sorted((b1, b2)):
                 raise InputError(f"subset size {t} inconsistent with sides {cls.sides}")
-        self._store(surface, cls, hom, label)
+        self._store(surface, cls, hom, check_str(label, "curve label"))
 
     def boundary_subset(self) -> frozenset[int] | None:
         """For separating curves, the circles on the side the class sums over."""

@@ -273,14 +273,15 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     twist matrices is unchanged.  The moved class is the neighbor's twist
     applied to it directly, one transvection; a twist is a homeomorphism,
     so the moved curve and the new fibration are stored without validation.
-    A position that is not an int (a bool included) raises InputError.
+    A position that is not an int (a bool included) or is out of range
+    raises InputError, which shows at most 20 characters of it.
     """
     if direction not in ("L", "R"):
         raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
     check_int(i, "move position")
     n = f.size
     if not 1 <= i < n:
-        raise InputError(f"move position {i} out of range 1..{n - 1}")
+        raise InputError(f"move position {clipped(i)} out of range 1..{n - 1}")
     cyc = list(f.cycles)
     left, right = cyc[i - 1], cyc[i]
     if direction == "R":
@@ -301,10 +302,10 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
 
     The cycle classes move together through :func:`word_action`; each curve
     keeps its type and label, as in :func:`act_on_curve`.  When there are
-    bundle generators, w and its inverse are evaluated once and each
-    generator is composed between them.  w is a homeomorphism, so the moved
-    cycles, the conjugated bundle generators and the new fibration are
-    stored without validation.
+    bundle generators, w is evaluated once, and each generator is composed
+    between it and its closed-form inverse.  w is a homeomorphism, so the
+    moved cycles, the conjugated bundle generators and the new fibration
+    are stored without validation.
     """
     if w.surface != f.fiber:
         raise InputError("conjugating word on the wrong surface")
@@ -315,7 +316,8 @@ def global_conjugate(f: LefschetzFibration, w: MCWord) -> LefschetzFibration:
         for c, hom in zip(f.cycles, homs))
     bundle = []
     if f.bundle:
-        rep, inv = evaluate(w), evaluate(w.inverse())
+        rep = evaluate(w)
+        inv = rep.inverse()
         for bg in f.bundle:
             conj = rep.compose(bg).compose(inv)
             bundle.append(BundleGen._trusted(f.fiber, conj.matrix, conj.perm, bg.label))

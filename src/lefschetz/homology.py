@@ -19,6 +19,7 @@ ints and matrices are tuples of row tuples.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from itertools import repeat
 from math import gcd
 
@@ -84,9 +85,9 @@ class Record:
     in order, unless the class names them in ``_compare``.  Pickling and
     copying go through the constructor, so a copy is validated again.
 
-    Records are validated where they enter: the public constructors and the
-    file reader.  ``_trusted`` stores fields through ``_store`` without that
-    check, for a record the library derives from validated ones: a
+    Records are validated where they enter, by the public constructors that
+    the file reader also builds through.  ``_trusted`` stores fields without
+    that check, for a record the library derives from validated ones: a
     homeomorphism takes a valid curve, cycle or fibration to a valid one of
     the same type, and a product, inverse or conjugate of mapping classes is
     a mapping class.
@@ -230,6 +231,19 @@ def check_int(value: int, what: str) -> None:
     an int here, since a file written with a bool could not be read back."""
     if type(value) is not int:
         raise InputError(f"{what} must be an int")
+
+
+def check_ints(values: Iterable[int], what: str) -> None:
+    """Refuse with InputError, in one pass, ``values`` holding a non-int."""
+    if not all(type(x) is int for x in values):
+        raise InputError(f"{what} must be an int")
+
+
+def check_str(value: str, what: str) -> str:
+    """``value``, refused with InputError unless it is a str: a label."""
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a str")
+    return value
 
 
 def check_unit(value: int, what: str) -> None:

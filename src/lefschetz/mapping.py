@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from importlib import import_module
-from itertools import repeat
+from itertools import chain, repeat
 
 from .curves import Curve, boundary_subset_class, nonseparating_curve
 from .errors import InputError, clipped
@@ -32,6 +32,8 @@ from .homology import (
     Record,
     SurfaceSpec,
     Vector,
+    check_ints,
+    check_str,
     check_unit,
     mat_identity,
     mat_mul,
@@ -75,6 +77,7 @@ def perm_inverse(p: Permutation) -> Permutation:
 
 
 def check_perm(p: Permutation, n: int) -> None:
+    check_ints(p, "perm entry")
     if len(p) != n or sorted(p) != list(range(n)):
         raise InputError(f"{clipped(p)} is not a permutation of {n} points")
 
@@ -90,7 +93,7 @@ class TwistGen(Record):
 
     def __init__(self, curve: Curve, handed: str = "right") -> None:
         if handed not in ("right", "left"):
-            raise InputError(f"bad handedness {handed!r}")
+            raise InputError(f"bad handedness {clipped(repr(handed))}")
         self._store(curve, handed)
 
     @property
@@ -108,11 +111,11 @@ class HomPermRep(Record):
     and a permutation of the boundary circles.
 
     The constructor is the library's one mapping-class check.  It refuses,
-    with InputError, a matrix that does not preserve the pairing or does not
-    send each boundary class d_j to d_perm(j), so every rep moves valid
-    curves to valid curves.  Products, inverses and conjugates of checked
-    reps are mapping classes by algebra, so the library stores them through
-    ``Record._trusted`` without this check.
+    with InputError, an entry that is not an int and a matrix that does not
+    preserve the pairing or send each boundary class d_j to d_perm(j), so
+    every rep moves valid curves to valid curves.  Products, inverses and
+    conjugates of checked reps are mapping classes by algebra, so the
+    library stores them through ``Record._trusted`` without this check.
     """
 
     __slots__ = ("surface", "matrix", "perm")
@@ -121,6 +124,7 @@ class HomPermRep(Record):
     def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation) -> None:
         matrix = tuple(tuple(r) for r in matrix)
         perm = tuple(perm)
+        check_ints(chain.from_iterable(matrix), "matrix entry")
         if not preserves_pairing(surface, matrix):
             raise InputError(f"{self._kind} must preserve the pairing form")
         b = surface.boundary
@@ -141,6 +145,10 @@ class HomPermRep(Record):
             perm_compose(self.perm, other.perm),
         )
 
+    def inverse(self) -> "HomPermRep":
+        s, m, p = self.surface, self.matrix, self.perm
+        return HomPermRep._trusted(s, pairing_inverse(s, m, p), perm_inverse(p))
+
     @property
     def is_identity(self) -> bool:
         return self.matrix == mat_identity(self.surface.rank) and (
@@ -150,7 +158,8 @@ class HomPermRep(Record):
 class BundleGen(HomPermRep):
     """Monodromy of a fiber-bundle loop: a mapping class with a label.
 
-    The constructor makes ``HomPermRep``'s check.  The label is not compared.
+    The constructor makes ``HomPermRep``'s check and refuses a label that
+    is not a str.  The label is not compared.
     """
 
     __slots__ = ("label",)
@@ -160,15 +169,12 @@ class BundleGen(HomPermRep):
     def __init__(self, surface: SurfaceSpec, matrix: Matrix, perm: Permutation,
                  label: str = "") -> None:
         super().__init__(surface, matrix, perm)
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "label", check_str(label, "bundle label"))
 
     def inverse(self) -> "BundleGen":
+        inv = super().inverse()
         return BundleGen._trusted(
-            self.surface,
-            pairing_inverse(self.surface, self.matrix, self.perm),
-            perm_inverse(self.perm),
-            f"{self.label}^-1" if self.label else "",
-        )
+            inv.surface, inv.matrix, inv.perm, f"{self.label}^-1" if self.label else "")
 
 
 def pairing_inverse(surface: SurfaceSpec, m: Matrix, perm: Permutation) -> Matrix:
@@ -182,7 +188,7 @@ def pairing_inverse(surface: SurfaceSpec, m: Matrix, perm: Permutation) -> Matri
     where S^-1 = J^T S^T J has entry (x, y) equal to +-S[y^1][x^1] (+ when x
     and y have the same parity) and P^-1 is the action of perm^-1.  Every
     HomPermRep has this form.  This is the one inverse formula, called by
-    ``BundleGen.inverse``.
+    ``HomPermRep.inverse``.
     """
     n = 2 * surface.genus
     sign = (1, -1) * surface.genus
@@ -206,8 +212,8 @@ def boundary_permutation_gen(
     """Bundle generator permuting boundary circles and fixing the handles.
 
     Sends d_j to d_{perm(j)} and each a_i, b_i to itself; any permutation of
-    the boundary is realized by some homeomorphism, so once ``perm`` is
-    checked the generator is stored without the mapping-class check.
+    the boundary is realized by some homeomorphism, so once ``perm`` and the
+    label are checked the generator is stored without the mapping-class check.
     """
     perm = tuple(perm)
     check_perm(perm, surface.boundary)
@@ -218,7 +224,7 @@ def boundary_permutation_gen(
     for j in range(1, b):
         cols.append(boundary_subset_class(surface, frozenset({perm[j - 1] + 1})))
     matrix = tuple(tuple(col[i] for col in cols) for i in range(surface.rank))
-    return BundleGen._trusted(surface, matrix, perm, label)
+    return BundleGen._trusted(surface, matrix, perm, check_str(label, "bundle label"))
 
 
 class Letter(Record):

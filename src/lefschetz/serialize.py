@@ -1,9 +1,10 @@
 """Stable JSON wire format for fibrations, reports and witness plans.
 
 All documents are UTF-8 JSON with sorted keys and integers only, so equal
-values serialize to identical bytes.  Unknown fields are rejected on load
-and every structural invariant is re-validated through the ordinary
-constructors.
+values serialize to identical bytes.  The reader checks only the JSON
+shape (known keys, lists and objects) and builds every record through its
+constructor, the one check on field values, so a record that a
+constructor accepts is written and read back whole.
 
 Boundary-circle permutations are written 1-based ("perm": [2, 1] swaps the
 two circles); in memory they are 0-based tuples.
@@ -30,6 +31,7 @@ from .homology import (  # noqa: F401  (MAX_FIBER_RANK re-exported)
     SurfaceSpec,
     check_cycle_count,
     check_fiber_rank,
+    check_ints,
 )
 
 TYPE_CHECKING = False
@@ -56,12 +58,6 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], what: str) -
         raise InputError(f"{what} is missing fields {sorted(missing)}")
 
 
-def _int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer")
-    return value
-
-
 # -- surfaces ---------------------------------------------------------------
 
 def surface_to_json(s: SurfaceSpec | BaseSurface) -> dict:
@@ -72,7 +68,7 @@ def surface_from_json(obj: object, what: str = "surface",
                       cls: type = SurfaceSpec) -> SurfaceSpec | BaseSurface:
     """A (genus, boundary) object as a ``cls``: a SurfaceSpec or a BaseSurface."""
     _expect_keys(obj, {"genus", "boundary"}, set(), what)
-    return cls(_int(obj["genus"], "genus"), _int(obj["boundary"], "boundary"))
+    return cls(obj["genus"], obj["boundary"])
 
 
 # -- curves -----------------------------------------------------------------
@@ -91,10 +87,7 @@ def curve_class_from_json(obj: object) -> CurveClass:
         if (not isinstance(sides, list) or len(sides) != 2
                 or any(not isinstance(s, list) or len(s) != 2 for s in sides)):
             raise InputError("separating class needs two [genus, boundary] sides")
-        (g1, b1), (g2, b2) = sides
-        return CurveClass.separating(
-            (_int(g1, "side genus"), _int(b1, "side boundary")),
-            (_int(g2, "side genus"), _int(b2, "side boundary")))
+        return CurveClass.separating(*sides)
     raise InputError(f"bad curve class {clipped(repr(obj))}")
 
 
@@ -108,18 +101,9 @@ def curve_to_json(c: Curve) -> dict:
 
 def curve_from_json(obj: object, surface: SurfaceSpec) -> Curve:
     _expect_keys(obj, {"class", "hom"}, {"label"}, "curve")
-    hom = obj["hom"]
-    if not isinstance(hom, list):
+    if not isinstance(obj["hom"], list):
         raise InputError("curve hom must be a list of integers")
-    label = obj.get("label", "")
-    if not isinstance(label, str):
-        raise InputError("curve label must be a string")
-    return Curve(
-        surface,
-        curve_class_from_json(obj["class"]),
-        tuple(_int(x, "hom entry") for x in hom),
-        label,
-    )
+    return Curve(surface, curve_class_from_json(obj["class"]), obj["hom"], obj.get("label", ""))
 
 
 # -- bundle generators ------------------------------------------------------
@@ -141,16 +125,9 @@ def bundle_gen_from_json(obj: object, surface: SurfaceSpec) -> BundleGen:
     perm_1based = obj["perm"]
     if not isinstance(perm_1based, list):
         raise InputError("bundle perm must be a list")
-    perm = tuple(_int(x, "perm entry") - 1 for x in perm_1based)
-    label = obj.get("label", "")
-    if not isinstance(label, str):
-        raise InputError("bundle label must be a string")
-    return BundleGen(
-        surface,
-        tuple(tuple(_int(x, "matrix entry") for x in row) for row in matrix),
-        perm,
-        label,
-    )
+    check_ints(perm_1based, "perm entry")  # before the shift: JSON true - 1 is a valid 0
+    perm = tuple(x - 1 for x in perm_1based)
+    return BundleGen(surface, matrix, perm, obj.get("label", ""))
 
 
 # -- fibrations -------------------------------------------------------------
@@ -178,8 +155,7 @@ def fibration_from_json(obj: object) -> LefschetzFibration:
     cycles = []
     for entry in obj["cycles"]:
         _expect_keys(entry, {"sign", "curve"}, set(), "cycle")
-        sign = _int(entry["sign"], "sign")
-        cycles.append(SignedCycle(curve_from_json(entry["curve"], fiber), sign))
+        cycles.append(SignedCycle(curve_from_json(entry["curve"], fiber), entry["sign"]))
     bundle = [bundle_gen_from_json(bg, fiber) for bg in obj["bundle"]]
     return LefschetzFibration(fiber, base, tuple(cycles), tuple(bundle))
 
@@ -239,8 +215,8 @@ def _letter_to_json(letter: Letter) -> dict:
 def _letter_from_json(obj: object, surface: SurfaceSpec) -> Letter:
     from .mapping import Letter, TwistGen
     _expect_keys(obj, {"curve", "handed"}, {"power"}, "plan letter")
-    power = _int(obj.get("power", 1), "letter power")
-    return Letter(TwistGen(curve_from_json(obj["curve"], surface), obj["handed"]), power)
+    gen = TwistGen(curve_from_json(obj["curve"], surface), obj["handed"])
+    return Letter(gen, obj.get("power", 1))
 
 
 def plan_to_json(plan: MeridianPlan) -> dict:
@@ -269,13 +245,7 @@ def plan_from_json(obj: object, surface: SurfaceSpec) -> MeridianPlan:
         if not isinstance(e["conjugator"], list):
             raise InputError("plan conjugator must be a list of letters")
         letters = tuple(_letter_from_json(l, surface) for l in e["conjugator"])
-        entries.append(
-            PlanEntry(
-                _int(e["source"], "source"),
-                MCWord(surface, letters),
-                _int(e["local_degree"], "local degree"),
-            )
-        )
+        entries.append(PlanEntry(e["source"], MCWord(surface, letters), e["local_degree"]))
     plan = MeridianPlan(tuple(entries))
     if plan.is_immersion:
         return ImmersionWitness(plan.entries)

@@ -565,6 +565,37 @@ def test_oversized_file_value_is_clipped(keys, value, command, shown, tmp_path, 
     assert shown in _assert_one_short_refusal(main([command, str(path)]), capsys)
 
 
+# a field value of the right JSON shape that a record constructor refuses,
+# and the one line the CLI prints for it
+FIELD_VALUE_REFUSALS = [
+    (("fiber", "genus"), True, "surface genus must be an int"),
+    (("base", "boundary"), 1.5, "base boundary must be an int"),
+    (("cycles", 0, "curve", "hom", 0), 1.0, "curve class entry must be an int"),
+    (("cycles", 0, "sign"), True, "cycle sign must be an int"),
+    (("cycles", 0, "curve", "label"), 5, "curve label must be a str"),
+    (("cycles", 2, "curve", "class", "sep", 0, 0), False, "separating side entry must be an int"),
+    (("bundle", 0, "matrix", 0, 0), True, "matrix entry must be an int"),
+    # true - 1 would be a valid 0-based entry
+    (("bundle", 0, "perm", 1), True, "perm entry must be an int"),
+    (("bundle", 0, "label"), [], "bundle label must be a str"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", FIELD_VALUE_REFUSALS,
+                         ids=[m for *_, m in FIELD_VALUE_REFUSALS])
+def test_field_values_are_refused_by_the_record_constructors(path, value, message,
+                                                             tmp_path, capsys):
+    doc = fibration_to_json(_annulus_fixture())
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    file = tmp_path / "f.json"
+    file.write_text(dumps(doc), encoding="utf-8")
+    assert main(["hurwitz", str(file), "--move", "1:R"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_census_of_an_oversized_negative_genus_is_clipped(capsys):
     err = _assert_one_short_refusal(main(["census", "-" + G, "1"]), capsys)
     assert err == "error: invalid surface (-9999999999999999999..., 1)\n"

@@ -15,8 +15,10 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lefschetz.curves import Curve, CurveClass
+from lefschetz.curves import Curve, CurveClass, nonseparating_curve
 from lefschetz.errors import InputError
 from lefschetz.fibration import (
     DISK,
@@ -30,8 +32,17 @@ from lefschetz.fibration import (
     u_g1,
 )
 from lefschetz.homology import SurfaceSpec
-from lefschetz.mapping import BundleGen, HomPermRep, Letter, MCWord, TwistGen, evaluate
+from lefschetz.mapping import (
+    BundleGen,
+    HomPermRep,
+    Letter,
+    MCWord,
+    TwistGen,
+    boundary_permutation_gen,
+    evaluate,
+)
 from lefschetz.reduction import ReduceResult, stabilize
+from lefschetz.serialize import fibration_dumps, fibration_loads
 from lefschetz.universality import SurjectivityVerdict, UniversalityReport
 from lefschetz.witness import ImmersionWitness, MeridianPlan, PlanEntry
 
@@ -294,6 +305,25 @@ REFUSALS = [
     (lambda: PlanEntry(0, WORD, 0), "local degree must be +-1"),
     (lambda: PlanEntry(0, WORD, True), "local degree must be an int"),
     (lambda: ImmersionWitness((ENTRY,)), "an immersion witness needs all local degrees +1"),
+    # each of these was stored, and its file refused on reading, or raised TypeError
+    (lambda: nonseparating_curve(SurfaceSpec(1, 1), (True, False)),
+     "curve class entry must be an int"),
+    (lambda: nonseparating_curve(SurfaceSpec(1, 1), (1.0, 0)), "curve class entry must be an int"),
+    (lambda: Curve(S, NONSEP, (1, 0, 0), label=5), "curve label must be a str"),
+    (lambda: Curve(SurfaceSpec(0, 3), CurveClass.separating((False, 1), (0, 2)), (1, 0)),
+     "separating side entry must be an int"),
+    (lambda: CurveClass.separating(("a", 1), (0, 1)), "separating side entry must be an int"),
+    (lambda: BundleGen(S, tuple(tuple(bool(x) for x in row) for row in IDENTITY), (0, 1)),
+     "matrix entry must be an int"),
+    (lambda: BundleGen(S, tuple(tuple(float(x) for x in row) for row in IDENTITY), (0, 1)),
+     "matrix entry must be an int"),
+    (lambda: BundleGen(S, IDENTITY, (False, True)), "perm entry must be an int"),
+    (lambda: BundleGen(S, IDENTITY, (0, 1), b"swap"), "bundle label must be a str"),
+    (lambda: boundary_permutation_gen(SurfaceSpec(0, 3), (1, 0, 2), label=7),
+     "bundle label must be a str"),
+    # a refused value is echoed clipped: these gave 5,017 and 5,021 bytes
+    (lambda: TwistGen(A1, "x" * 5000), "bad handedness 'xxxxxxxxxxxxxxxxxxx..."),
+    (lambda: CurveClass("y" * 5000), "unknown curve kind 'yyyyyyyyyyyyyyyyyyy..."),
 ]
 
 
@@ -303,3 +333,53 @@ def test_validation_messages(make, message):
         make()
     assert str(info.value) == message
 
+
+
+def _entries(draw, template):
+    """``template`` with each entry left as it is, replaced by another int, or
+    replaced by a value of another type that equals it or spells it: a
+    float, a string and, for 0 and 1, a bool."""
+    out = []
+    for v in template:
+        others = [float(v), str(v)] + ([bool(v)] if v in (0, 1) else [])
+        out.append(draw(st.one_of(st.just(v), st.integers(-2, 2), st.sampled_from(others))))
+    return tuple(out)
+
+
+_LABELS = st.one_of(st.text(max_size=3), st.integers(), st.booleans(),
+                    st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_record_the_constructors_accept_round_trips_through_a_file(data):
+    # a cycle and a bundle generator on F(1, 2) from valid templates, with the
+    # entries of one field drawn from ints, bools, floats and strings
+    draw = data.draw
+    field = draw(st.sampled_from(["none", "sides", "hom", "sign", "matrix", "perm", "labels"]))
+
+    def entries(name, template):
+        return _entries(draw, template) if name == field else tuple(template)
+
+    def label():
+        return draw(_LABELS if field == "labels" else st.text(max_size=3))
+
+    try:
+        if draw(st.booleans()):
+            cls, hom = CurveClass.nonseparating(), draw(st.sampled_from([(1, 0, 0), (1, 1, 1)]))
+        else:
+            sides = entries("sides", (0, 1)), entries("sides", (1, 1))
+            cls = (CurveClass("sep", sides) if draw(st.booleans())
+                   else CurveClass.separating(*reversed(sides)))
+            hom = (0, 0, 1)
+        curve = Curve(S, cls, entries("hom", hom), label())
+        cycle = SignedCycle(curve, entries("sign", (draw(st.sampled_from([1, -1])),))[0])
+        matrix, perm = draw(st.sampled_from([(IDENTITY, (0, 1)), (SWAP.matrix, SWAP.perm)]))
+        gen = BundleGen(S, tuple(entries("matrix", row) for row in matrix),
+                        entries("perm", perm), label())
+        f = LefschetzFibration(S, BaseSurface(0, 2), (cycle,), (gen,))
+    except InputError:
+        return
+    again = fibration_loads(fibration_dumps(f))
+    # repr shows every field, labels included, and the type of each entry
+    assert again == f and repr(again) == repr(f)
