@@ -106,6 +106,8 @@ class LefschetzFibration(Record):
 
     def __init__(self, fiber: SurfaceSpec, base: BaseSurface,
                  cycles: tuple[SignedCycle, ...], bundle: tuple[BundleGen, ...] = ()) -> None:
+        if not isinstance(base, BaseSurface):
+            raise InputError("fibration base must be a BaseSurface")
         cycles = tuple(cycles)
         bundle = tuple(bundle)
         check_cycle_count(len(cycles))
@@ -158,46 +160,42 @@ def twist_product(f: LefschetzFibration) -> Matrix:
 # standard fibrations over the disk
 # ---------------------------------------------------------------------------
 
-def _catalog_fibration(fiber: SurfaceSpec, signs: tuple[int, ...]) -> LefschetzFibration:
-    curves = twist_catalog(fiber)
-    if len(signs) != len(curves):
-        raise InputError("sign count does not match the catalog")
-    cycles = tuple(SignedCycle(c, s) for c, s in zip(curves, signs))
-    return LefschetzFibration(fiber, DISK, cycles)
+def _catalog_fibration(fiber: SurfaceSpec, negative: tuple[str, ...] = ()) -> LefschetzFibration:
+    """Catalog twists, negative on the labels in ``negative``, stored trusted."""
+    cycles = tuple(SignedCycle._trusted(c, -1 if c.label in negative else 1)
+                   for c in twist_catalog(fiber))
+    return LefschetzFibration._trusted(fiber, DISK, cycles, ())
 
 
 def u_g1(g: int) -> LefschetzFibration:
     """The (2g+1)-cycle fibration over the disk with fiber of genus g, one
-    boundary circle, and signs (-, +, +...+, -, +...+) on the catalog
-    configuration (b1 and c1 negative)."""
+    boundary circle, and the catalog configuration with b1 and c1 negative."""
+    check_int(g, "surface genus")
     if g < 2:
         raise InputError("u_g1 needs genus >= 2; use u_11 for genus one")
     fiber = SurfaceSpec(g, 1)
     check_fiber_rank(fiber)
-    signs = [1] * (2 * g + 1)
-    signs[0] = -1          # b1
-    signs[g + 2] = -1      # c1
-    return _catalog_fibration(fiber, tuple(signs))
+    return _catalog_fibration(fiber, ("b1", "c1"))
 
 
 def u_11() -> LefschetzFibration:
     """Two cycles (a+, b-) on the one-holed torus."""
-    return _catalog_fibration(SurfaceSpec(1, 1), (1, -1))
+    return _catalog_fibration(SurfaceSpec(1, 1), ("b",))
 
 
 def u_10() -> LefschetzFibration:
     """Two cycles (a+, b-) on the closed torus."""
-    return _catalog_fibration(SurfaceSpec(1, 0), (1, -1))
+    return _catalog_fibration(SurfaceSpec(1, 0), ("b",))
 
 
 def p_g(g: int) -> LefschetzFibration:
     """All-positive twists on the catalog configuration (fiber F_{g,1})."""
+    check_int(g, "surface genus")
     if g < 1:
         raise InputError("p_g needs genus >= 1")
     fiber = SurfaceSpec(g, 1)
     check_fiber_rank(fiber)
-    count = 2 if g == 1 else 2 * g + 1
-    return _catalog_fibration(fiber, (1,) * count)
+    return _catalog_fibration(fiber)
 
 
 _BUILDERS = {"u_11": u_11, "u_10": u_10, "u_g1": u_g1, "p_g": p_g}
@@ -213,7 +211,7 @@ def build(name: str, g: int | None = None) -> LefschetzFibration:
     try:
         builder = _BUILDERS[name]
     except KeyError:
-        raise InputError(f"unknown fibration name {name!r}") from None
+        raise InputError(f"unknown fibration name {clipped(repr(name))}") from None
     if name in ("u_11", "u_10"):
         if g is not None:
             raise InputError(f"builder {name} takes no genus parameter")
@@ -277,7 +275,7 @@ def hurwitz_move(f: LefschetzFibration, i: int, direction: str) -> LefschetzFibr
     raises InputError, which shows at most 20 characters of it.
     """
     if direction not in ("L", "R"):
-        raise InputError(f"direction must be 'L' or 'R', not {direction!r}")
+        raise InputError(f"direction must be 'L' or 'R', not {clipped(repr(direction))}")
     check_int(i, "move position")
     n = f.size
     if not 1 <= i < n:

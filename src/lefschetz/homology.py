@@ -87,10 +87,11 @@ class Record:
 
     Records are validated where they enter, by the public constructors that
     the file reader also builds through.  ``_trusted`` stores fields without
-    that check, for a record the library derives from validated ones: a
-    homeomorphism takes a valid curve, cycle or fibration to a valid one of
-    the same type, and a product, inverse or conjugate of mapping classes is
-    a mapping class.
+    that check in three cases: a homeomorphism takes a valid curve, cycle
+    or fibration to a valid one of the same type; a product, inverse or
+    conjugate of mapping classes is a mapping class; and the records built
+    in closed form, the twist catalog and the standard fibrations, are
+    valid by construction.
     """
 
     __slots__ = ()

@@ -24,7 +24,7 @@ import operator
 from importlib import import_module
 from itertools import chain, repeat
 
-from .curves import Curve, boundary_subset_class, nonseparating_curve
+from .curves import Curve, CurveClass, boundary_subset_class
 from .errors import InputError, clipped
 from .homology import (
     MAX_FIBER_RANK,  # noqa: F401  (re-exported)
@@ -92,6 +92,8 @@ class TwistGen(Record):
     __slots__ = ("curve", "handed")
 
     def __init__(self, curve: Curve, handed: str = "right") -> None:
+        if not isinstance(curve, Curve):
+            raise InputError("twist curve must be a Curve")
         if handed not in ("right", "left"):
             raise InputError(f"bad handedness {clipped(repr(handed))}")
         self._store(curve, handed)
@@ -389,7 +391,9 @@ def twist_catalog(surface: SurfaceSpec) -> tuple[Curve, ...]:
     which realizes the intersection pattern algebraically (consecutive
     configuration neighbors pair to +-1, all other pairs to 0), consists of
     primitive non-separating classes, and spans the full symplectic lattice.
-    For g = 1 the catalog is the pair a -> alpha_1, b -> beta_1.
+    For g = 1 the catalog is the pair a -> alpha_1, b -> beta_1.  This is
+    the one place that knows the catalog's order, labels and size, and its
+    curves are stored trusted: each class is valid by construction.
     """
     g, b = surface.genus, surface.boundary
     if g < 1 or b > 1:
@@ -397,17 +401,9 @@ def twist_catalog(surface: SurfaceSpec) -> tuple[Curve, ...]:
     alpha = lambda i: surface.basis_vector(surface.alpha_index(i))
     beta = lambda i: surface.basis_vector(surface.beta_index(i))
     if g == 1:
-        return (
-            nonseparating_curve(surface, alpha(1), "a"),
-            nonseparating_curve(surface, beta(1), "b"),
-        )
-    curves = [
-        nonseparating_curve(surface, beta(1), "b1"),
-        nonseparating_curve(surface, beta(2), "b2"),
-    ]
-    for i in range(1, g + 1):
-        curves.append(nonseparating_curve(surface, alpha(i), f"a{i}"))
-    for i in range(1, g):
-        chain = tuple(x + y for x, y in zip(beta(i), beta(i + 1)))
-        curves.append(nonseparating_curve(surface, chain, f"c{i}"))
-    return tuple(curves)
+        table = [(alpha(1), "a"), (beta(1), "b")]
+    else:
+        table = [(beta(1), "b1"), (beta(2), "b2")] + [(alpha(i), f"a{i}") for i in range(1, g + 1)]
+        table += [(tuple(map(operator.add, beta(i), beta(i + 1))), f"c{i}") for i in range(1, g)]
+    nonsep = CurveClass.nonseparating()
+    return tuple(Curve._trusted(surface, nonsep, hom, label) for hom, label in table)

@@ -135,7 +135,7 @@ def stabilize(f: LefschetzFibration, mode: str, sign: int = 1) -> LefschetzFibra
         new_hom = new_surface.basis_vector(new_surface.beta_index(g + 1))
         new_cls = CurveClass.nonseparating()
     else:
-        raise InputError(f"unknown stabilization mode {mode!r}")
+        raise InputError(f"unknown stabilization mode {clipped(repr(mode))}")
 
     cycles = [
         SignedCycle(_transport_curve(c.curve, new_surface, remap(c.curve.hom)), c.sign)

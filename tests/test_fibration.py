@@ -135,6 +135,25 @@ def test_builders():
         build("u_g1")
 
 
+def test_standard_fibrations_keep_the_positional_sign_rule():
+    # the signs were once set by catalog position: u_g1 negative at b1
+    # (position 0) and c1 (position g + 2); each fibration also passes the
+    # public constructors
+    def validated(f):
+        cycles = tuple(SignedCycle(c.curve, c.sign) for c in f.cycles)
+        return LefschetzFibration(f.fiber, DISK, cycles)
+
+    for g in range(2, 51):
+        f = u_g1(g)
+        assert [i for i, sign in enumerate(f.signs()) if sign < 0] == [0, g + 2]
+        assert f.size == 2 * g + 1 and validated(f) == f
+    for g in range(1, 51):
+        f = p_g(g)
+        assert set(f.signs()) == {1} and validated(f) == f
+    for f in (u_11(), u_10()):
+        assert f.signs() == (1, -1) and validated(f) == f
+
+
 def test_bundle_count_enforced():
     f = u_11()
     with pytest.raises(InputError):

@@ -321,6 +321,59 @@ def test_packaged_catalog_is_pinned():
     assert raw == dumps(json.loads(raw))
 
 
+def _reference_catalog(s):
+    """The catalog built term by term through the validating constructor,
+    as ``twist_catalog`` built it before it stored its curves trusted."""
+    alpha = lambda i: s.basis_vector(s.alpha_index(i))
+    beta = lambda i: s.basis_vector(s.beta_index(i))
+    if s.genus == 1:
+        return [nonseparating_curve(s, alpha(1), "a"), nonseparating_curve(s, beta(1), "b")]
+    curves = [nonseparating_curve(s, beta(1), "b1"), nonseparating_curve(s, beta(2), "b2")]
+    for i in range(1, s.genus + 1):
+        curves.append(nonseparating_curve(s, alpha(i), f"a{i}"))
+    for i in range(1, s.genus):
+        chain = tuple(x + y for x, y in zip(beta(i), beta(i + 1)))
+        curves.append(nonseparating_curve(s, chain, f"c{i}"))
+    return curves
+
+
+def test_closed_form_catalog_matches_the_validated_one():
+    for s in [SurfaceSpec(1, 0)] + [SurfaceSpec(g, 1) for g in range(1, 51)]:
+        catalog = twist_catalog(s)
+        # each trusted curve passes the public check, labels included
+        assert [repr(nonseparating_curve(s, c.hom, c.label)) for c in catalog] == [
+            repr(c) for c in catalog]
+        assert [repr(c) for c in catalog] == [repr(c) for c in _reference_catalog(s)]
+
+
+def _reference_matches_catalog(twists, s):
+    """The oracle's certificate as it was: every catalog curve matched by
+    (type, class), up to sign, against the validated catalog."""
+    have = set()
+    for t in twists:
+        have.add((t.curve.cls, t.curve.hom))
+        have.add((t.curve.cls, tuple(-x for x in t.curve.hom)))
+    return all((c.cls, c.hom) in have for c in _reference_catalog(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_catalog_certificate_matches_the_reference(seed):
+    # catalog sets with curves dropped, negated or added, in any order and hand
+    rng = random.Random(seed)
+    s = rng.choice([SurfaceSpec(1, 0)] + [SurfaceSpec(g, 1) for g in range(1, 5)])
+    curves = [c if rng.random() < 0.7 else nonseparating_curve(s, tuple(-x for x in c.hom))
+              for c in twist_catalog(s) if rng.random() < 0.9]
+    curves += [_random_nonsep(rng, s) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(curves)
+    twists = [TwistGen(c, rng.choice(("right", "left"))) for c in curves]
+    verdict = mcg_surjectivity_oracle(twists, s, primes=())
+    assert verdict.certified == _reference_matches_catalog(twists, s)
+    if verdict.certified:
+        size = 2 * s.genus + 1 if s.genus >= 2 else 2
+        assert verdict.detail == f"contains the {size}-twist catalog configuration"
+
+
 # ---------------------------------------------------------------------------
 # the oracle
 # ---------------------------------------------------------------------------

@@ -324,6 +324,19 @@ REFUSALS = [
     # a refused value is echoed clipped: these gave 5,017 and 5,021 bytes
     (lambda: TwistGen(A1, "x" * 5000), "bad handedness 'xxxxxxxxxxxxxxxxxxx..."),
     (lambda: CurveClass("y" * 5000), "unknown curve kind 'yyyyyyyyyyyyyyyyyyy..."),
+    # a genus that is not an int raised TypeError on the genus bound
+    (lambda: build("u_g1", "3"), "surface genus must be an int"),
+    (lambda: build("p_g", [3]), "surface genus must be an int"),
+    (lambda: p_g(None), "surface genus must be an int"),
+    # a record held by a record raised AttributeError on first use
+    (lambda: MCWord(SurfaceSpec(1, 1), (Letter(TwistGen("c")),)), "twist curve must be a Curve"),
+    (lambda: LefschetzFibration(SurfaceSpec(1, 1), (0, 1), ()),
+     "fibration base must be a BaseSurface"),
+    # these gave 5,036, 5,025 and 5,029 bytes
+    (lambda: hurwitz_move(u_g1(2), 1, "x" * 5000),
+     "direction must be 'L' or 'R', not 'xxxxxxxxxxxxxxxxxxx..."),
+    (lambda: build("x" * 5000), "unknown fibration name 'xxxxxxxxxxxxxxxxxxx..."),
+    (lambda: stabilize(FIB, "x" * 5000), "unknown stabilization mode 'xxxxxxxxxxxxxxxxxxx..."),
 ]
 
 

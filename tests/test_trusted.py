@@ -2,10 +2,11 @@
 
 A homeomorphism takes a valid curve, cycle or fibration to a valid one of the
 same type, so ``hurwitz_move``, ``global_conjugate`` and ``act_on_curve``
-build their moved records with ``Record._trusted``.  The one mapping-class
-check is ``HomPermRep``'s constructor, which ``BundleGen`` inherits; a
-product, inverse or conjugate of checked mapping classes is one by algebra,
-so ``evaluate``, ``HomPermRep.compose``, ``BundleGen.inverse``,
+build their moved records with ``Record._trusted``; the twist catalog and the
+standard fibrations, valid by construction, are stored the same way.  The
+one mapping-class check is ``HomPermRep``'s constructor, which ``BundleGen``
+inherits; a product, inverse or conjugate of checked mapping classes is one
+by algebra, so ``evaluate``, ``HomPermRep.compose``, ``BundleGen.inverse``,
 ``boundary_permutation_gen``, the conjugated generators of
 ``global_conjugate`` and the words of ``Letter.inverse``, ``MCWord.inverse``
 and ``MCWord.__mul__`` are stored unchecked too.  These tests rerun the move
@@ -13,10 +14,11 @@ trials, the reference differentials and the golden CLI calls with
 ``_trusted`` routed through the validating constructors, and require the
 same results; check that every derived mapping class passes the public
 check and preserves the pairing, which is what the skipped checks checked;
-spy that the fast path builds nothing through a constructor and checks the
-pairing only in the public constructors; and pin the refusals of the
-``HomPermRep`` constructor, which is what keeps ``act_on_curve`` sound for a
-rep it is given.
+spy that the fast path, the catalog and the standard fibrations build
+nothing through a constructor, and that the fast path checks the pairing
+only in the public constructors; and pin the refusals of the ``HomPermRep``
+constructor, which is what keeps ``act_on_curve`` sound for a rep it is
+given.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from lefschetz.fibration import (
     SignedCycle,
     global_conjugate,
     hurwitz_move,
+    p_g,
+    u_10,
+    u_11,
     u_g1,
 )
 from lefschetz.homology import Record, SurfaceSpec
@@ -223,6 +228,19 @@ def test_moves_run_no_validation(monkeypatch):
     calls.clear()
     HomPermRep(s, swap.matrix, swap.perm)
     assert calls == {"preserves_pairing": 1}
+
+
+def test_catalog_and_standard_fibrations_run_no_validation(monkeypatch):
+    calls = _spy(monkeypatch)
+    for g in (1, 2, 5):
+        twist_catalog(SurfaceSpec(g, 1))
+        p_g(g)
+    twist_catalog(SurfaceSpec(1, 0))
+    u_g1(2)
+    u_g1(7)
+    u_11()
+    u_10()
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
