@@ -31,8 +31,8 @@ from .homology import (
     SurfaceSpec,
     Vector,
     check_cycle_count,
-    check_fiber_rank,
     check_int,
+    check_str,
     check_unit,
     cokernel_invariants,
     mat_from_columns,
@@ -173,9 +173,7 @@ def u_g1(g: int) -> LefschetzFibration:
     check_int(g, "surface genus")
     if g < 2:
         raise InputError("u_g1 needs genus >= 2; use u_11 for genus one")
-    fiber = SurfaceSpec(g, 1)
-    check_fiber_rank(fiber)
-    return _catalog_fibration(fiber, ("b1", "c1"))
+    return _catalog_fibration(SurfaceSpec(g, 1), ("b1", "c1"))
 
 
 def u_11() -> LefschetzFibration:
@@ -193,9 +191,7 @@ def p_g(g: int) -> LefschetzFibration:
     check_int(g, "surface genus")
     if g < 1:
         raise InputError("p_g needs genus >= 1")
-    fiber = SurfaceSpec(g, 1)
-    check_fiber_rank(fiber)
-    return _catalog_fibration(fiber)
+    return _catalog_fibration(SurfaceSpec(g, 1))
 
 
 _BUILDERS = {"u_11": u_11, "u_10": u_10, "u_g1": u_g1, "p_g": p_g}
@@ -206,8 +202,9 @@ def build(name: str, g: int | None = None) -> LefschetzFibration:
 
     u_g1 and p_g need the genus g; u_11 and u_10 have a fixed fiber and
     refuse one with InputError.  A fiber of H1 rank above MAX_FIBER_RANK is
-    refused with CapacityError before its catalog is built.
+    refused with CapacityError by ``twist_catalog``, before it builds a curve.
     """
+    check_str(name, "fibration name")
     try:
         builder = _BUILDERS[name]
     except KeyError:

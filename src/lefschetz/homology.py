@@ -9,7 +9,7 @@ where (a_i, b_i) are the symplectic pairs of the handles and d_j is the class
 of a curve parallel to the j-th boundary circle.  The last boundary class is
 not stored: d_b = -(d_1 + ... + d_{b-1}).  The intersection pairing is fixed
 once and for all by <a_i, b_i> = +1, every other basis pairing 0; the d_j are
-in the radical.
+in the radical.  :func:`covector` is the one place that writes it.
 
 Every module in the package works over this basis, with plain Python integers
 (arbitrary precision, so there is no overflow policy).  Vectors are tuples of
@@ -255,14 +255,18 @@ def check_unit(value: int, what: str) -> None:
         raise InputError(f"{what} must be +-1")
 
 
+def covector(surface: SurfaceSpec, x: Vector) -> Vector:
+    """The row w with w . y = <x, y>: (-x_b1, x_a1, ..., -x_bg, x_ag, 0, ..., 0).
+    The one place that writes <a_i, b_i> = +1: the pairing, J, its check and twists use it."""
+    w = [0] * len(x)
+    for i in range(0, 2 * surface.genus, 2):
+        w[i], w[i + 1] = -x[i + 1], x[i]
+    return tuple(w)
+
+
 def pairing_matrix(surface: SurfaceSpec) -> Matrix:
-    """Skew form J with <a_i, b_i> = +1 and the boundary block zero."""
-    r = surface.rank
-    rows = [[0] * r for _ in range(r)]
-    for i in range(surface.genus):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return tuple(tuple(row) for row in rows)
+    """Skew form J, row i the covector of basis class i."""
+    return tuple(covector(surface, e) for e in mat_identity(surface.rank))
 
 
 def pairing(surface: SurfaceSpec, x: Vector, y: Vector) -> int:
@@ -271,10 +275,7 @@ def pairing(surface: SurfaceSpec, x: Vector, y: Vector) -> int:
     if len(x) != r or len(y) != r:
         raise InputError(
             f"classes of length {len(x)}, {len(y)} on a rank-{r} surface")
-    total = 0
-    for i in range(surface.genus):
-        total += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
-    return total
+    return sum(map(operator.mul, covector(surface, x), y))
 
 
 def is_essential(x: Vector) -> bool:
@@ -288,30 +289,22 @@ def in_radical(surface: SurfaceSpec, x: Vector) -> bool:
 
 
 def preserves_pairing(surface: SurfaceSpec, m: Matrix) -> bool:
-    """Check m^T J m == J exactly, from the g symplectic row pairs of m.
+    """Check m^T J m == J exactly, column pair by column pair.
 
-    Let P_x and Q_x be column x of the a-rows and of the b-rows of m; entry
-    (x, y) of m^T J m is P_x . Q_y - Q_x . P_y.  Both sides are
-    antisymmetric, so entries above the diagonal are compared, row by row,
-    stopping at the first row that differs.  A matrix that is not r x r, r
-    the rank, raises InputError.
+    Entry (x, y) of m^T J m is <m_x, m_y>, m_x column x of m, and row x
+    of J is the covector of e_x.  Both sides are antisymmetric, so entries
+    above the diagonal are compared, column by column, stopping at the
+    first column that differs.  A matrix that is not r x r, r the rank,
+    raises InputError.
     """
     r = surface.rank
     if len(m) != r or any(len(row) != r for row in m):
         raise InputError(f"matrix must be {r}x{r} for {surface}")
-    n = 2 * surface.genus
     cols = tuple(zip(*m))
-    ps = [col[0:n:2] for col in cols]
-    qs = [col[1:n:2] for col in cols]
     mul = operator.mul
-    for x in range(r):
-        px, qx = ps[x], qs[x]
-        got = [sum(map(mul, px, q)) - sum(map(mul, qx, p))
-               for p, q in zip(ps[x + 1:], qs[x + 1:])]
-        want = [0] * (r - x - 1)
-        if x < n and not x % 2:  # <a_i, b_i> = +1
-            want[0] = 1
-        if got != want:
+    for x, want in enumerate(pairing_matrix(surface)):
+        w = covector(surface, cols[x])
+        if tuple([sum(map(mul, w, y)) for y in cols[x + 1:]]) != want[x + 1:]:
             return False
     return True
 

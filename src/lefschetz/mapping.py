@@ -32,9 +32,11 @@ from .homology import (
     Record,
     SurfaceSpec,
     Vector,
+    check_fiber_rank,
     check_ints,
     check_str,
     check_unit,
+    covector,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -284,8 +286,8 @@ def twist_word(*twists: TwistGen) -> MCWord:
 def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
     """Send each row x to x + h (x . a) b, O(r) per row: the one twist kernel.
 
-    For the twist T about c with covector w (w . x = <c, x>), T x is
-    ``transvect((x,), w, c, h)[0]``; :func:`twist_classes` applies it.
+    For the twist T about c with w = ``homology.covector(surface, c)``, T x
+    is ``transvect((x,), w, c, h)[0]``; :func:`twist_classes` applies it.
     """
     add, mul = operator.add, operator.mul
     out = []
@@ -295,18 +297,10 @@ def transvect(rows: Matrix, a: Vector, b: Vector, h: int) -> Matrix:
     return tuple(out)
 
 
-def twist_covector(c: Curve) -> Vector:
-    """The row w with w . x = <c, x>: (-c_b1, c_a1, ..., -c_bg, c_ag, 0, ..., 0)."""
-    v = c.hom
-    w = [0] * len(v)
-    for i in range(0, 2 * c.surface.genus, 2):
-        w[i], w[i + 1] = -v[i + 1], v[i]
-    return tuple(w)
-
-
 def twist_classes(homs: Matrix, c: Curve, h: int) -> Matrix:
-    """T x = x + h <c, x> c for each class x, T the twist about c with hand h."""
-    return transvect(homs, twist_covector(c), c.hom, h)
+    """T x = x + h <c, x> c for each class x, T the twist about c with hand h,
+    <c, x> read through c's covector."""
+    return transvect(homs, covector(c.surface, c.hom), c.hom, h)
 
 
 def twist_matrix(c: Curve, handed: str = "right") -> Matrix:
@@ -393,11 +387,13 @@ def twist_catalog(surface: SurfaceSpec) -> tuple[Curve, ...]:
     primitive non-separating classes, and spans the full symplectic lattice.
     For g = 1 the catalog is the pair a -> alpha_1, b -> beta_1.  This is
     the one place that knows the catalog's order, labels and size, and its
-    curves are stored trusted: each class is valid by construction.
+    curves are stored trusted: each class is valid by construction.  A
+    surface of H1 rank above MAX_FIBER_RANK is refused with CapacityError.
     """
     g, b = surface.genus, surface.boundary
     if g < 1 or b > 1:
         raise InputError(f"no twist catalog for {surface}")
+    check_fiber_rank(surface)
     alpha = lambda i: surface.basis_vector(surface.alpha_index(i))
     beta = lambda i: surface.basis_vector(surface.beta_index(i))
     if g == 1:

@@ -23,7 +23,7 @@ from math import factorial, isqrt
 from .curves import CurveClass, enumerate_classes
 from .errors import CapacityError, InputError
 from .fibration import LefschetzFibration
-from .homology import Record, SurfaceSpec, Vector, check_fiber_rank
+from .homology import Record, SurfaceSpec, Vector, check_fiber_rank, covector
 from .mapping import (
     Permutation,
     TwistGen,
@@ -31,7 +31,6 @@ from .mapping import (
     perm_compose,
     perm_inverse,
     twist_catalog,
-    twist_covector,
 )
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,9 @@ def _invariant_subspace(twists: list[TwistGen], g: int, p: int) -> int | None:
 
     A center is the handle part (the first 2g entries) of a twist's class
     mod p, zero and repeated centers dropped; two centers are joined when
-    they pair to nonzero mod p.  A twist about c moves x by a multiple of
-    <c, x> c, so:
+    they pair to nonzero mod p, through the covector of a twist's class
+    (:func:`~lefschetz.homology.covector`).  A twist about c moves x by a
+    multiple of <c, x> c, so:
 
       * when the centers do not span, their span is invariant (dimension 0,
         a trivial action, when no center is nonzero);
@@ -209,11 +209,11 @@ def _invariant_subspace(twists: list[TwistGen], g: int, p: int) -> int | None:
         one it holds, and so all of them, which span.
     """
     n = 2 * g
-    covectors: dict[Vector, Vector] = {}  # center -> its covector's handle part
+    covectors: dict[Vector, Vector] = {}  # center -> its class's covector, handle part
     for t in twists:
         center = tuple(x % p for x in t.curve.hom[:n])
         if any(center):
-            covectors.setdefault(center, twist_covector(t.curve)[:n])
+            covectors.setdefault(center, covector(t.curve.surface, t.curve.hom)[:n])
     rank = _rank_mod(covectors, p)
     if rank < n:
         return rank

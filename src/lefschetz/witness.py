@@ -15,8 +15,8 @@ import threading
 from .curves import Curve, CurveClass
 from .errors import CapacityError, InputError
 from .fibration import DISK, LefschetzFibration, SignedCycle, require_disk
-from .homology import Matrix, Record, Vector, check_cycle_count, check_int, check_unit
-from .mapping import Letter, MCWord, TwistGen, transvect, twist_covector, word_action
+from .homology import Matrix, Record, Vector, check_cycle_count, check_int, check_unit, covector
+from .mapping import Letter, MCWord, TwistGen, transvect, word_action
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,8 @@ def substitution_witness(
 
 def _walk_steps(twists: list[tuple[Curve, str]],
                 ) -> list[tuple[Vector, Vector, int, tuple[int, ...]]]:
-    """Per (curve, hand) of :func:`_twists`: its step (class, covector,
-    h = +1 right or -1 left) and the letters the walk may put after it.
+    """Per (curve, hand) of :func:`_twists`: its step (class, ``covector`` of
+    the class, h = +1 right or -1 left) and the letters the walk may put after it.
 
     Letter l is not put after p when it undoes p (the same class with the
     other hand), or when l < p and the two classes pair to 0: such
@@ -281,7 +281,7 @@ def _walk_steps(twists: list[tuple[Curve, str]],
     the same matrix.  Either way the word equals one that comes earlier in
     length-then-lex order.
     """
-    base = [(c.hom, twist_covector(c), 1 if hand == "right" else -1) for c, hand in twists]
+    base = [(c.hom, covector(c.surface, c.hom), 1 if hand == "right" else -1) for c, hand in twists]
     steps = []
     for p, (cp, wp, hp) in enumerate(base):
         after = tuple(

@@ -52,6 +52,12 @@ written with generator expressions over ``zip``; the library now takes its
 inner products with ``sum(map(operator.mul, ...))``.  Every reference here
 multiplies with these copies.
 
+``pairing_matrix``, ``pairing``, ``twist_covector`` and
+``preserves_pairing_by_rows`` write the pairing's convention <a_i, b_i> = +1
+out by hand, each on its own, as the library did before it built all four on
+``homology.covector``; the references here pair classes through these
+copies, never through the code under test.
+
 ``mat_det`` lives here too: only the tests use it.
 """
 
@@ -72,7 +78,6 @@ from lefschetz.homology import (
     in_radical,
     mat_identity,
     mat_shape,
-    pairing_matrix,
     vec_gcd,
 )
 from lefschetz.mapping import (
@@ -83,7 +88,6 @@ from lefschetz.mapping import (
     Permutation,
     TwistGen,
     act_on_curve,
-    twist_covector,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -327,6 +331,70 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         u=tuple(tuple(row) for row in u),
         v=tuple(tuple(row) for row in v),
     )
+
+
+# ---------------------------------------------------------------------------
+# the pairing, written out entry by entry
+# ---------------------------------------------------------------------------
+
+def pairing_matrix(surface: SurfaceSpec) -> Matrix:
+    """Skew form J with <a_i, b_i> = +1 and the boundary block zero."""
+    r = surface.rank
+    rows = [[0] * r for _ in range(r)]
+    for i in range(surface.genus):
+        rows[2 * i][2 * i + 1] = 1
+        rows[2 * i + 1][2 * i] = -1
+    return tuple(tuple(row) for row in rows)
+
+
+def pairing(surface: SurfaceSpec, x: Vector, y: Vector) -> int:
+    """Algebraic intersection number of two homology classes."""
+    r = surface.rank
+    if len(x) != r or len(y) != r:
+        raise InputError(
+            f"classes of length {len(x)}, {len(y)} on a rank-{r} surface")
+    total = 0
+    for i in range(surface.genus):
+        total += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
+    return total
+
+
+def twist_covector(c: Curve) -> Vector:
+    """The row w with w . x = <c, x>: (-c_b1, c_a1, ..., -c_bg, c_ag, 0, ..., 0)."""
+    v = c.hom
+    w = [0] * len(v)
+    for i in range(0, 2 * c.surface.genus, 2):
+        w[i], w[i + 1] = -v[i + 1], v[i]
+    return tuple(w)
+
+
+def preserves_pairing_by_rows(surface: SurfaceSpec, m: Matrix) -> bool:
+    """Check m^T J m == J exactly, from the g symplectic row pairs of m.
+
+    Let P_x and Q_x be column x of the a-rows and of the b-rows of m; entry
+    (x, y) of m^T J m is P_x . Q_y - Q_x . P_y.  Both sides are
+    antisymmetric, so entries above the diagonal are compared, row by row,
+    stopping at the first row that differs.  A matrix that is not r x r, r
+    the rank, raises InputError.
+    """
+    r = surface.rank
+    if len(m) != r or any(len(row) != r for row in m):
+        raise InputError(f"matrix must be {r}x{r} for {surface}")
+    n = 2 * surface.genus
+    cols = tuple(zip(*m))
+    ps = [col[0:n:2] for col in cols]
+    qs = [col[1:n:2] for col in cols]
+    mul = operator.mul
+    for x in range(r):
+        px, qx = ps[x], qs[x]
+        got = [sum(map(mul, px, q)) - sum(map(mul, qx, p))
+               for p, q in zip(ps[x + 1:], qs[x + 1:])]
+        want = [0] * (r - x - 1)
+        if x < n and not x % 2:  # <a_i, b_i> = +1
+            want[0] = 1
+        if got != want:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from lefschetz.mapping import (
     perm_identity,
     perm_inverse,
     transvect,
-    twist_covector,
 )
 from lefschetz.universality import _group_order, symplectic_group_order
+from reference_kernel import twist_covector
 
 
 def _perm_group_order(gens: list[Permutation], n: int) -> int:

@@ -6,22 +6,27 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz.curves import nonseparating_curve
 from lefschetz.errors import InputError
 from lefschetz.homology import (
     SurfaceSpec,
     cokernel_invariants,
+    covector,
     is_essential,
     mat_identity,
     mat_mul,
     pairing,
     pairing_matrix,
+    preserves_pairing,
     smith_normal_form,
 )
+from lefschetz.mapping import Letter, MCWord, TwistGen, boundary_permutation_gen, evaluate
 import reference_kernel as ref
 from reference_kernel import mat_det
 
@@ -95,6 +100,83 @@ def test_pairing_matrix_rank():
         s = SurfaceSpec(g, b)
         j = pairing_matrix(s)
         assert sum(1 for d in smith_normal_form(j) if d != 0) == 2 * g
+
+
+def test_pairing_matrix_is_the_written_out_form():
+    assert pairing_matrix(SurfaceSpec(2, 2)) == (
+        (0, 1, 0, 0, 0),
+        (-1, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0),
+        (0, 0, -1, 0, 0),
+        (0, 0, 0, 0, 0),
+    )
+
+
+# The differentials below compare the pairing, built on ``covector``, with
+# the copies in reference_kernel that write <a_i, b_i> = +1 out by hand.
+
+def fibers():
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda t: SurfaceSpec(*t))
+
+
+def _outcome(check, s, m):
+    """``check(s, m)``, or the message of the InputError it raised."""
+    try:
+        return check(s, m)
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_covector_pairing_and_matrix_match_written_out_copies(data):
+    s = data.draw(fibers())
+    x = data.draw(vectors(s))
+    y = data.draw(vectors(s))
+    assert covector(s, x) == ref.twist_covector(SimpleNamespace(surface=s, hom=x))
+    assert pairing(s, x, y) == ref.pairing(s, x, y)
+    assert pairing_matrix(s) == ref.pairing_matrix(s)
+
+
+@st.composite
+def evaluated_words(draw):
+    """A fiber and the matrix of a word of twist and bundle letters on it."""
+    s = draw(fibers())
+    kinds = ("twist",) * (s.genus > 0) + ("bundle",) * (s.boundary > 1)
+    letters = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)) if kinds else ():
+        if kind == "twist":
+            hom = draw(st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank).map(
+                tuple).filter(lambda v: any(v[:2 * s.genus]) and gcd(*v) == 1))
+            gen = TwistGen(nonseparating_curve(s, hom), draw(st.sampled_from(("right", "left"))))
+        else:
+            gen = boundary_permutation_gen(s, tuple(draw(st.permutations(range(s.boundary)))))
+        letters.append(Letter(gen, draw(st.sampled_from((1, -1)))))
+    return s, evaluate(MCWord(s, tuple(letters))).matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=evaluated_words(), data=st.data())
+def test_preserves_pairing_matches_written_out_copy(word, data):
+    s, m = word
+    assert preserves_pairing(s, m) and ref.preserves_pairing_by_rows(s, m)
+    if s.rank:
+        i = data.draw(st.integers(0, s.rank - 1))
+        j = data.draw(st.integers(0, s.rank - 1))
+        row = list(m[i])
+        row[j] += data.draw(st.sampled_from((1, -1)))
+        bumped = m[:i] + (tuple(row),) + m[i + 1:]
+        assert preserves_pairing(s, bumped) == ref.preserves_pairing_by_rows(s, bumped)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_preserves_pairing_shape_refusals_match_written_out_copy(data):
+    s = data.draw(fibers())
+    r = s.rank
+    m = data.draw(st.lists(st.lists(st.integers(-1, 1), max_size=r + 2).map(tuple),
+                           max_size=r + 2).map(tuple))
+    assert _outcome(preserves_pairing, s, m) == _outcome(ref.preserves_pairing_by_rows, s, m)
 
 
 def test_is_essential():

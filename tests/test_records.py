@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz.curves import Curve, CurveClass, nonseparating_curve
-from lefschetz.errors import InputError
+from lefschetz.errors import CapacityError, InputError
 from lefschetz.fibration import (
     DISK,
     BaseSurface,
@@ -40,6 +40,7 @@ from lefschetz.mapping import (
     TwistGen,
     boundary_permutation_gen,
     evaluate,
+    twist_catalog,
 )
 from lefschetz.reduction import ReduceResult, stabilize
 from lefschetz.serialize import fibration_dumps, fibration_loads
@@ -337,12 +338,22 @@ REFUSALS = [
      "direction must be 'L' or 'R', not 'xxxxxxxxxxxxxxxxxxx..."),
     (lambda: build("x" * 5000), "unknown fibration name 'xxxxxxxxxxxxxxxxxxx..."),
     (lambda: stabilize(FIB, "x" * 5000), "unknown stabilization mode 'xxxxxxxxxxxxxxxxxxx..."),
+    # an unhashable name raised TypeError on the builder lookup
+    (lambda: build(["u_g1"], 2), "fibration name must be a str"),
+    (lambda: build({"a": 1}, 2), "fibration name must be a str"),
+    # the catalog of an oversized fiber was built (3.65 s and 427 MB at genus 3000)
+    (lambda: twist_catalog(SurfaceSpec(51, 1)), "fiber rank 102 exceeds the desk-scale bound 100",
+     CapacityError),
 ]
 
 
-@pytest.mark.parametrize("make, message", REFUSALS, ids=[m for _, m in REFUSALS])
-def test_validation_messages(make, message):
-    with pytest.raises(InputError) as info:
+@pytest.mark.parametrize("make, message, error",
+                         [(*entry, InputError)[:3] for entry in REFUSALS],
+                         ids=[entry[1] for entry in REFUSALS])
+def test_validation_messages(make, message, error):
+    """Each entry refuses with its message, by InputError unless it names
+    the error class third."""
+    with pytest.raises(error) as info:
         make()
     assert str(info.value) == message
 
